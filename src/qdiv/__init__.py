@@ -13,16 +13,10 @@ from .functions import (
 )
 from .matrixcore import (
     SpectralDecomposition,
-    Superoperator,
-    apply_spectral_fn,
-    cluster_spectrum,
-    compress_to_support,
     eig_hermitian,
     hs_inner,
-    polar_unitary,
     rank_one,
     superop_lr,
-    support_projection,
 )
 from .operators import DensityOperator, PositiveOperator, ValidationError
 from .divergence import (

@@ -1,9 +1,11 @@
 """Distinguishability functionals on positive operators.
 
 Each quantity is computed from snapped spectral data, so support conditions
-(the +inf branches) are decided by ranks, never by numeric overflow.  Where
-two formulations exist (spectral double sum vs. superoperator form), both are
-implemented so they can cross-check each other.
+(the +inf branches) are decided by ranks, never by numeric overflow: every
++inf branch goes through ``support_contains`` or ``supports_orthogonal``.
+The f-divergence is a double sum over pairs of eigenvectors of A and B,
+weighted by their squared overlaps; its superoperator form is kept as an
+independent route so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from .extended import INF, ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec, spec_from_name
 from .operators import PositiveOperator, ValidationError, as_density, as_positive
 
-# Trace overlaps below this count as zero in the 0*inf convention.
-WEIGHT_TOL = 1e-12
 # Support containment / orthogonality decisions, on projector trace defects.
 SUPPORT_TRACE_TOL = 1e-8
-# Imaginary parts of projector-product traces must stay below this.
-IMAG_TOL = 1e-10
-# Eigenvalues of derived PSD products below this (relative) are noise.
+# Eigenvalues of a derived PSD product at or below this share of a norm bound
+# taken from its factors' spectra are roundoff.  Not a share of the product's
+# own top eigenvalue, which is noise when the product is zero in exact arithmetic.
 EIG_SNAP = 1e-13
 
 
@@ -44,23 +44,18 @@ def supports_orthogonal(a: PositiveOperator, b: PositiveOperator,
     return overlap <= tol
 
 
-def _projector_overlap(p: np.ndarray, q: np.ndarray) -> float:
-    """tr(PQ) for Hermitian projections, asserted real, clamped at zero."""
-    val = mc.hs_inner(p, q)
-    if abs(val.imag) > IMAG_TOL:
-        raise ArithmeticError(
-            f"projector product trace has imaginary part {val.imag:.3e}"
-        )
-    return max(val.real, 0.0)
-
-
-def _snapped_psd_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a PSD product: clamped at 0, noise floor snapped to 0."""
-    evals, _ = mc.eig_hermitian(mc.hermitian_part(m))
+def _snapped_psd_eig(m: np.ndarray, bound: float):
+    """Eigensystem of a PSD product of norm at most ``bound``: eigenvalues
+    clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0."""
+    evals, vecs = mc.eig_hermitian(mc.hermitian_part(m))
     evals = np.clip(evals, 0.0, None)
-    top = float(evals[-1]) if evals.size else 0.0
-    evals[evals <= EIG_SNAP * max(top, 1.0)] = 0.0
-    return evals
+    evals[evals <= EIG_SNAP * bound] = 0.0
+    return evals, vecs
+
+
+def _sandwich_bound(fvals, a: PositiveOperator) -> float:
+    """Norm bound max|f|^2 ||A|| for F A F* with F of eigenvalues ``fvals``."""
+    return float(np.max(np.abs(fvals), initial=0.0)) ** 2 * float(a.eigenvalues[-1])
 
 
 def _f_at_zero_term(f: ScalarFunctionSpec):
@@ -75,11 +70,15 @@ def _f_at_zero_term(f: ScalarFunctionSpec):
 
 
 def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
-    """Spectral double-sum form of the quantum f-divergence.
+    """Quantum f-divergence as a double sum over pairs of eigenvectors.
 
-    Sums b*f(a/b) weighted by the overlaps of spectral projections over the
-    nonzero spectrum of B, plus the slope-at-infinity term gamma * a * tr(P_a Q_0)
-    against the kernel of B, with 0*inf = 0.
+    With A = sum_i l_i |u_i><u_i| and B = sum_j m_j |v_j><v_j| (snapped
+    spectra) and overlaps W_ij = |<u_i, v_j>|^2, the value is the sum of
+    W_ij m_j f(l_i/m_j) over l_i, m_j > 0, plus f(0) times the weight of
+    supp B on the kernel of A, plus gamma * W_ij l_i over the kernel of B,
+    with 0*inf = 0.  The support decisions say which kernel terms exist and
+    give the +inf branches: f(0+) = +inf with supp B not inside supp A, and
+    gamma = +inf with supp A not inside supp B.
     """
     a = as_positive(a)
     b = as_positive(b)
@@ -88,45 +87,32 @@ def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
     if f.gamma is None:
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
 
-    q_zero = None
-    zero_parts = [c.projection for c in b.clusters.clusters if c.eigenvalue == 0.0]
-    if zero_parts:
-        q_zero = sum(zero_parts)
+    f0 = gamma = 0.0
+    if not support_contains(a, b):
+        f0 = _f_at_zero_term(f)
+        if f0 is None:
+            return INF
+    if not support_contains(b, a):
+        if f.gamma.is_inf:
+            return INF
+        gamma = f.gamma.value
 
-    total = 0.0
-    inf_hit = False
-    for ca in a.clusters.clusters:
-        la, pa = ca.eigenvalue, ca.projection
-        for cb in b.clusters.clusters:
-            lb, qb = cb.eigenvalue, cb.projection
-            if lb == 0.0:
-                continue
-            w = _projector_overlap(pa, qb)
-            if w <= WEIGHT_TOL:
-                continue
-            if la == 0.0:
-                f0 = _f_at_zero_term(f)
-                if f0 is None:
-                    inf_hit = True
-                    continue
-                total += lb * f0 * w
-            else:
-                total += lb * f(la / lb) * w
-        if q_zero is not None and la > 0.0:
-            w0 = _projector_overlap(pa, q_zero)
-            if w0 > WEIGHT_TOL:
-                if f.gamma.is_inf:
-                    inf_hit = True
-                else:
-                    total += f.gamma.value * la * w0
-    return INF if inf_hit else ExtendedReal(total)
+    lam, mu = a.eigenvalues, b.eigenvalues
+    w = np.abs(a.eigenvectors.conj().T @ b.eigenvectors) ** 2
+    # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
+    i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
+    fvals = np.array([f(t) for t in lam[i] / mu[j]])
+    total = (np.sum(w[i, j] * mu[j] * fvals)
+             + f0 * np.sum(w[lam == 0.0] @ mu)
+             + gamma * np.sum(lam @ w[:, mu == 0.0]))
+    return ExtendedReal(float(total))
 
 
 def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     """Superoperator form: <sqrt(B), f(L_A R_{B^-1}) sqrt(B)> in HS geometry.
 
-    Requires invertible B.  Must agree with the spectral double sum; the pair
-    is kept as a dual-route cross-check.
+    Requires invertible B.  Must agree with the eigenvector double sum; the
+    pair is kept as a dual-route cross-check.
     """
     a = as_positive(a)
     b = as_positive(b)
@@ -135,11 +121,9 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     if not b.definite:
         raise ValidationError("second operator must be positive definite")
     binv = b.pseudo_power(-1.0)
-    sup = mc.superop_lr(a.matrix, binv)
-    evals, vecs = mc.eig_hermitian(mc.hermitian_part(sup.matrix))
-    evals = np.clip(evals, 0.0, None)
-    top = float(evals[-1]) if evals.size else 0.0
-    evals[evals <= EIG_SNAP * max(top, 1.0)] = 0.0
+    # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
+    bound = float(a.eigenvalues[-1] / b.eigenvalues[0])
+    evals, vecs = _snapped_psd_eig(mc.superop_lr(a.matrix, binv), bound)
     fvals = np.array([f(v) if v > 0.0 else _require_zero_value(f) for v in evals])
     mf = (vecs * fvals) @ vecs.conj().T
     s = mc.vec(b.sqrt())
@@ -168,11 +152,11 @@ def umegaki(a, b) -> ExtendedReal:
         return INF
     ev = a.eigenvalues
     term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
-    term_b = 0.0
-    for c in b.clusters.clusters:
-        if c.eigenvalue == 0.0:
-            continue
-        term_b += math.log(c.eigenvalue) * mc.hs_inner(a.matrix, c.projection).real
+    mu = b.eigenvalues
+    vb = b.support_basis
+    # <v_j, A v_j> for the eigenvectors v_j of B with mu_j > 0
+    weights = np.sum(vb.conj() * (a.matrix @ vb), axis=0).real
+    term_b = float(np.log(mu[mu > 0.0]) @ weights)
     return ExtendedReal(term_a - term_b)
 
 
@@ -217,7 +201,8 @@ def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
         return INF
     e = (1.0 - alpha) / (2.0 * alpha)
     bp = b.pseudo_power(e)
-    evals = _snapped_psd_eigenvalues(bp @ a.matrix @ bp)
+    mu = b.eigenvalues
+    evals, _ = _snapped_psd_eig(bp @ a.matrix @ bp, _sandwich_bound(mu[mu > 0.0] ** e, a))
     pos = evals[evals > 0.0]
     return ExtendedReal(float(np.sum(pos**alpha)))
 
@@ -259,7 +244,7 @@ def _dab_on_support(a: PositiveOperator, b: PositiveOperator,
     fb = np.array([f(t) for t in b.eigenvalues[mask]])
     a0 = vb.conj().T @ a.matrix @ vb
     s0 = (fb[:, None] * a0) * fb[None, :]
-    evals = _snapped_psd_eigenvalues(s0)
+    evals, _ = _snapped_psd_eig(s0, _sandwich_bound(fb, a))
     return float(np.sum([g(v) for v in evals]))
 
 
@@ -320,7 +305,8 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     for eps in schedule:
         fb = np.array([f(t + eps) for t in b.eigenvalues])
         fmat = (vecs * fb) @ vecs.conj().T
-        evals = _snapped_psd_eigenvalues(fmat @ a.matrix @ fmat.conj().T)
+        evals, _ = _snapped_psd_eig(fmat @ a.matrix @ fmat.conj().T,
+                                    _sandwich_bound(fb, a))
         values.append(float(np.sum([g(v) for v in evals])))
 
     crossing = next((i for i, v in enumerate(values) if v > cap), None)

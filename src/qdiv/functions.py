@@ -92,10 +92,6 @@ class ScalarFunctionSpec:
             raise DomainError(f"{self.name}: undefined at 0")
         return float(self.fn(t))
 
-    def on_spectrum(self, values) -> np.ndarray:
-        """Evaluate elementwise on a list of eigenvalues."""
-        return np.array([self(v) for v in np.asarray(values, dtype=float)])
-
 
 def power_fn(p: float) -> ScalarFunctionSpec:
     """t -> t**p with the zero-limit and slope-at-infinity of the power family."""

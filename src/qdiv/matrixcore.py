@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
-
-from .functions import ScalarFunctionSpec
 
 # Shared numerical tolerances.  All are relative unless noted.
 HERM_TOL = 1e-12     # Hermitian check, Frobenius-relative
@@ -23,16 +20,12 @@ PROJ_TOL = 1e-10     # projection idempotency / orthogonality, absolute on P
 SPEC_TOL = 1e-10     # eigenvalue clustering, relative to max(1, ||A||_2)
 SUPP_TOL = 1e-12     # support membership, relative to the largest eigenvalue
 PSD_TOL = 1e-10      # tolerated negative eigenvalue, relative to ||A||_2
-RECON_TOL = 1e-10    # spectral reconstruction residual, Frobenius-relative
 JACOBI_OFF_TOL = 1e-13   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 64
 
 
 class ConvergenceError(RuntimeError):
     """The Jacobi iteration failed to converge within the sweep budget."""
-
-
-ScalarFn = Union[ScalarFunctionSpec, Callable[[float], float]]
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -234,137 +227,15 @@ def cluster_eigendata(evals, vecs, tau_spec: float = SPEC_TOL) -> SpectralDecomp
     return SpectralDecomposition(clusters=tuple(clusters))
 
 
-def cluster_spectrum(a, tau_spec: float = SPEC_TOL) -> SpectralDecomposition:
-    """Eigendecompose and cluster a Hermitian matrix."""
-    evals, vecs = eig_hermitian(a)
-    return cluster_eigendata(evals, vecs, tau_spec)
-
-
-def apply_spectral_fn(a, phi: ScalarFn, tau_spec: float = SPEC_TOL) -> np.ndarray:
-    """Functional calculus: sum of phi(lambda) times the spectral projections."""
-    dec = cluster_spectrum(a, tau_spec)
-    n = dec.dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    for c in dec.clusters:
-        out += phi(c.eigenvalue) * c.projection
-    return hermitian_part(out)
-
-
-def support_projection(a, supp_tol: float = SUPP_TOL, psd_tol: float = PSD_TOL):
-    """Projection onto the orthogonal complement of the kernel of a PSD matrix.
-
-    Returns ``(P, rank)``.  Eigenvalues at or below ``supp_tol`` times the
-    largest one count as kernel; a negative eigenvalue beyond ``psd_tol``
-    relative to the spectral norm is an error.
-    """
-    evals, vecs = eig_hermitian(a)
-    norm2 = float(np.max(np.abs(evals)))
-    if evals[0] < -psd_tol * max(norm2, 1e-300):
-        raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
-    cut = supp_tol * max(norm2, 0.0)
-    keep = evals > cut
-    rank = int(np.count_nonzero(keep))
-    block = vecs[:, keep]
-    proj = hermitian_part(block @ block.conj().T)
-    return proj, rank
-
-
-def projection_basis(p, tol: float = PROJ_TOL) -> np.ndarray:
-    """Orthonormal basis of the range of a projection, as matrix columns."""
-    p = as_complex_matrix(p)
-    require_hermitian(p)
-    if frobenius(p @ p - p) > max(tol, PROJ_TOL):
-        raise ValueError("matrix is not an orthogonal projection within tolerance")
-    evals, vecs = eig_hermitian(p)
-    return vecs[:, evals > 0.5]
-
-
-def compress_to_support(a, p) -> np.ndarray:
-    """Compress A to the range of the projection P: V* A V with V spanning P."""
-    a = as_complex_matrix(a)
-    v = projection_basis(p)
-    if v.shape[1] == 0:
-        raise ValueError("projection has rank zero; nothing to compress onto")
-    return v.conj().T @ a @ v
-
-
 def vec(t: np.ndarray) -> np.ndarray:
     """Column-major vectorization."""
     return np.asarray(t, dtype=np.complex128).reshape(-1, order="F")
 
 
-def unvec(x: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(x, dtype=np.complex128).reshape((n, n), order="F")
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """A linear map on operators, stored as its matrix on column-major vecs."""
-
-    matrix: np.ndarray
-    side: int
-
-    @property
-    def dim(self) -> int:
-        return self.side * self.side
-
-    def apply(self, t) -> np.ndarray:
-        t = as_complex_matrix(t)
-        if t.shape[0] != self.side:
-            raise ValueError("operand dimension does not match the superoperator")
-        return unvec(self.matrix @ vec(t), self.side)
-
-
-def superop_lr(a, b) -> Superoperator:
+def superop_lr(a, b) -> np.ndarray:
     """Matrix of T -> A T B under column-major vectorization: kron(B^T, A)."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch between left and right factors")
-    return Superoperator(matrix=np.kron(b.T, a), side=a.shape[0])
-
-
-def polar_unitary(x):
-    """Polar decomposition X = U H with a full unitary U and H = (X*X)^(1/2).
-
-    For singular X the isometry on the range of H is completed to a unitary by
-    Gram-Schmidt over the standard basis, which makes the completion (and the
-    whole output) deterministic.
-    """
-    x = as_complex_matrix(x)
-    n = x.shape[0]
-    evals, v = eig_hermitian(hermitian_part(x.conj().T @ x))
-    sing = np.sqrt(np.clip(evals, 0.0, None))
-    smax = float(sing[-1]) if n else 0.0
-    h = hermitian_part((v * sing) @ v.conj().T)
-
-    cols = []
-    kept = []
-    for i in range(n):
-        if sing[i] > 1e-12 * max(smax, 1e-300):
-            u = x @ v[:, i] / sing[i]
-            for c in cols:
-                u = u - np.vdot(c, u) * c
-            u = u / np.linalg.norm(u)
-            cols.append(u)
-            kept.append(i)
-    # Complete the frame over kernel directions with standard basis vectors.
-    basis_iter = iter(range(n))
-    missing = [i for i in range(n) if i not in kept]
-    completions = []
-    while len(completions) < len(missing):
-        k = next(basis_iter)
-        u = np.zeros(n, dtype=np.complex128)
-        u[k] = 1.0
-        for c in cols + completions:
-            u = u - np.vdot(c, u) * c
-        norm = np.linalg.norm(u)
-        if norm > 1e-8:
-            completions.append(u / norm)
-    w = np.zeros((n, n), dtype=np.complex128)
-    for idx, i in enumerate(kept):
-        w[:, i] = cols[idx]
-    for idx, i in enumerate(missing):
-        w[:, i] = completions[idx]
-    u_full = w @ v.conj().T
-    return u_full, h
+    return np.kron(b.T, a)

@@ -78,6 +78,8 @@ class PositiveOperator:
 
     @property
     def clusters(self) -> mc.SpectralDecomposition:
+        """Eigenvalue clusters; no divergence uses them, the benchmark tracer
+        (``perfbench/tracing.py``) wraps this property by name."""
         if self._clusters is None:
             self._clusters = mc.cluster_eigendata(self._evals, self._vecs)
         return self._clusters
@@ -95,11 +97,6 @@ class PositiveOperator:
             p.flags.writeable = False
             self._support = p
         return self._support
-
-    def spectral_fn(self, phi) -> np.ndarray:
-        """Apply a scalar function over the cached eigensystem."""
-        vals = np.array([phi(v) for v in self._evals])
-        return mc.hermitian_part((self._vecs * vals) @ self._vecs.conj().T)
 
     def pseudo_power(self, p: float) -> np.ndarray:
         """Power taken on the support: zero eigenvalues map to zero."""

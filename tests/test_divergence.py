@@ -96,10 +96,51 @@ def test_fdiv_square_on_diagonals():
     assert float(f_divergence(a, b, power_fn(2))) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
-def test_fdiv_xlogx_matches_relative_entropy():
-    a = diag_density([1.0, 0.0])
-    b = diag_density([0.5, 0.5])
-    assert float(f_divergence(a, b, xlogx_fn())) == pytest.approx(math.log(2.0), abs=1e-12)
+def seeded_mixed_rank_pair(seed):
+    """Mixed-rank densities; odd seeds put supp A inside a singular supp B."""
+    rng = SeededRng(seed)
+    n = 2 + seed % 3
+    b = random_density(n, rng.integer(1, n), rng)
+    if seed % 2:
+        basis = b.support_basis
+        inner = random_density(b.rank, b.rank, rng).matrix
+        return DensityOperator(basis @ inner @ basis.conj().T), b
+    return random_density(n, rng.integer(1, n), rng), b
+
+
+XLOGX_PAIRS = {
+    "diag-log2": lambda: (diag_density([1.0, 0.0]), diag_density([0.5, 0.5])),
+    # B keeps its eigenvalue 5e-11, so supp A (e1, e3) is not inside supp B
+    "kept-tiny-eigenvalue": lambda: (diag_density([0.5, 0.0, 0.5]),
+                                     diag_density([1.0 - 5e-11, 5e-11, 0.0])),
+    **{f"seed{k}": (lambda k=k: seeded_mixed_rank_pair(k)) for k in range(12)},
+}
+
+
+@pytest.mark.parametrize("pair", sorted(XLOGX_PAIRS))
+def test_fdiv_xlogx_matches_relative_entropy(pair):
+    a, b = XLOGX_PAIRS[pair]()
+    got = f_divergence(a, b, xlogx_fn())
+    want = umegaki(a, b)
+    assert got.is_inf == want.is_inf
+    if want.is_finite:
+        assert float(got) == pytest.approx(float(want), abs=1e-10)
+    if pair == "diag-log2":
+        assert float(got) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed,rank_b", [(3, 2), (5, 3)])
+def test_fdiv_scales_linearly_at_tiny_scale(seed, rank_b):
+    rng = SeededRng(seed)
+    a = random_density(3, 3, rng)
+    b = random_density(3, rank_b, rng)
+    f = xlogx_fn()
+    plain = f_divergence(a, b, f)
+    for c in (1e-10, 1e-11):
+        scaled = f_divergence(PositiveOperator(c * a.matrix), PositiveOperator(c * b.matrix), f)
+        assert scaled.is_inf == plain.is_inf
+        if plain.is_finite:
+            assert float(scaled) / c == pytest.approx(float(plain), rel=1e-9)
 
 
 def test_fdiv_gamma_term_hits_infinity():
@@ -116,6 +157,14 @@ def test_fdiv_gamma_term_finite_slope():
     got = float(f_divergence(a, b, linear_fn(2.0)))
     want = scalar_fdiv([1.0, 0.0], [0.0, 1.0], linear_fn(2.0), 2.0)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_fdiv_f_diverging_at_zero_needs_supp_b_inside_supp_a():
+    f = power_fn(-1)  # f(0+) = +inf, gamma = 0
+    assert f_divergence(diag_density([1.0, 0.0]), diag_density([0.5, 0.5]), f).is_inf
+    # supp B inside supp A: only the pair (1/2, 1) meets, giving 1 * f(1/2)
+    got = f_divergence(diag_density([0.5, 0.5]), diag_density([1.0, 0.0]), f)
+    assert float(got) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fdiv_requires_gamma():
@@ -287,6 +336,15 @@ def test_sandwiched_core_support_violation():
     assert sandwiched_core(a, b, 0.5).is_finite
 
 
+def test_sandwiched_core_orthogonal_supports_is_zero():
+    # B^e A B^e vanishes in exact arithmetic; its eigenvalues are pure roundoff
+    u = haar_unitary(4, SeededRng(47))
+    a = DensityOperator((u * np.array([0.6, 0.4, 0.0, 0.0])) @ u.conj().T)
+    b = DensityOperator((u * np.array([0.0, 0.0, 0.3, 0.7])) @ u.conj().T)
+    assert float(sandwiched_core(a, b, 0.5)) == 0.0
+    assert float(sandwiched_core(PositiveOperator(1e-9 * a.matrix), b, 0.5)) == 0.0
+
+
 def test_sandwiched_self_is_zero():
     rng = SeededRng(37)
     for alpha in (0.5, 2.0, 3.0):
@@ -298,12 +356,12 @@ def test_sandwiched_scaling_invariance():
     rng = SeededRng(41)
     a = random_density(2, 2, rng)
     b = random_density(2, 2, rng)
-    c = 3.7
-    for alpha in (0.5, 2.0):
-        plain = float(sandwiched_renyi(a, b, alpha))
-        scaled = float(sandwiched_renyi(
-            PositiveOperator(c * a.matrix), PositiveOperator(c * b.matrix), alpha))
-        assert scaled == pytest.approx(plain, abs=1e-9)
+    for c in (3.7, 1e-6, 1e-8, 1e-14):
+        for alpha in (0.5, 2.0):
+            plain = float(sandwiched_renyi(a, b, alpha))
+            scaled = float(sandwiched_renyi(
+                PositiveOperator(c * a.matrix), PositiveOperator(c * b.matrix), alpha))
+            assert scaled == pytest.approx(plain, abs=1e-9)
 
 
 def test_sandwiched_orthogonal_rank_one_pair():

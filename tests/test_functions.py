@@ -92,8 +92,3 @@ def test_undeclared_zero_raises():
     f = ScalarFunctionSpec(name="opaque", fn=lambda t: t + 1.0)
     with pytest.raises(DomainError):
         f(0.0)
-
-
-def test_on_spectrum():
-    f = power_fn(2)
-    assert list(f.on_spectrum([0.0, 1.0, 3.0])) == [0.0, 1.0, 9.0]

@@ -86,10 +86,14 @@ def test_eig_zero_matrix():
     assert np.allclose(v, np.eye(3))
 
 
-# --------------------------------------------------------- cluster_spectrum
+# ------------------------------------------------------- cluster_eigendata
+
+def clustered(a, **kwargs):
+    return mc.cluster_eigendata(*mc.eig_hermitian(a), **kwargs)
+
 
 def test_cluster_degenerate_diagonal():
-    dec = mc.cluster_spectrum(np.diag([0.5, 0.5, 0.25]))
+    dec = clustered(np.diag([0.5, 0.5, 0.25]))
     assert len(dec.clusters) == 2
     by_val = {round(c.eigenvalue, 6): c.multiplicity for c in dec.clusters}
     assert by_val == {0.5: 2, 0.25: 1}
@@ -97,53 +101,48 @@ def test_cluster_degenerate_diagonal():
 
 
 def test_cluster_identity_single_cluster():
-    dec = mc.cluster_spectrum(np.eye(4))
+    dec = PositiveOperator(np.eye(4)).clusters
     assert len(dec.clusters) == 1
     assert dec.clusters[0].multiplicity == 4
 
 
 def test_cluster_merges_tiny_gap():
-    dec = mc.cluster_spectrum(np.diag([1.0, 1.0 + 1e-15]), tau_spec=1e-12)
+    dec = clustered(np.diag([1.0, 1.0 + 1e-15]), tau_spec=1e-12)
     assert len(dec.clusters) == 1
     assert dec.clusters[0].multiplicity == 2
 
 
 def test_cluster_projections_validate_on_random_input():
     a = random_hermitian(6, 9)
-    dec = mc.cluster_spectrum(a)
+    dec = clustered(a)
     dec.validate()
     assert mc.frobenius(dec.reconstruct() - a) <= 1e-10 * mc.frobenius(a)
 
 
-# -------------------------------------------------------- apply_spectral_fn
+# ----------------------------- functional calculus: PositiveOperator powers
 
 def test_spectral_sqrt():
-    out = mc.apply_spectral_fn(np.diag([1.0, 4.0]), power_fn(0.5))
+    out = PositiveOperator(np.diag([1.0, 4.0])).sqrt()
     assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-13)
 
 
 def test_spectral_power_fixes_projection():
     v = np.array([1.0, 1.0j]) / np.sqrt(2)
     p = mc.rank_one(v, v)
-    out = mc.apply_spectral_fn(p, power_fn(0.7))
+    out = PositiveOperator(p).pseudo_power(0.7)
     assert np.allclose(out, p, atol=1e-12)
 
 
 def test_spectral_square():
-    out = mc.apply_spectral_fn(np.diag([0.25, 0.75]), power_fn(2))
+    out = PositiveOperator(np.diag([0.25, 0.75])).pseudo_power(2.0)
     assert np.allclose(out, np.diag([1.0 / 16.0, 9.0 / 16.0]), atol=1e-14)
-
-
-def test_spectral_fn_domain_error():
-    with pytest.raises(Exception):
-        mc.apply_spectral_fn(np.diag([1.0, 0.0]), power_fn(-1))
 
 
 def test_spectral_fn_homomorphism():
     a = random_hermitian(4, 11)
-    a = a @ a.conj().T  # PSD so fractional powers are defined
-    lhs = mc.apply_spectral_fn(a, lambda t: t**2.5)
-    rhs = mc.apply_spectral_fn(a, power_fn(0.5)) @ mc.apply_spectral_fn(a, power_fn(2))
+    a = PositiveOperator(a @ a.conj().T)  # PSD so fractional powers are defined
+    lhs = a.pseudo_power(2.5)
+    rhs = a.pseudo_power(0.5) @ a.pseudo_power(2.0)
     assert mc.frobenius(lhs - rhs) <= 1e-9 * max(1.0, mc.frobenius(lhs))
 
 
@@ -151,52 +150,57 @@ def test_spectral_fn_unitary_covariance():
     rng = SeededRng(21)
     a = random_positive_definite(4, 10.0, rng).matrix
     u = haar_unitary(4, rng)
-    lhs = mc.apply_spectral_fn(u @ a @ u.conj().T, power_fn(0.5))
-    rhs = u @ mc.apply_spectral_fn(a, power_fn(0.5)) @ u.conj().T
+    lhs = PositiveOperator(u @ a @ u.conj().T).sqrt()
+    rhs = u @ PositiveOperator(a).sqrt() @ u.conj().T
     assert mc.frobenius(lhs - rhs) <= 1e-9
 
 
-# ------------------------------------------------------- support/compress
+# ------------------------------------- support projection and support basis
 
 def test_support_projection_diagonal():
-    p, rank = mc.support_projection(np.diag([0.5, 0.5, 0.0]))
-    assert rank == 2
-    assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    op = PositiveOperator(np.diag([0.5, 0.5, 0.0]))
+    assert op.rank == 2
+    assert np.allclose(op.support_projection, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_support_projection_rank_one():
     x = np.array([1.0, 1.0j]) / np.sqrt(2)
-    p, rank = mc.support_projection(mc.rank_one(x, x))
-    assert rank == 1
-    assert np.allclose(p, mc.rank_one(x, x), atol=1e-12)
+    op = PositiveOperator(mc.rank_one(x, x))
+    assert op.rank == 1
+    assert np.allclose(op.support_projection, mc.rank_one(x, x), atol=1e-12)
 
 
 def test_support_projection_definite_is_identity():
     rng = SeededRng(4)
-    a = random_positive_definite(3, 5.0, rng).matrix
-    p, rank = mc.support_projection(a)
-    assert rank == 3
-    assert np.allclose(p, np.eye(3), atol=1e-10)
+    op = PositiveOperator(random_positive_definite(3, 5.0, rng).matrix)
+    assert op.rank == 3
+    assert np.allclose(op.support_projection, np.eye(3), atol=1e-10)
 
 
 def test_support_projection_rejects_indefinite():
     with pytest.raises(ValueError):
-        mc.support_projection(np.diag([1.0, -0.5]))
+        PositiveOperator(np.diag([1.0, -0.5]))
 
 
 def test_support_compresses_itself():
     a = np.diag([0.5, 0.5, 0.0])
-    p, _ = mc.support_projection(a)
+    p = PositiveOperator(a).support_projection
     assert mc.frobenius(p @ a @ p - a) <= 1e-12
+
+
+def compress(a, p):
+    """V* A V with V the support basis of the projection P."""
+    v = PositiveOperator(p).support_basis
+    return v.conj().T @ a @ v
 
 
 def test_compress_identity_projection():
     a = random_hermitian(3, 5)
-    assert np.allclose(mc.compress_to_support(a, np.eye(3)), a)
+    assert np.allclose(compress(a, np.eye(3)), a)
 
 
 def test_compress_diagonal():
-    out = mc.compress_to_support(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0]))
+    out = compress(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0]))
     assert np.allclose(sorted(np.diag(out).real), [1.0, 2.0])
     assert out.shape == (2, 2)
 
@@ -207,13 +211,8 @@ def test_compress_preserves_trace_of_pap():
     v = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
     p = v @ v.conj().T
     pap = p @ a @ p
-    compressed = mc.compress_to_support(pap, p)
+    compressed = compress(pap, p)
     assert np.trace(compressed) == pytest.approx(np.trace(pap), abs=1e-10)
-
-
-def test_compress_rejects_non_projection():
-    with pytest.raises(ValueError):
-        mc.compress_to_support(np.eye(2), np.diag([2.0, 0.0]))
 
 
 # ------------------------------------------------------------- rank_one
@@ -245,9 +244,15 @@ def test_rank_one_dimension_mismatch():
 
 # ------------------------------------------------------------ superoperator
 
+def apply_superop(s, t):
+    """Act with a superoperator matrix on T through column-major vecs."""
+    n = t.shape[0]
+    return (s @ mc.vec(t)).reshape((n, n), order="F")
+
+
 def test_superop_identity():
     s = mc.superop_lr(np.eye(2), np.eye(2))
-    assert np.allclose(s.matrix, np.eye(4))
+    assert np.allclose(s, np.eye(4))
 
 
 def test_superop_left_action():
@@ -255,7 +260,7 @@ def test_superop_left_action():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     t = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     s = mc.superop_lr(a, np.eye(3))
-    assert np.allclose(s.apply(t), a @ t)
+    assert np.allclose(apply_superop(s, t), a @ t)
 
 
 def test_superop_matches_sandwich_exactly_on_integers():
@@ -263,7 +268,7 @@ def test_superop_matches_sandwich_exactly_on_integers():
     b = np.array([[5, 6], [7, 8]], dtype=complex)
     t = np.array([[1, 0], [2, 1]], dtype=complex)
     s = mc.superop_lr(a, b)
-    assert np.array_equal(s.apply(t), a @ t @ b)
+    assert np.array_equal(apply_superop(s, t), a @ t @ b)
 
 
 def test_superop_eigenvalues_are_products():
@@ -274,7 +279,7 @@ def test_superop_eigenvalues_are_products():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = m @ m.conj().T
         s = mc.superop_lr(a, b)
-        got = np.sort(np.linalg.eigvalsh(s.matrix))
+        got = np.sort(np.linalg.eigvalsh(s))
         ea = np.linalg.eigvalsh(a)
         eb = np.linalg.eigvalsh(b)
         want = np.sort([x * y for x in ea for y in eb])
@@ -285,42 +290,9 @@ def test_superop_commutation():
     rng = np.random.default_rng(14)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    left = mc.superop_lr(a, np.eye(2)).matrix
-    right = mc.superop_lr(np.eye(2), b).matrix
+    left = mc.superop_lr(a, np.eye(2))
+    right = mc.superop_lr(np.eye(2), b)
     assert mc.frobenius(left @ right - right @ left) <= mc.PROJ_TOL
-
-
-# ------------------------------------------------------------ polar_unitary
-
-def test_polar_of_unitary():
-    rng = SeededRng(31)
-    x = haar_unitary(3, rng)
-    u, h = mc.polar_unitary(x)
-    assert np.allclose(u, x, atol=1e-10)
-    assert np.allclose(h, np.eye(3), atol=1e-10)
-
-
-def test_polar_of_scaled_identity():
-    u, h = mc.polar_unitary(2.0 * np.eye(3))
-    assert np.allclose(u, np.eye(3), atol=1e-12)
-    assert np.allclose(h, 2.0 * np.eye(3), atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_polar_reconstructs_random_matrices(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u, h = mc.polar_unitary(x)
-    assert mc.frobenius(u @ h - x) <= 1e-10 * max(1.0, mc.frobenius(x))
-    assert mc.frobenius(u.conj().T @ u - np.eye(4)) <= 1e-10
-
-
-def test_polar_of_singular_matrix_still_unitary():
-    x = np.zeros((3, 3), dtype=complex)
-    x[0, 0] = 2.0
-    u, h = mc.polar_unitary(x)
-    assert mc.frobenius(u.conj().T @ u - np.eye(3)) <= 1e-10
-    assert mc.frobenius(u @ h - x) <= 1e-10
 
 
 # --------------------------------------------------- trace similarity lemma
