@@ -96,23 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_role_checked(path):
+    """Load an operator file and check its role; returns the matrix and what
+    ``files.validate_role`` returned (the operator it built, or the matrix)."""
     try:
         matrix, role = files.load_operator(path)
     except OSError as exc:
         raise files.OperatorFileError(f"cannot read {path}: {exc}")
-    files.validate_role(matrix, role)
-    return matrix, role
+    return matrix, files.validate_role(matrix, role)
 
 
 def cmd_div(args) -> int:
     started = time.perf_counter()
-    a, _ = _load_role_checked(args.file_a)
-    b, _ = _load_role_checked(args.file_b)
+    _, a = _load_role_checked(args.file_a)
+    _, b = _load_role_checked(args.file_b)
     try:
         div = make_divergence(args.tag, alpha=args.alpha,
                               f=args.f_name, g=args.g_name)
     except KeyError as exc:
         raise UsageError(str(exc))
+    # as_density/as_positive reuse an operator of the right class as it is
     if args.tag in ("umegaki", "renyi"):
         value = div(as_density(a), as_density(b))
     else:

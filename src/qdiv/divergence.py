@@ -20,36 +20,29 @@ from .extended import INF, ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec, spec_from_name
 from .operators import PositiveOperator, ValidationError, as_density, as_positive
 
-# Support containment / orthogonality decisions, on projector trace defects.
-SUPPORT_TRACE_TOL = 1e-8
-# Eigenvalues of a derived PSD product at or below this share of a norm bound
-# taken from its factors' spectra are roundoff.  Not a share of the product's
-# own top eigenvalue, which is noise when the product is zero in exact arithmetic.
-EIG_SNAP = 1e-13
 
-
-def support_contains(outer: PositiveOperator, inner: PositiveOperator,
-                     tol: float = SUPPORT_TRACE_TOL) -> bool:
+def support_contains(outer: PositiveOperator, inner: PositiveOperator) -> bool:
     """Whether supp(inner) is contained in supp(outer)."""
     pi = inner.support_projection
     po = outer.support_projection
     defect = float(np.trace(pi).real) - mc.hs_inner(pi, po).real
-    return defect <= tol
+    return defect <= mc.SUPPORT_TRACE_TOL
 
 
-def supports_orthogonal(a: PositiveOperator, b: PositiveOperator,
-                        tol: float = SUPPORT_TRACE_TOL) -> bool:
+def supports_orthogonal(a: PositiveOperator, b: PositiveOperator) -> bool:
     """Whether the supports of a and b are orthogonal subspaces."""
     overlap = mc.hs_inner(a.support_projection, b.support_projection).real
-    return overlap <= tol
+    return overlap <= mc.SUPPORT_TRACE_TOL
 
 
 def _snapped_psd_eig(m: np.ndarray, bound: float):
     """Eigensystem of a PSD product of norm at most ``bound``: eigenvalues
-    clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0."""
+    clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0.  The
+    bound, not the product's own top eigenvalue, sets the scale: that top is
+    noise when the product is zero in exact arithmetic."""
     evals, vecs = mc.eig_hermitian(mc.hermitian_part(m))
     evals = np.clip(evals, 0.0, None)
-    evals[evals <= EIG_SNAP * bound] = 0.0
+    evals[evals <= mc.EIG_SNAP * bound] = 0.0
     return evals, vecs
 
 
@@ -130,7 +123,7 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     out = complex(np.vdot(s, mf @ s))
     # roundoff in the imaginary part grows with the size of f on the spectrum
     scale = float(np.max(np.abs(fvals), initial=0.0)) * float(np.vdot(s, s).real)
-    if abs(out.imag) > 1e-10 * max(1.0, scale):
+    if abs(out.imag) > mc.SUPEROP_IMAG_TOL * scale:
         raise ArithmeticError("superoperator value has a large imaginary part")
     return float(out.real)
 
@@ -214,12 +207,9 @@ def sandwiched_renyi(a, b, alpha: float) -> ExtendedReal:
     b = as_positive(b)
     if a.rank == 0 or b.rank == 0:
         raise ValidationError("operators must be nonzero")
-    if alpha < 1.0:
-        if supports_orthogonal(a, b):
-            return INF
-    else:
-        if not support_contains(b, a):
-            return INF
+    if alpha < 1.0 and supports_orthogonal(a, b):
+        return INF
+    # for alpha > 1 the core decides supp A <= supp B
     core = sandwiched_core(a, b, alpha)
     if core.is_inf:
         return INF

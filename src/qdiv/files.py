@@ -91,24 +91,25 @@ def load_operator(path) -> Tuple[np.ndarray, Optional[str]]:
         return parse_operator_text(fh.read())
 
 
-def validate_role(matrix: np.ndarray, role: Optional[str]) -> None:
-    """Check the declared role of a parsed operator; raise on violation."""
-    if role is None:
-        return
+def validate_role(matrix: np.ndarray, role: Optional[str]):
+    """Check the declared role of a parsed operator; raise on violation.
+
+    Returns the operator the check built (a ``DensityOperator`` or a
+    ``PositiveOperator``), so callers need not eigendecompose again; for the
+    other roles, or no role, returns ``matrix`` itself.
+    """
     try:
         if role == "density":
-            DensityOperator(matrix)
-        elif role == "positive":
-            PositiveOperator(matrix)
-        elif role == "projection":
-            p = mc.as_complex_matrix(matrix)
-            mc.require_hermitian(p, 1e-8)
-            if mc.frobenius(p @ p - p) > 1e-8:
-                raise ValueError("matrix is not idempotent")
-        elif role == "unitary":
+            return DensityOperator(matrix)
+        if role == "positive":
+            return PositiveOperator(matrix)
+        if role == "projection" and not mc.is_projection(mc.as_complex_matrix(matrix)):
+            raise ValueError("matrix is not a Hermitian idempotent")
+        if role == "unitary":
             require_unitary(matrix)
     except ValueError as exc:
         raise OperatorFileError(f"operator fails its declared role {role!r}: {exc}")
+    return matrix
 
 
 def _jsonable(x):

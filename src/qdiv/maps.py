@@ -14,16 +14,13 @@ import numpy as np
 
 from . import matrixcore as mc
 
-UNITARY_TOL = 1e-10
-KRAUS_TOL = 1e-10
-
 UNITARY = "unitary_conjugation"
 ANTIUNITARY = "antiunitary_conjugation"
 KRAUS = "kraus_channel"
 TABULATED = "tabulated"
 
 
-def require_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(u, tol: float = mc.UNITARY_TOL) -> np.ndarray:
     u = mc.as_complex_matrix(u)
     defect = mc.frobenius(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > tol:
@@ -64,7 +61,7 @@ class StateMap:
             raise ValueError("a Kraus channel needs at least one operator")
         n = ops[0].shape[0]
         total = sum(k.conj().T @ k for k in ops)
-        if mc.frobenius(total - np.eye(n)) > KRAUS_TOL:
+        if mc.frobenius(total - np.eye(n)) > mc.KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy sum K*K = I")
         return cls(kind=KRAUS, kraus=ops)
 
@@ -95,7 +92,7 @@ class StateMap:
                 out += k @ a @ k.conj().T
             return out
         for x, y in self.table:
-            if mc.frobenius(x - a) <= 1e-10 * max(1.0, mc.frobenius(x)):
+            if mc.frobenius(x - a) <= mc.LOOKUP_TOL * mc.frobenius(x):
                 return y.copy()
         raise KeyError("input operator is not tabulated for this map")
 

@@ -1,10 +1,23 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense complex Hermitian linear algebra, and the package's tolerance policy.
 
 Everything downstream reduces to spectral data of Hermitian matrices: the
 eigensolver is a cyclic Jacobi iteration written here rather than delegated,
 so the stopping tolerance and the eigenvector conventions are fixed by this
 module and reproducible run to run.  Intended scale is small (n up to a few
 dozen), where Jacobi is both accurate and fast enough.
+
+Tolerance policy.  Every threshold that decides a branch anywhere in the
+package is one of the constants below, and each is a relative factor times a
+scale.  The scale is a norm of the inputs, or a bound on the compared quantity
+taken from the inputs' cached spectra; it is never floored (no ``max(1, .)``,
+no ``max(., tiny)``) and never the compared quantity's own top eigenvalue,
+which is pure noise when that quantity vanishes in exact arithmetic.  So a
+verdict on c*A is the verdict on A for every c > 0.  Quantities that are
+scale-free by construction (projector trace defects, ||U*U - I||, Kraus
+completeness, the trace of a density, transition probabilities, entries of
+unit vectors) are compared against the constant directly.  Tolerances a
+caller passes as experiment parameters (``check_invariance(tol)``,
+``verify_conjugation(tol)``, the suite bounds) are not part of this block.
 """
 
 from __future__ import annotations
@@ -14,14 +27,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Shared numerical tolerances.  All are relative unless noted.
-HERM_TOL = 1e-12     # Hermitian check, Frobenius-relative
-PROJ_TOL = 1e-10     # projection idempotency / orthogonality, absolute on P
-SPEC_TOL = 1e-10     # eigenvalue clustering, relative to max(1, ||A||_2)
-SUPP_TOL = 1e-12     # support membership, relative to the largest eigenvalue
+# ---------------------------------------------------------------- tolerances
+# Operators and their spectra.
+HERM_TOL = 1e-12     # ||A - A*||_F, relative to ||A||_F
 PSD_TOL = 1e-10      # tolerated negative eigenvalue, relative to ||A||_2
+SUPP_TOL = 1e-12     # eigenvalue snapped to 0, relative to ||A||_2
+EIG_SNAP = 1e-13     # eigenvalue of a derived PSD product snapped to 0, relative
+                     # to a norm bound taken from its factors' cached spectra
+SPEC_TOL = 1e-10     # eigenvalue spread counted as one value, relative to ||A||_2
+                     # (cluster_eigendata alone still floors this at 1)
 JACOBI_OFF_TOL = 1e-13   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 64
+# Scale-free quantities, compared directly.
+TRACE_TOL = 1e-10           # |tr rho - 1| of a density operator
+SUPPORT_TRACE_TOL = 1e-8    # tr P_inner - <P_inner, P_outer>, and <P_a, P_b>
+PROJ_TOL = 1e-10            # idempotency / orthogonality of computed projections
+PROJ_IMAGE_TOL = 1e-8       # Hermitian (relative) and ||P^2 - P||_F of a
+                            # projection read from a file or a map's image
+TRANSITION_PROB_TOL = 1e-8  # |tr(P_i P_j) - tr(Q_i Q_j)| for rank-one probes
+PHASE_ENTRY_TOL = 1e-9      # |v_i| of a unit vector large enough to fix its phase
+UNITARY_TOL = 1e-10         # ||U*U - I||_F
+KRAUS_TOL = 1e-10           # ||sum K*K - I||_F
+# Derived values.
+SUPEROP_IMAG_TOL = 1e-10    # |Im <s, f(L_A R_B^-1) s>|, relative to max|f| ||s||^2
+LOOKUP_TOL = 1e-10          # ||X - A||_F matching a table entry, relative to ||X||_F
+DOMINANCE_TOL = 1e-10       # min eigenvalue of C^2 - B^2, relative to
+                            # max(||B||, ||C||)^2
+TRACE_FN_GAP_TOL = 1e-8     # tr h(BPB) - tr h(CPC), relative to the larger one
+THM4_GAP_TOL = 1e-10        # mean(xy) - mean(x)mean(y), relative to the larger one
+ORTHOGONALITY_TOL = 1e-10   # |tr g(f(B) A f(B))| on density operators (trace 1)
 
 
 class ConvergenceError(RuntimeError):
@@ -45,14 +79,13 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    scale = frobenius(a)
-    return frobenius(a - a.conj().T) <= tol * max(scale, 1e-300)
+    return frobenius(a - a.conj().T) <= tol * frobenius(a)
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    if not is_hermitian(a, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return a
+def is_projection(p: np.ndarray) -> bool:
+    """Whether P is Hermitian and idempotent within ``PROJ_IMAGE_TOL``."""
+    return (is_hermitian(p, PROJ_IMAGE_TOL)
+            and frobenius(p @ p - p) <= PROJ_IMAGE_TOL)
 
 
 def hs_inner(a, b) -> complex:
@@ -73,35 +106,31 @@ def rank_one(x, y) -> np.ndarray:
     return np.outer(x, y.conj())
 
 
-def eig_hermitian(
-    a,
-    herm_tol: float = HERM_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    off_tol: float = JACOBI_OFF_TOL,
-):
+def eig_hermitian(a):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the columns of a unitary matrix, so that
     ``A @ V = V @ diag(w)``.  Sweeps stop once the off-diagonal Frobenius norm
-    drops below ``off_tol * ||A||_F``.
+    drops below ``JACOBI_OFF_TOL * ||A||_F``.
 
     Raises
     ------
     ValueError
-        If the input is not Hermitian within ``herm_tol``.
+        If the input is not Hermitian within ``HERM_TOL``.
     ConvergenceError
-        If the target is not reached within ``max_sweeps`` sweeps.
+        If the target is not reached within ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     a = as_complex_matrix(a)
-    require_hermitian(a, herm_tol)
+    if not is_hermitian(a):
+        raise ValueError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
 
     w = hermitian_part(a)
     v = np.eye(n, dtype=np.complex128)
-    target = off_tol * frobenius(a)
+    target = JACOBI_OFF_TOL * frobenius(a)
 
     def off_norm(m):
         mm = m.copy()
@@ -109,7 +138,7 @@ def eig_hermitian(
         return frobenius(mm)
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if off_norm(w) <= target:
             converged = True
             break
@@ -144,7 +173,7 @@ def eig_hermitian(
         converged = off_norm(w) <= target
     if not converged:
         raise ConvergenceError(
-            f"Jacobi did not reach off-norm {target:.3e} in {max_sweeps} sweeps"
+            f"Jacobi did not reach off-norm {target:.3e} in {JACOBI_MAX_SWEEPS} sweeps"
         )
 
     evals = np.real(np.diag(w))

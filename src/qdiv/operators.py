@@ -13,8 +13,6 @@ import numpy as np
 
 from . import matrixcore as mc
 
-TRACE_TOL = 1e-10
-
 
 class ValidationError(ValueError):
     """An operator failed the validation of its declared class."""
@@ -23,21 +21,20 @@ class ValidationError(ValueError):
 class PositiveOperator:
     """A positive semidefinite operator with cached spectral data."""
 
-    def __init__(self, matrix, *, psd_tol: float = mc.PSD_TOL,
-                 supp_tol: float = mc.SUPP_TOL):
+    def __init__(self, matrix):
         m = mc.as_complex_matrix(matrix)
         if not mc.is_hermitian(m):
             raise ValidationError("operator is not Hermitian within tolerance")
         m = mc.hermitian_part(m)
         evals, vecs = mc.eig_hermitian(m)
         norm2 = float(np.max(np.abs(evals)))
-        if evals[0] < -psd_tol * max(norm2, 1e-300):
+        if evals[0] < -mc.PSD_TOL * norm2:
             raise ValidationError(
                 f"operator is not PSD: min eigenvalue {evals[0]:.3e}"
             )
         evals = np.clip(evals, 0.0, None)
         top = float(evals[-1])
-        evals[evals <= supp_tol * top] = 0.0
+        evals[evals <= mc.SUPP_TOL * top] = 0.0
         m.flags.writeable = False
         evals.flags.writeable = False
         vecs.flags.writeable = False
@@ -114,9 +111,9 @@ class PositiveOperator:
 class DensityOperator(PositiveOperator):
     """A PSD operator of unit trace."""
 
-    def __init__(self, matrix, *, trace_tol: float = TRACE_TOL, **kwargs):
-        super().__init__(matrix, **kwargs)
-        if abs(self.trace - 1.0) > trace_tol:
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        if abs(self.trace - 1.0) > mc.TRACE_TOL:
             raise ValidationError(f"trace {self.trace!r} is not 1 within tolerance")
 
 

@@ -145,18 +145,16 @@ def _top_eigenvector(p: np.ndarray) -> np.ndarray:
 
 
 def _fix_leading_phase(v: np.ndarray) -> np.ndarray:
-    idx = next(i for i in range(v.shape[0]) if abs(v[i]) > 1e-9)
+    idx = next(i for i in range(v.shape[0]) if abs(v[i]) > mc.PHASE_ENTRY_TOL)
     return v * (abs(v[idx]) / v[idx])
 
 
 def _require_rank_one_projection(p: np.ndarray, label: str) -> None:
-    if not mc.is_hermitian(p, 1e-8):
-        raise WignerError(f"{label}: image is not Hermitian")
-    if mc.frobenius(p @ p - p) > 1e-8 or abs(np.trace(p).real - 1.0) > 1e-8:
+    if not mc.is_projection(p) or abs(np.trace(p).real - 1.0) > mc.PROJ_IMAGE_TOL:
         raise WignerError(f"{label}: image is not a rank-one projection")
 
 
-def wigner_reconstruct(images, *, prob_tol: float = 1e-8):
+def wigner_reconstruct(images):
     """Recover (U, kind, residual) from images of the standard probe set.
 
     ``images`` must list the images of :func:`wigner_probe_projections` in the
@@ -180,7 +178,7 @@ def wigner_reconstruct(images, *, prob_tol: float = 1e-8):
         for j in range(i + 1, len(images)):
             want = mc.hs_inner(inputs[i], inputs[j]).real
             got = mc.hs_inner(images[i], images[j]).real
-            if abs(want - got) > prob_tol:
+            if abs(want - got) > mc.TRANSITION_PROB_TOL:
                 raise WignerError(
                     f"transition probability between probes {i} and {j} is not "
                     f"preserved: {got:.6e} vs {want:.6e}"
@@ -222,7 +220,7 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
                        n_samples: int = 50, seed: int = 0,
                        tol: float = 1e-8) -> ConjugationReport:
     """Max deviation between a map and conjugation by a candidate unitary."""
-    u = require_unitary(u, max(tol, 1e-10))
+    u = require_unitary(u, max(tol, mc.UNITARY_TOL))
     rng = SeededRng(seed)
     n = state_map.dim
     max_dev = 0.0
@@ -241,7 +239,7 @@ def orthogonality_indicator(a, b, f: ScalarFunctionSpec,
     if not g.injective:
         raise DomainError("g must be injective for the orthogonality test")
     val = d_fg(as_density(a), as_density(b), f, g)
-    return val.is_finite and abs(val.value) <= 1e-10
+    return val.is_finite and abs(val.value) <= mc.ORTHOGONALITY_TOL
 
 
 def trace_similarity_check(a, b, h) -> float:
@@ -285,8 +283,9 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     c = as_positive(c)
     diff = c.matrix @ c.matrix - b.matrix @ b.matrix
     evals, vecs = mc.eig_hermitian(mc.hermitian_part(diff))
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    dominated = bool(evals[0] >= -1e-10 * scale)
+    # -B^2 <= C^2 - B^2 <= C^2 bounds the difference by max(||B||, ||C||)^2
+    scale = max(float(b.eigenvalues[-1]), float(c.eigenvalues[-1])) ** 2
+    dominated = bool(evals[0] >= -mc.DOMINANCE_TOL * scale)
 
     rng = SeededRng(seed)
     n = b.dim
@@ -305,7 +304,8 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
         gap = lhs - rhs
         if gap > max_violation:
             max_violation = gap
-        if gap > 1e-8 * max(1.0, abs(lhs), abs(rhs)) and counterexample is None:
+        significant = gap > mc.TRACE_FN_GAP_TOL * max(abs(lhs), abs(rhs))
+        if significant and counterexample is None:
             counterexample = probe
     if counterexample is not None:
         return OrderDominanceResult("counterexample", dominated, counterexample,
@@ -428,10 +428,9 @@ def thm4_scalar_test(t_op, alpha: float) -> ScalarCriterionResult:
     mean_xy = float(np.mean(x * y))
     mean_x_mean_y = float(np.mean(x) * np.mean(y))
     gap = mean_xy - mean_x_mean_y
-    scale = max(1.0, abs(mean_xy), abs(mean_x_mean_y))
-    is_scalar = abs(gap) <= 1e-10 * scale
+    is_scalar = abs(gap) <= mc.THM4_GAP_TOL * max(abs(mean_xy), abs(mean_x_mean_y))
     spread = float(tv[-1] - tv[0])
-    spectral_scalar = spread <= mc.SPEC_TOL * max(1.0, float(tv[-1]))
+    spectral_scalar = spread <= mc.SPEC_TOL * float(tv[-1])
     return ScalarCriterionResult(
         is_scalar=is_scalar,
         gap=gap,

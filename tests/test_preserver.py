@@ -43,12 +43,14 @@ def test_depolarizing_channel_action():
 
 
 def test_tabulated_map_lookup():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    m = StateMap.tabulated([(a, b), (b, a)])
-    assert np.allclose(m.apply(a), b)
-    with pytest.raises(KeyError):
-        m.apply(np.eye(2) / 2.0)
+    for c in (1.0, 1e-12):
+        a = c * np.diag([1.0, 0.0]).astype(complex)
+        b = c * np.diag([0.0, 1.0]).astype(complex)
+        m = StateMap.tabulated([(a, b), (b, a)])
+        assert np.array_equal(m.apply(a), b)
+        assert np.array_equal(m.apply(b), a)
+        with pytest.raises(KeyError):
+            m.apply(c * np.eye(2) / 2.0)
 
 
 # -------------------------------------------------------- check_invariance
@@ -284,23 +286,27 @@ def test_order_dominance_comparable():
 
 
 def test_order_dominance_equal_operators():
-    b = random_positive_definite(3, 4.0, SeededRng(61)).matrix
-    res = order_dominance_test(b, b, power_fn(1), seed=1)
-    assert res.verdict == "consistent"
-    assert res.max_violation <= 1e-10
+    # the scale comes from the inputs, not from C^2 - B^2, which is 0 here
+    for c in (1.0, 1e-6, 1e6):
+        b = c * random_positive_definite(3, 4.0, SeededRng(61)).matrix
+        res = order_dominance_test(b, b, power_fn(1), seed=1)
+        assert res.verdict == "consistent"
+        assert res.dominated_spectrally
+        assert res.max_violation <= 1e-10 * c**2
 
 
 def test_order_dominance_incomparable_pair_yields_counterexample():
-    res = order_dominance_test(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]),
-                               power_fn(1), seed=1)
-    assert res.verdict == "counterexample"
-    assert res.counterexample is not None
-    # the probe really violates the trace inequality
-    a = res.counterexample
-    b, c = np.diag([2.0, 1.0]), np.diag([1.0, 2.0])
-    lhs = np.trace(b @ a @ b).real
-    rhs = np.trace(c @ a @ c).real
-    assert lhs > rhs
+    for scale in (1.0, 1e-6):
+        b, c = scale * np.diag([2.0, 1.0]), scale * np.diag([1.0, 2.0])
+        res = order_dominance_test(b, c, power_fn(1), seed=1)
+        assert res.verdict == "counterexample"
+        assert not res.dominated_spectrally
+        assert res.counterexample is not None
+        # the probe really violates the trace inequality
+        a = res.counterexample
+        lhs = np.trace(b @ a @ b).real
+        rhs = np.trace(c @ a @ c).real
+        assert lhs > rhs
 
 
 def test_order_dominance_spectral_agreement_on_random_pairs():
@@ -423,7 +429,7 @@ def test_thm4_diag_one_two_at_alpha_two():
     assert abs(res.gap) == pytest.approx(0.501953125 - 0.2822265625, abs=1e-12)
 
 
-@pytest.mark.parametrize("c", [0.1, 1.0, 7.3])
+@pytest.mark.parametrize("c", [1e-12, 0.1, 1.0, 7.3, 1e6])
 def test_thm4_any_scalar_multiple(c):
     for alpha in (0.5, 2.0):
         res = thm4_scalar_test(c * np.eye(4), alpha)
@@ -431,11 +437,15 @@ def test_thm4_any_scalar_multiple(c):
 
 
 def test_thm4_agrees_with_spectral_test():
-    rng = SeededRng(67)
-    for _ in range(10):
-        t = random_positive_definite(3, 9.0, rng)
-        res = thm4_scalar_test(t, 2.0)
-        assert res.is_scalar == res.spectral_scalar
+    # the verdicts on c*T are those on T
+    for c in (1.0, 1e-12, 1e3):
+        rng = SeededRng(67)
+        for _ in range(10):
+            t = c * random_positive_definite(3, 9.0, rng).matrix
+            res = thm4_scalar_test(t, 2.0)
+            assert res.is_scalar == res.spectral_scalar
+        res = thm4_scalar_test(c * np.diag([1.0, 2.0, 3.0]), 2.0)
+        assert not res.is_scalar and not res.spectral_scalar
 
 
 def test_thm4_rejects_singular():
