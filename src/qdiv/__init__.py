@@ -51,6 +51,7 @@ from .sampling import (
     haar_unitary,
     random_antiunitary,
     random_density,
+    random_density_matrix,
     random_positive_definite,
     random_simplex,
 )

@@ -16,12 +16,12 @@ import time
 
 from . import files
 from .divergence import DIVERGENCE_TAGS, make_divergence
-from .extended import as_extended, fmt_extended
+from .extended import fmt_extended
 from .functions import DomainError
 from .maps import StateMap, require_unitary
-from .operators import ValidationError, as_density, as_positive
+from .operators import ValidationError
 from .preserver import WignerError, wigner_probe_projections, wigner_reconstruct
-from .sampling import SeededRng, haar_unitary, random_density, \
+from .sampling import SeededRng, haar_unitary, random_density_matrix, \
     random_positive_definite
 from .suites import SUITES, run_suite
 
@@ -38,16 +38,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _seed_default() -> int:
-    env = os.environ.get("QDIV_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"QDIV_SEED must be an integer, got {env!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=SUITES)
     p_check.add_argument("--dim", type=int, default=3)
     p_check.add_argument("--samples", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tol", type=float, default=1e-8)
     p_check.add_argument("--alpha", type=float, default=2.0)
     p_check.add_argument("--out", default=None)
@@ -90,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--dim", type=int, required=True)
     p_sample.add_argument("--rank", type=int, default=None)
     p_sample.add_argument("--kappa", type=float, default=10.0)
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True)
     return parser
 
@@ -114,12 +104,9 @@ def cmd_div(args) -> int:
                               f=args.f_name, g=args.g_name)
     except KeyError as exc:
         raise UsageError(str(exc))
-    # as_density/as_positive reuse an operator of the right class as it is
-    if args.tag in ("umegaki", "renyi"):
-        value = div(as_density(a), as_density(b))
-    else:
-        value = div(as_positive(a), as_positive(b))
-    value = as_extended(value)
+    # each divergence converts its own operands, reusing an operator of the
+    # right class as it is
+    value = div(a, b)
     print(fmt_extended(value))
     if args.out:
         params = {"tag": args.tag, "alpha": args.alpha,
@@ -136,16 +123,15 @@ def cmd_div(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    seed = args.seed if args.seed is not None else _seed_default()
     passed, assertions = run_suite(
-        args.suite, dim=args.dim, samples=args.samples, seed=seed,
+        args.suite, dim=args.dim, samples=args.samples, seed=args.seed,
         tol=args.tol, alpha=args.alpha,
     )
     for a in assertions:
         flag = "pass" if a["pass"] else "FAIL"
         print(f"[{flag}] {a['name']}: measured={a['measured']} bound={a['bound']}")
     params = {"suite": args.suite, "dim": args.dim, "samples": args.samples,
-              "seed": seed, "tol": args.tol, "alpha": args.alpha}
+              "seed": args.seed, "tol": args.tol, "alpha": args.alpha}
     witnesses = [a for a in assertions if not a["pass"]]
     text = files.render_report(
         "check", params,
@@ -214,16 +200,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
-    rng = SeededRng(seed)
+    rng = SeededRng(args.seed)
     if args.dim < 1:
         raise UsageError("--dim must be at least 1")
     if args.kind == "density":
         rank = args.rank if args.rank is not None else args.dim
         if not 1 <= rank <= args.dim:
             raise UsageError(f"--rank must lie in [1, {args.dim}]")
-        op = random_density(args.dim, rank, rng)
-        files.save_operator(args.out, op.matrix, role="density")
+        m = random_density_matrix(args.dim, rank, rng)
+        files.save_operator(args.out, m, role="density")
     elif args.kind == "pd":
         if args.kappa < 1.0:
             raise UsageError("--kappa must be at least 1")

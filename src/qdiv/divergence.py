@@ -3,9 +3,16 @@
 Each quantity is computed from snapped spectral data, so support conditions
 (the +inf branches) are decided by ranks, never by numeric overflow: every
 +inf branch goes through ``support_contains`` or ``supports_orthogonal``.
-The f-divergence is a double sum over pairs of eigenvectors of A and B,
-weighted by their squared overlaps; its superoperator form is kept as an
-independent route so the two can cross-check each other.
+
+The finite values come from two kernels.  ``_sandwich_eigs`` gives the
+spectrum of F A F* with F diagonal in a given set of eigenvectors of B; the
+generalized quantity tr g(f(B) A f(B)), its limit probe and the sandwiched
+Renyi core tr (B^e A B^e)^alpha (f = t^e, g = t^alpha) are traces of it.
+``_overlaps`` gives W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and
+v_j of B; the f-divergence, Umegaki and traditional Renyi (Petz-type traces)
+are sums over W.  The superoperator form of the f-divergence uses neither
+kernel and is kept as an independent route, so the two can cross-check each
+other.
 """
 
 from __future__ import annotations
@@ -35,6 +42,15 @@ def supports_orthogonal(a: PositiveOperator, b: PositiveOperator) -> bool:
     return overlap <= mc.SUPPORT_TRACE_TOL
 
 
+def _operands(a, b, as_op=as_positive):
+    """Both arguments converted by ``as_op``; raises on a dimension mismatch."""
+    a = as_op(a)
+    b = as_op(b)
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch between the two operators")
+    return a, b
+
+
 def _snapped_psd_eig(m: np.ndarray, bound: float):
     """Eigensystem of a PSD product of norm at most ``bound``: eigenvalues
     clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0.  The
@@ -49,6 +65,26 @@ def _snapped_psd_eig(m: np.ndarray, bound: float):
 def _sandwich_bound(fvals, a: PositiveOperator) -> float:
     """Norm bound max|f|^2 ||A|| for F A F* with F of eigenvalues ``fvals``."""
     return float(np.max(np.abs(fvals), initial=0.0)) ** 2 * float(a.eigenvalues[-1])
+
+
+def _sandwich_eigs(a: PositiveOperator, vecs: np.ndarray, fvals) -> np.ndarray:
+    """Snapped eigenvalues of diag(fvals) (vecs* A vecs) diag(fvals).
+
+    With orthonormal columns ``vecs`` and F = vecs diag(fvals) vecs*, these
+    are the eigenvalues of F A F* on the span of ``vecs``; F A F* is zero on
+    its complement.  Empty when ``vecs`` has no columns.
+    """
+    if vecs.shape[1] == 0:
+        return np.zeros(0)
+    a0 = vecs.conj().T @ a.matrix @ vecs
+    s0 = (fvals[:, None] * a0) * fvals[None, :]
+    evals, _ = _snapped_psd_eig(s0, _sandwich_bound(fvals, a))
+    return evals
+
+
+def _overlaps(a: PositiveOperator, b: PositiveOperator) -> np.ndarray:
+    """W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and v_j of B."""
+    return np.abs(a.eigenvectors.conj().T @ b.eigenvectors) ** 2
 
 
 def _f_at_zero_term(f: ScalarFunctionSpec):
@@ -73,10 +109,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
     give the +inf branches: f(0+) = +inf with supp B not inside supp A, and
     gamma = +inf with supp A not inside supp B.
     """
-    a = as_positive(a)
-    b = as_positive(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b)
     if f.gamma is None:
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
 
@@ -91,7 +124,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
         gamma = f.gamma.value
 
     lam, mu = a.eigenvalues, b.eigenvalues
-    w = np.abs(a.eigenvectors.conj().T @ b.eigenvectors) ** 2
+    w = _overlaps(a, b)
     # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
     i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
     fvals = np.array([f(t) for t in lam[i] / mu[j]])
@@ -107,10 +140,7 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     Requires invertible B.  Must agree with the eigenvector double sum; the
     pair is kept as a dual-route cross-check.
     """
-    a = as_positive(a)
-    b = as_positive(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b)
     if not b.definite:
         raise ValidationError("second operator must be positive definite")
     binv = b.pseudo_power(-1.0)
@@ -137,18 +167,14 @@ def _require_zero_value(f: ScalarFunctionSpec) -> float:
 
 def umegaki(a, b) -> ExtendedReal:
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
-    a = as_density(a)
-    b = as_density(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b, as_density)
     if not support_contains(b, a):
         return INF
     ev = a.eigenvalues
     term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
     mu = b.eigenvalues
-    vb = b.support_basis
-    # <v_j, A v_j> for the eigenvectors v_j of B with mu_j > 0
-    weights = np.sum(vb.conj() * (a.matrix @ vb), axis=0).real
+    # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B with mu_j > 0
+    weights = (ev @ _overlaps(a, b))[mu > 0.0]
     term_b = float(np.log(mu[mu > 0.0]) @ weights)
     return ExtendedReal(term_a - term_b)
 
@@ -163,17 +189,17 @@ def _check_alpha(alpha: float) -> float:
 def renyi_traditional(a, b, alpha: float) -> ExtendedReal:
     """(alpha-1)^-1 log tr(A^alpha B^(1-alpha)) with the support case split."""
     alpha = _check_alpha(alpha)
-    a = as_density(a)
-    b = as_density(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b, as_density)
     if alpha < 1.0:
         if supports_orthogonal(a, b):
             return INF
     else:
         if not support_contains(b, a):
             return INF
-    t = float(np.trace(a.pseudo_power(alpha) @ b.pseudo_power(1.0 - alpha)).real)
+    lam, mu = a.eigenvalues, b.eigenvalues
+    # tr(A^alpha B^(1-alpha)) = sum_ij l_i^alpha W_ij m_j^(1-alpha) over l_i, m_j > 0
+    w = _overlaps(a, b)[np.ix_(lam > 0.0, mu > 0.0)]
+    t = float(lam[lam > 0.0] ** alpha @ w @ mu[mu > 0.0] ** (1.0 - alpha))
     if t <= 0.0:
         raise ArithmeticError("trace term vanished outside the infinite branch")
     return ExtendedReal(math.log(t) / (alpha - 1.0))
@@ -183,19 +209,15 @@ def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
     """tr (B^e A B^e)^alpha with e = (1-alpha)/(2 alpha), powers on supports.
 
     For alpha > 1 the value is +inf unless supp A <= supp B; for alpha < 1 the
-    compression to supp B is built into the pseudo-powers.
+    compression to supp B is built into the sandwich, which works on supp B.
     """
     alpha = _check_alpha(alpha)
-    a = as_positive(a)
-    b = as_positive(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b)
     if alpha > 1.0 and not support_contains(b, a):
         return INF
     e = (1.0 - alpha) / (2.0 * alpha)
-    bp = b.pseudo_power(e)
     mu = b.eigenvalues
-    evals, _ = _snapped_psd_eig(bp @ a.matrix @ bp, _sandwich_bound(mu[mu > 0.0] ** e, a))
+    evals = _sandwich_eigs(a, b.support_basis, mu[mu > 0.0] ** e)
     pos = evals[evals > 0.0]
     return ExtendedReal(float(np.sum(pos**alpha)))
 
@@ -203,8 +225,7 @@ def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
 def sandwiched_renyi(a, b, alpha: float) -> ExtendedReal:
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
-    a = as_positive(a)
-    b = as_positive(b)
+    a, b = _operands(a, b)
     if a.rank == 0 or b.rank == 0:
         raise ValidationError("operators must be nonzero")
     if alpha < 1.0 and supports_orthogonal(a, b):
@@ -224,20 +245,6 @@ def _require_g(g: ScalarFunctionSpec) -> None:
         raise DomainError(f"{g.name}: outer function must satisfy g(0) = 0")
 
 
-def _dab_on_support(a: PositiveOperator, b: PositiveOperator,
-                    f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> float:
-    """tr g(f(B0) A0 f(B0)) on supp B, with A0 the compression of A."""
-    mask = b.eigenvalues > 0.0
-    if not np.any(mask):
-        return 0.0
-    vb = b.eigenvectors[:, mask]
-    fb = np.array([f(t) for t in b.eigenvalues[mask]])
-    a0 = vb.conj().T @ a.matrix @ vb
-    s0 = (fb[:, None] * a0) * fb[None, :]
-    evals, _ = _snapped_psd_eig(s0, _sandwich_bound(fb, a))
-    return float(np.sum([g(v) for v in evals]))
-
-
 def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
     """Generalized quantity tr g(f(B) A f(B)), extended to singular B.
 
@@ -246,10 +253,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
     (with g strictly increasing and unbounded) is finite exactly when
     supp A <= supp B and +inf otherwise.
     """
-    a = as_positive(a)
-    b = as_positive(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b)
     _require_g(g)
     if not b.definite:
         if f.limit_at_zero is None:
@@ -268,7 +272,11 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
             raise DomainError(
                 f"{f.name}: finite nonzero limit at 0+ has no defined extension"
             )
-    return ExtendedReal(_dab_on_support(a, b, f, g))
+    # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
+    mu = b.eigenvalues
+    fb = np.array([f(t) for t in mu[mu > 0.0]])
+    evals = _sandwich_eigs(a, b.support_basis, fb)
+    return ExtendedReal(float(np.sum([g(v) for v in evals])))
 
 
 def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
@@ -279,10 +287,7 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     +inf when the values cross ``cap`` and keep growing from that point on.
     The probe is a diagnostic for the rank-based extension, not its definition.
     """
-    a = as_positive(a)
-    b = as_positive(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
+    a, b = _operands(a, b)
     _require_g(g)
     schedule = [float(e) for e in eps_schedule]
     if not schedule or any(e <= 0.0 for e in schedule):
@@ -290,13 +295,10 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     if any(y >= x for x, y in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 
-    vecs = b.eigenvectors
     values = []
     for eps in schedule:
         fb = np.array([f(t + eps) for t in b.eigenvalues])
-        fmat = (vecs * fb) @ vecs.conj().T
-        evals, _ = _snapped_psd_eig(fmat @ a.matrix @ fmat.conj().T,
-                                    _sandwich_bound(fb, a))
+        evals = _sandwich_eigs(a, b.eigenvectors, fb)
         values.append(float(np.sum([g(v) for v in evals])))
 
     crossing = next((i for i, v in enumerate(values) if v > cap), None)

@@ -1,10 +1,11 @@
-"""Extended-real values: finite reals plus +infinity, with 0*inf = 0.
+"""Extended-real values: finite reals plus +infinity.
 
-The divergence formulas accumulate terms of the form ``weight * value`` where
-``value`` may be +infinity but the weight may vanish; the product convention
-0*inf = 0 makes those terms drop out instead of poisoning the sum.  Negative
-infinity is rejected outright: none of the implemented quantities produce it,
-and admitting it would require sign conventions nothing here exercises.
+A divergence returns an ``ExtendedReal`` so that its +inf branch, which a
+support decision selects, is a value of the result type rather than a float
+that overflowed.  The type carries no arithmetic: every formula computes with
+plain floats on the finite branch and returns ``INF`` directly on the
+infinite one.  NaN and negative infinity are rejected: none of the
+implemented quantities produce them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ class ExtendedRealError(ValueError):
 
 
 class ExtendedReal:
-    """A finite real number or +infinity.
-
-    Arithmetic follows the accumulation rules used by the divergence sums:
-    ``x + inf = inf`` and ``0 * inf = 0``.  A product of a strictly negative
-    finite number with +inf would be -inf and raises instead.
-    """
+    """A finite real number or +infinity; immutable, compared by value."""
 
     __slots__ = ("value",)
 
@@ -62,41 +58,6 @@ class ExtendedReal:
 
     def __hash__(self):
         return hash(self.value)
-
-    def __lt__(self, other):
-        return self.value < ExtendedReal(other).value
-
-    def __le__(self, other):
-        return self.value <= ExtendedReal(other).value
-
-    def __gt__(self, other):
-        return self.value > ExtendedReal(other).value
-
-    def __ge__(self, other):
-        return self.value >= ExtendedReal(other).value
-
-    def __add__(self, other):
-        other = ExtendedReal(other)
-        if self.is_inf or other.is_inf:
-            return INF
-        return ExtendedReal(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = ExtendedReal(other)
-        if self.is_inf or other.is_inf:
-            finite = other if self.is_inf else self
-            if finite.value == 0.0:
-                return ExtendedReal(0.0)
-            if finite.value < 0.0:
-                raise ExtendedRealError(
-                    "negative * inf would be -inf, which is unsupported"
-                )
-            return INF
-        return ExtendedReal(self.value * other.value)
-
-    __rmul__ = __mul__
 
 
 INF = ExtendedReal(math.inf)

@@ -21,8 +21,8 @@ from .extended import ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
-from .sampling import SeededRng, random_density, random_simplex, \
-    random_unit_vector
+from .sampling import SeededRng, random_density, random_density_matrix, \
+    random_simplex, random_unit_vector
 
 
 class WignerError(ValueError):
@@ -225,8 +225,8 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
     n = state_map.dim
     max_dev = 0.0
     for i in range(n_samples):
-        a = random_density(n, _rank_pattern(i, n, rng), rng)
-        dev = mc.frobenius(state_map.apply(a.matrix) - conjugate_by(u, kind, a.matrix))
+        a = random_density_matrix(n, _rank_pattern(i, n, rng), rng)
+        dev = mc.frobenius(state_map.apply(a) - conjugate_by(u, kind, a))
         max_dev = max(max_dev, dev)
     return ConjugationReport(samples=n_samples, max_deviation=max_dev, tol=tol)
 

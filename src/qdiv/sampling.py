@@ -96,8 +96,9 @@ def random_simplex(n: int, rng: SeededRng) -> np.ndarray:
     return e / e.sum()
 
 
-def random_density(n: int, rank: int, rng: SeededRng) -> DensityOperator:
-    """Density of exact rank: Haar-rotated simplex eigenvalues, zero padded.
+def random_density_matrix(n: int, rank: int, rng: SeededRng) -> np.ndarray:
+    """Matrix of a density of exact rank: Haar-rotated simplex eigenvalues,
+    zero padded, made exactly Hermitian.
 
     Draw order: the simplex weights, then the Haar unitary.
     """
@@ -108,7 +109,12 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityOperator:
     evals[:rank] = p
     u = haar_unitary(n, rng)
     m = (u * evals) @ u.conj().T
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return 0.5 * (m + m.conj().T)
+
+
+def random_density(n: int, rank: int, rng: SeededRng) -> DensityOperator:
+    """``random_density_matrix`` validated and eigendecomposed; same draws."""
+    return DensityOperator(random_density_matrix(n, rank, rng))
 
 
 def random_positive_definite(n: int, kappa: float, rng: SeededRng) -> PositiveOperator:

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -9,13 +8,10 @@ from qdiv.files import load_operator, parse_report, save_operator, strip_wall_ti
 from qdiv.sampling import SeededRng, haar_unitary
 
 
-def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "qdiv", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True,
     )
 
 
@@ -176,15 +172,6 @@ def test_sample_pd_kappa_one(tmp_path):
     m, role = load_operator(path)
     assert role == "positive"
     assert np.allclose(m, np.eye(3), atol=1e-12)
-
-
-def test_sample_env_seed(tmp_path):
-    p1 = tmp_path / "e1.json"
-    p2 = tmp_path / "e2.json"
-    run_cli("sample", "unitary", "--dim", "2", "--out", str(p1),
-            env={"QDIV_SEED": "77"})
-    run_cli("sample", "unitary", "--dim", "2", "--seed", "77", "--out", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_sample_bad_rank(tmp_path):

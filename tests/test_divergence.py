@@ -406,6 +406,79 @@ def test_sandwiched_n8_smoke():
     assert after == pytest.approx(before, abs=1e-9)
 
 
+# ------------------------------------------- kernels against numpy's eigh
+# The sandwich and overlap kernels checked against n x n pseudo-power
+# products built here from numpy.linalg.eigh, with the +inf verdicts taken
+# from eigh support projectors: a route that shares no code with qdiv.
+
+def _eigh_fn(m, fn):
+    """fn applied to the eigenvalues of m above 1e-12 ||m||; 0 elsewhere."""
+    w, v = np.linalg.eigh(m)
+    keep = w > 1e-12 * w[-1]
+    return (v[:, keep] * fn(w[keep])) @ v[:, keep].conj().T
+
+
+def _eigh_verdicts(a, b):
+    """(supp A <= supp B, supp A orthogonal to supp B) from eigh projectors."""
+    pa = _eigh_fn(a, np.ones_like)
+    pb = _eigh_fn(b, np.ones_like)
+    overlap = np.trace(pa @ pb).real
+    return np.trace(pa).real - overlap < 1e-8, overlap < 1e-8
+
+
+def _numpy_density(cols, rank, rng):
+    """Density of the given rank with support inside span(cols)."""
+    shape = (cols.shape[1], rank)
+    basis = cols @ np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    m = (basis * rng.dirichlet(np.ones(rank))) @ basis.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("layout", ["independent", "nested", "orthogonal"])
+def test_kernels_match_eigh_pseudo_powers(layout):
+    rng = np.random.default_rng(71)
+    for trial in range(8):
+        n = 3 + trial % 3
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        u = np.linalg.qr(z)[0]
+        rb = int(rng.integers(2, n))  # B is singular, of rank at least 2
+        b = _numpy_density(u[:, :rb], rb, rng)
+        if layout == "independent":
+            a = _numpy_density(np.eye(n), int(rng.integers(1, n + 1)), rng)
+        elif layout == "nested":
+            a = _numpy_density(u[:, :rb], int(rng.integers(1, rb + 1)), rng)
+        else:
+            a = _numpy_density(u[:, rb:], int(rng.integers(1, n - rb + 1)), rng)
+        contained, orthogonal = _eigh_verdicts(a, b)
+        da, db = DensityOperator(a), DensityOperator(b)
+
+        for alpha in (0.5, 2.0, 3.0):
+            bp = _eigh_fn(b, lambda w, e=(1.0 - alpha) / (2.0 * alpha): w**e)
+            s = np.linalg.eigvalsh(bp @ a @ bp)
+            bound = np.linalg.norm(bp, 2) ** 2 * np.linalg.norm(a, 2)
+            want = math.inf if alpha > 1.0 and not contained else \
+                float(np.sum(s[s > 1e-12 * bound] ** alpha))
+            got = sandwiched_core(da, db, alpha)
+            assert got.is_inf == (want == math.inf)
+            if got.is_finite:
+                assert got.value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+            t = np.trace(_eigh_fn(a, lambda w: w**alpha)
+                         @ _eigh_fn(b, lambda w: w ** (1.0 - alpha))).real
+            inf = orthogonal if alpha < 1.0 else not contained
+            got = renyi_traditional(da, db, alpha)
+            assert got.is_inf == inf
+            if not inf:
+                assert got.value == pytest.approx(math.log(t) / (alpha - 1.0),
+                                                  rel=1e-9, abs=1e-12)
+
+        got = umegaki(da, db)
+        assert got.is_inf == (not contained)
+        if contained:
+            want = np.trace(a @ (_eigh_fn(a, np.log) - _eigh_fn(b, np.log))).real
+            assert got.value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 # -------------------------------------------------------------------- d_fg
 
 def test_dfg_specializes_to_sandwiched_core():
