@@ -35,6 +35,8 @@ from .preserver import (
     InvarianceReport,
     check_invariance,
     functional_eq_residual,
+    invariance_pairs,
+    invariance_reports,
     order_dominance_test,
     orthogonality_indicator,
     prop1_evaluate,

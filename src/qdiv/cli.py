@@ -2,9 +2,9 @@
 
 Subcommands: ``div`` (compute a divergence between two operator files),
 ``check`` (run a named property suite), ``reconstruct`` (recover an
-implementing (anti)unitary from probe images, simulated or tabulated), and
-``sample`` (write seeded random operators).  Exit codes: 0 success, 1 suite or
-assertion failure, 2 input validation failure, 3 usage error.
+implementing (anti)unitary from probe images, simulated or read from files),
+and ``sample`` (write seeded random operators).  Exit codes: 0 success, 1 suite
+or assertion failure, 2 input validation failure, 3 usage error.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ def cmd_div(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     passed, assertions = run_suite(
         args.suite, dim=args.dim, samples=args.samples, seed=args.seed,
         tol=args.tol, alpha=args.alpha,
@@ -229,16 +231,11 @@ def main(argv=None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # the subparsers are required, so argparse only admits these names
+        commands = {"div": cmd_div, "check": cmd_check,
+                    "reconstruct": cmd_reconstruct, "sample": cmd_sample}
         try:
-            if args.command == "div":
-                return cmd_div(args)
-            if args.command == "check":
-                return cmd_check(args)
-            if args.command == "reconstruct":
-                return cmd_reconstruct(args)
-            if args.command == "sample":
-                return cmd_sample(args)
-            raise UsageError(f"unknown command {args.command!r}")
+            return commands[args.command](args)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE

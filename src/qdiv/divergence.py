@@ -51,17 +51,6 @@ def _operands(a, b, as_op=as_positive):
     return a, b
 
 
-def _snapped_psd_eig(m: np.ndarray, bound: float):
-    """Eigensystem of a PSD product of norm at most ``bound``: eigenvalues
-    clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0.  The
-    bound, not the product's own top eigenvalue, sets the scale: that top is
-    noise when the product is zero in exact arithmetic."""
-    evals, vecs = mc.eig_hermitian(mc.hermitian_part(m))
-    evals = np.clip(evals, 0.0, None)
-    evals[evals <= mc.EIG_SNAP * bound] = 0.0
-    return evals, vecs
-
-
 def _sandwich_bound(fvals, a: PositiveOperator) -> float:
     """Norm bound max|f|^2 ||A|| for F A F* with F of eigenvalues ``fvals``."""
     return float(np.max(np.abs(fvals), initial=0.0)) ** 2 * float(a.eigenvalues[-1])
@@ -78,7 +67,7 @@ def _sandwich_eigs(a: PositiveOperator, vecs: np.ndarray, fvals) -> np.ndarray:
         return np.zeros(0)
     a0 = vecs.conj().T @ a.matrix @ vecs
     s0 = (fvals[:, None] * a0) * fvals[None, :]
-    evals, _ = _snapped_psd_eig(s0, _sandwich_bound(fvals, a))
+    evals, _ = mc._snapped_psd_eig(s0, _sandwich_bound(fvals, a))
     return evals
 
 
@@ -146,7 +135,7 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     binv = b.pseudo_power(-1.0)
     # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
     bound = float(a.eigenvalues[-1] / b.eigenvalues[0])
-    evals, vecs = _snapped_psd_eig(mc.superop_lr(a.matrix, binv), bound)
+    evals, vecs = mc._snapped_psd_eig(mc.superop_lr(a.matrix, binv), bound)
     fvals = np.array([f(v) if v > 0.0 else _require_zero_value(f) for v in evals])
     mf = (vecs * fvals) @ vecs.conj().T
     s = mc.vec(b.sqrt())
@@ -280,11 +269,11 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
 
 
 def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
-                     eps_schedule, cap: float = 1e12):
+                     eps_schedule):
     """Evaluate tr g(f(B+eps I) A f(B+eps I)) along a decreasing schedule.
 
     Returns ``(values, estimate)`` where the estimate is the last value, or
-    +inf when the values cross ``cap`` and keep growing from that point on.
+    +inf when the values cross 1e12 and keep growing from that point on.
     The probe is a diagnostic for the rank-based extension, not its definition.
     """
     a, b = _operands(a, b)
@@ -301,7 +290,7 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
         evals = _sandwich_eigs(a, b.eigenvectors, fb)
         values.append(float(np.sum([g(v) for v in evals])))
 
-    crossing = next((i for i, v in enumerate(values) if v > cap), None)
+    crossing = next((i for i, v in enumerate(values) if v > 1e12), None)
     diverged = crossing is not None and all(
         values[i + 1] >= values[i] for i in range(crossing, len(values) - 1)
     )

@@ -68,12 +68,12 @@ def as_extended(value) -> ExtendedReal:
     return value if isinstance(value, ExtendedReal) else ExtendedReal(value)
 
 
-def fmt_extended(value, decimals: int = 12) -> str:
-    """Render an extended real for reports: the literal ``inf`` or a decimal."""
+def fmt_extended(value) -> str:
+    """Render an extended real for reports: ``inf`` or 12 decimal places."""
     x = as_extended(value)
     if x.is_inf:
         return "inf"
-    s = f"{x.value:.{decimals}f}"
+    s = f"{x.value:.12f}"
     if float(s) == 0.0:
-        s = f"{0.0:.{decimals}f}"
+        s = f"{0.0:.12f}"
     return s

@@ -131,7 +131,6 @@ def _jsonable(x):
 
 
 def render_report(command: str, parameters: dict, results: dict,
-                  deviations: Optional[dict] = None,
                   witnesses: Optional[list] = None,
                   wall_time_s: float = 0.0) -> str:
     """Render a run report with a fixed field order; wall time goes last."""
@@ -139,7 +138,7 @@ def render_report(command: str, parameters: dict, results: dict,
         "command": command,
         "parameters": _jsonable(parameters),
         "results": _jsonable(results),
-        "deviations": _jsonable(deviations or {}),
+        "deviations": {},
         "witnesses": _jsonable(witnesses or []),
         "wall_time_s": round(float(wall_time_s), 6),
     }

@@ -4,8 +4,8 @@ Every divergence here is parameterized by scalar functions whose behavior at
 the boundary (value at 0, limits at 0+ and infinity, slope at infinity) decides
 support conditions and infinite branches.  Those limits are not computable from
 a black-box callable, so they are declared up front and the callable is only
-trusted on the open positive axis.  Declared monotonicity/convexity flags are
-spot-checked on a grid at construction time.
+trusted on the open positive axis.  The declared monotonicity and injectivity
+flags are spot-checked on a grid at construction time.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class ScalarFunctionSpec:
     gamma: Optional[ExtendedReal] = None
     limit_at_zero: Optional[ExtendedReal] = None
     strictly_increasing: bool = False
-    strictly_decreasing: bool = False
-    strictly_convex: bool = False
-    strictly_concave: bool = False
     injective: bool = False
     diverges_at_infinity: bool = False
 
@@ -64,17 +61,8 @@ class ScalarFunctionSpec:
         vals = np.array([self.fn(float(t)) for t in _GRID])
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"{self.name}: non-finite values on the check grid")
-        d = np.diff(vals)
-        if self.strictly_increasing and not np.all(d > 0.0):
+        if self.strictly_increasing and not np.all(np.diff(vals) > 0.0):
             raise DomainError(f"{self.name}: strictly_increasing fails spot check")
-        if self.strictly_decreasing and not np.all(d < 0.0):
-            raise DomainError(f"{self.name}: strictly_decreasing fails spot check")
-        mid = vals[1:-1]
-        mean = 0.5 * (vals[:-2] + vals[2:])
-        if self.strictly_convex and not np.all(mid < mean):
-            raise DomainError(f"{self.name}: strictly_convex fails spot check")
-        if self.strictly_concave and not np.all(mid > mean):
-            raise DomainError(f"{self.name}: strictly_concave fails spot check")
         if self.injective:
             gaps = np.diff(np.sort(vals))
             if not np.all(gaps > 0.0):
@@ -115,9 +103,6 @@ def power_fn(p: float) -> ScalarFunctionSpec:
         gamma=gamma,
         limit_at_zero=limit_at_zero,
         strictly_increasing=p > 0.0,
-        strictly_decreasing=p < 0.0,
-        strictly_convex=p > 1.0 or p < 0.0,
-        strictly_concave=0.0 < p < 1.0,
         injective=p != 0.0,
         diverges_at_infinity=p > 0.0,
     )
@@ -131,7 +116,6 @@ def xlogx_fn() -> ScalarFunctionSpec:
         value_at_zero=0.0,
         gamma=INF,
         limit_at_zero=ExtendedReal(0.0),
-        strictly_convex=True,
         diverges_at_infinity=True,
     )
 
@@ -146,7 +130,6 @@ def linear_fn(c: float) -> ScalarFunctionSpec:
         gamma=ExtendedReal(c),
         limit_at_zero=ExtendedReal(-c),
         strictly_increasing=c > 0.0,
-        strictly_decreasing=c < 0.0,
         injective=c != 0.0,
         diverges_at_infinity=c > 0.0,
     )
@@ -161,7 +144,6 @@ def bounded_ratio_fn() -> ScalarFunctionSpec:
         gamma=ExtendedReal(0.0),
         limit_at_zero=ExtendedReal(0.0),
         strictly_increasing=True,
-        strictly_concave=True,
         injective=True,
         diverges_at_infinity=False,
     )

@@ -1,4 +1,4 @@
-"""Maps on states: (anti)unitary conjugations, Kraus channels, lookup tables.
+"""Maps on states: (anti)unitary conjugations and Kraus channels.
 
 An antiunitary is always represented as entrywise conjugation in the standard
 basis followed by a unitary; every antiunitary factors that way, and the fixed
@@ -17,7 +17,6 @@ from . import matrixcore as mc
 UNITARY = "unitary_conjugation"
 ANTIUNITARY = "antiunitary_conjugation"
 KRAUS = "kraus_channel"
-TABULATED = "tabulated"
 
 
 def require_unitary(u, tol: float = mc.UNITARY_TOL) -> np.ndarray:
@@ -44,7 +43,6 @@ class StateMap:
     kind: str
     unitary: Optional[np.ndarray] = None
     kraus: Optional[Tuple[np.ndarray, ...]] = None
-    table: Optional[Tuple[Tuple[np.ndarray, np.ndarray], ...]] = None
 
     @classmethod
     def unitary_conjugation(cls, u) -> "StateMap":
@@ -65,36 +63,20 @@ class StateMap:
             raise ValueError("Kraus operators do not satisfy sum K*K = I")
         return cls(kind=KRAUS, kraus=ops)
 
-    @classmethod
-    def tabulated(cls, pairs) -> "StateMap":
-        table = tuple(
-            (mc.as_complex_matrix(x), mc.as_complex_matrix(y)) for x, y in pairs
-        )
-        if not table:
-            raise ValueError("a tabulated map needs at least one pair")
-        return cls(kind=TABULATED, table=table)
-
     @property
     def dim(self) -> int:
         if self.unitary is not None:
             return self.unitary.shape[0]
-        if self.kraus is not None:
-            return self.kraus[0].shape[0]
-        return self.table[0][0].shape[0]
+        return self.kraus[0].shape[0]
 
     def apply(self, a) -> np.ndarray:
         a = mc.as_complex_matrix(a)
         if self.kind in (UNITARY, ANTIUNITARY):
             return conjugate_by(self.unitary, self.kind, a)
-        if self.kind == KRAUS:
-            out = np.zeros_like(a)
-            for k in self.kraus:
-                out += k @ a @ k.conj().T
-            return out
-        for x, y in self.table:
-            if mc.frobenius(x - a) <= mc.LOOKUP_TOL * mc.frobenius(x):
-                return y.copy()
-        raise KeyError("input operator is not tabulated for this map")
+        out = np.zeros_like(a)
+        for k in self.kraus:
+            out += k @ a @ k.conj().T
+        return out
 
 
 def depolarizing_channel(p: float, n: int = 2) -> StateMap:

@@ -50,7 +50,6 @@ UNITARY_TOL = 1e-10         # ||U*U - I||_F
 KRAUS_TOL = 1e-10           # ||sum K*K - I||_F
 # Derived values.
 SUPEROP_IMAG_TOL = 1e-10    # |Im <s, f(L_A R_B^-1) s>|, relative to max|f| ||s||^2
-LOOKUP_TOL = 1e-10          # ||X - A||_F matching a table entry, relative to ||X||_F
 DOMINANCE_TOL = 1e-10       # min eigenvalue of C^2 - B^2, relative to
                             # max(||B||, ||C||)^2
 TRACE_FN_GAP_TOL = 1e-8     # tr h(BPB) - tr h(CPC), relative to the larger one
@@ -179,6 +178,17 @@ def eig_hermitian(a):
     evals = np.real(np.diag(w))
     order = np.argsort(evals, kind="stable")
     return evals[order], v[:, order]
+
+
+def _snapped_psd_eig(m: np.ndarray, bound: float):
+    """Eigensystem of a PSD product of norm at most ``bound``: eigenvalues
+    clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0.  The
+    bound, not the product's own top eigenvalue, sets the scale: that top is
+    noise when the product is zero in exact arithmetic."""
+    evals, vecs = eig_hermitian(hermitian_part(m))
+    evals = np.clip(evals, 0.0, None)
+    evals[evals <= EIG_SNAP * bound] = 0.0
+    return evals, vecs
 
 
 @dataclass(frozen=True)

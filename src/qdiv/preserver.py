@@ -1,10 +1,16 @@
 """Invariance testing, symmetry reconstruction and scalar criteria.
 
-The harness side: sample state pairs, compare a divergence before and after a
-map, reconstruct the implementing (anti)unitary from rank-one image data, and
+The harness side: sample state pairs, compare divergences before and after
+maps, reconstruct the implementing (anti)unitary from rank-one image data, and
 run the scalar checks (trace similarity, order dominance, the probability
 vector functional equation, the strict-convexity refutation, and the
-mean-product criterion for scalar operators).
+mean-product criterion for scalar operators).  One draw of pairs serves every
+map and divergence; ``reports[0][1]`` below is Umegaki under ``state_map``::
+
+    pairs = invariance_pairs(3, n_samples=100, seed=1)
+    sandwiched = make_divergence("sandwiched", alpha=2)
+    reports = invariance_reports(pairs, [state_map], [sandwiched, umegaki],
+                                 tol=1e-9)
 """
 
 from __future__ import annotations
@@ -49,11 +55,64 @@ def _rank_pattern(i: int, n: int, rng: SeededRng) -> int:
     cls = i % 3
     if cls == 0:
         return n
-    if cls == 1:
-        return 1
-    if n <= 2:
+    if cls == 1 or n <= 2:
         return 1
     return rng.integer(2, n - 1)
+
+
+def invariance_pairs(n: int, *, n_samples: int, seed: int):
+    """Seeded density pairs ``[(A, B)]`` on C^n, independent of any map; the
+    ranks cycle full, one, intermediate so the +inf branches get exercised."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    rng = SeededRng(seed)
+    pairs = []
+    for i in range(n_samples):
+        ra = _rank_pattern(i, n, rng)
+        rb = _rank_pattern(i // 3 + i, n, rng)
+        pairs.append((random_density(n, ra, rng), random_density(n, rb, rng)))
+    return pairs
+
+
+def _compare(pairs, before, after, tol: float) -> InvarianceReport:
+    """One report from the values of a divergence before and after a map."""
+    max_dev = 0.0
+    mismatches = 0
+    witness = None
+    for (a, b), x, y in zip(pairs, before, after):
+        # +inf outcomes compare by category: a mismatch, or no deviation
+        mismatch = x.is_inf != y.is_inf
+        dev = 0.0 if x.is_inf or y.is_inf else abs(x.value - y.value)
+        mismatches += mismatch
+        max_dev = max(max_dev, dev)
+        if (mismatch or dev > tol) and witness is None:
+            witness = (a.matrix, b.matrix, x, y)
+    return InvarianceReport(
+        samples=len(pairs),
+        max_abs_deviation=max_dev,
+        infinity_mismatches=mismatches,
+        witness=witness,
+        tol=tol,
+    )
+
+
+def invariance_reports(pairs, maps, divergences, *, tol: float):
+    """Compare every divergence across every map on the same pairs.
+
+    Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]`` (each a
+    two-argument callable).  Each divergence runs once per pair, and each map
+    builds each image once.
+    """
+    before = [[div(a, b) for a, b in pairs] for div in divergences]
+    reports = []
+    for state_map in maps:
+        images = [(DensityOperator(state_map.apply(a.matrix)),
+                   DensityOperator(state_map.apply(b.matrix))) for a, b in pairs]
+        reports.append([
+            _compare(pairs, values, [div(a2, b2) for a2, b2 in images], tol)
+            for div, values in zip(divergences, before)
+        ])
+    return reports
 
 
 def check_invariance(state_map: StateMap, divergence, *,
@@ -63,59 +122,15 @@ def check_invariance(state_map: StateMap, divergence, *,
 
     ``divergence`` is either a two-argument callable or a tag like
     ``"sandwiched"`` with its parameters passed as keyword arguments
-    (``alpha=2``, ``f="power:2"``, ...).  Ranks are mixed deliberately (full,
-    rank one, intermediate) so the infinite branches get exercised; +inf
-    outcomes are compared categorically.  Tabulated maps are probed on ordered
-    pairs from their own table instead of random samples.
+    (``alpha=2``, ``f="power:2"``, ...).  The pairs come from
+    :func:`invariance_pairs`; the comparison is :func:`invariance_reports`.
     """
     if isinstance(divergence, str):
         divergence = make_divergence(divergence, **params)
     elif params:
         raise TypeError("divergence parameters only apply to tag dispatch")
-    rng = SeededRng(seed)
-    n = state_map.dim
-    max_dev = 0.0
-    mismatches = 0
-    witness = None
-    count = 0
-
-    if state_map.kind == "tabulated":
-        inputs = [x for x, _ in state_map.table]
-        pairs = [(x, y) for x in inputs for y in inputs]
-        pool = [pairs[i % len(pairs)] for i in range(min(n_samples, len(pairs)))]
-        samples = [(as_density(x), as_density(y)) for x, y in pool]
-    else:
-        samples = []
-        for i in range(n_samples):
-            ra = _rank_pattern(i, n, rng)
-            rb = _rank_pattern(i // 3 + i, n, rng)
-            samples.append((random_density(n, ra, rng), random_density(n, rb, rng)))
-
-    for a, b in samples:
-        before = divergence(a, b)
-        a2 = DensityOperator(state_map.apply(a.matrix))
-        b2 = DensityOperator(state_map.apply(b.matrix))
-        after = divergence(a2, b2)
-        count += 1
-        if before.is_inf != after.is_inf:
-            mismatches += 1
-            if witness is None:
-                witness = (a.matrix, b.matrix, before, after)
-            continue
-        if before.is_inf:
-            continue
-        dev = abs(before.value - after.value)
-        if dev > max_dev:
-            max_dev = dev
-        if dev > tol and witness is None:
-            witness = (a.matrix, b.matrix, before, after)
-    return InvarianceReport(
-        samples=count,
-        max_abs_deviation=max_dev,
-        infinity_mismatches=mismatches,
-        witness=witness,
-        tol=tol,
-    )
+    pairs = invariance_pairs(state_map.dim, n_samples=n_samples, seed=seed)
+    return invariance_reports(pairs, [state_map], [divergence], tol=tol)[0][0]
 
 
 def wigner_probe_projections(n: int) -> List[np.ndarray]:
@@ -140,18 +155,21 @@ def wigner_probe_projections(n: int) -> List[np.ndarray]:
 
 
 def _top_eigenvector(p: np.ndarray) -> np.ndarray:
-    evals, vecs = mc.eig_hermitian(p)
-    return vecs[:, -1]
+    """Unit vector, of arbitrary phase, spanning the range of P = x x*: the
+    column x conj(x_k) at the largest diagonal entry |x_k|^2 >= 1/n."""
+    k = int(np.argmax(p.diagonal().real))
+    return p[:, k] / np.linalg.norm(p[:, k])
+
+
+def _transition_probabilities(ops) -> np.ndarray:
+    """The matrix of tr(P_i P_j) for Hermitian P_i."""
+    flat = np.array([p.reshape(-1) for p in ops])
+    return (flat.conj() @ flat.T).real
 
 
 def _fix_leading_phase(v: np.ndarray) -> np.ndarray:
     idx = next(i for i in range(v.shape[0]) if abs(v[i]) > mc.PHASE_ENTRY_TOL)
     return v * (abs(v[idx]) / v[idx])
-
-
-def _require_rank_one_projection(p: np.ndarray, label: str) -> None:
-    if not mc.is_projection(p) or abs(np.trace(p).real - 1.0) > mc.PROJ_IMAGE_TOL:
-        raise WignerError(f"{label}: image is not a rank-one projection")
 
 
 def wigner_reconstruct(images):
@@ -173,35 +191,34 @@ def wigner_reconstruct(images):
     for k, img in enumerate(images):
         if img.shape[0] != n:
             raise ValueError(f"image {k} has dimension {img.shape[0]}, expected {n}")
-        _require_rank_one_projection(img, f"image {k}")
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            want = mc.hs_inner(inputs[i], inputs[j]).real
-            got = mc.hs_inner(images[i], images[j]).real
-            if abs(want - got) > mc.TRANSITION_PROB_TOL:
-                raise WignerError(
-                    f"transition probability between probes {i} and {j} is not "
-                    f"preserved: {got:.6e} vs {want:.6e}"
-                )
+        if (not mc.is_projection(img)
+                or abs(np.trace(img).real - 1.0) > mc.PROJ_IMAGE_TOL):
+            raise WignerError(f"image {k}: image is not a rank-one projection")
+    # the first offending pair is reported in row-major i < j order
+    want = _transition_probabilities(inputs)
+    got = _transition_probabilities(images)
+    bad = np.argwhere(np.triu(np.abs(want - got) > mc.TRANSITION_PROB_TOL, 1))
+    if bad.size:
+        i, j = bad[0]
+        raise WignerError(
+            f"transition probability between probes {i} and {j} is not "
+            f"preserved: {got[i, j]:.6e} vs {want[i, j]:.6e}"
+        )
 
+    # for a rank-one image G = g g*, x* G y = <x, g><g, y> has the phase of
+    # <x, g> / <y, g>, so the phases are read from G without a vector of it
     cols = [_top_eigenvector(images[i]) for i in range(n)]
     cols[0] = _fix_leading_phase(cols[0])
     for j in range(1, n):
-        gj = _top_eigenvector(images[n - 1 + j])
-        num = np.vdot(cols[j], gj)
-        den = np.vdot(cols[0], gj)
-        c = num / den
+        c = np.vdot(cols[j], images[n - 1 + j] @ cols[0])
         cols[j] = cols[j] * (c / abs(c))
     u = np.column_stack(cols)
 
-    h = _top_eigenvector(images[2 * n - 1])
-    r = np.vdot(cols[1], h) / np.vdot(cols[0], h)
+    r = np.vdot(cols[1], images[2 * n - 1] @ cols[0])
     kind = "unitary" if r.imag > 0.0 else "antiunitary"
 
-    residual = 0.0
-    for probe, img in zip(inputs, images):
-        predicted = conjugate_by(u, kind, probe)
-        residual = max(residual, mc.frobenius(predicted - img))
+    residual = max(mc.frobenius(conjugate_by(u, kind, probe) - img)
+                   for probe, img in zip(inputs, images))
     return u, kind, residual
 
 
@@ -220,6 +237,8 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
                        n_samples: int = 50, seed: int = 0,
                        tol: float = 1e-8) -> ConjugationReport:
     """Max deviation between a map and conjugation by a candidate unitary."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     u = require_unitary(u, max(tol, mc.UNITARY_TOL))
     rng = SeededRng(seed)
     n = state_map.dim
@@ -249,14 +268,16 @@ def trace_similarity_check(a, b, h) -> float:
     bab = b.matrix @ a.matrix @ b.matrix
     sa = a.sqrt()
     ab2a = sa @ b.matrix @ b.matrix @ sa
-    t1 = _trace_of_fn(bab, h)
-    t2 = _trace_of_fn(ab2a, h)
+    # both products have norm at most ||A|| ||B||^2
+    bound = float(a.eigenvalues[-1]) * float(b.eigenvalues[-1]) ** 2
+    t1 = _trace_of_fn(bab, h, bound)
+    t2 = _trace_of_fn(ab2a, h, bound)
     return abs(t1 - t2)
 
 
-def _trace_of_fn(m: np.ndarray, h) -> float:
-    evals, _ = mc.eig_hermitian(mc.hermitian_part(m))
-    evals = np.clip(evals, 0.0, None)
+def _trace_of_fn(m: np.ndarray, h, bound: float) -> float:
+    """tr h(M) for a PSD product M of norm at most ``bound``, noise as 0."""
+    evals, _ = mc._snapped_psd_eig(m, bound)
     return float(sum(h(v) for v in evals))
 
 
@@ -269,12 +290,12 @@ class OrderDominanceResult:
 
 
 def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
-                         seed: int = 0, delta: float = 1e-6) -> OrderDominanceResult:
+                         seed: int = 0) -> OrderDominanceResult:
     """Probe the equivalence of B^2 <= C^2 with tr h(BAB) <= tr h(CAC).
 
     The dominance side is decided spectrally from C^2 - B^2.  The converse is
     a randomized search over near-rank-one positive definite probes
-    (x (x) x + delta I); when nothing is found for a spectrally non-dominated
+    (x (x) x + 1e-6 I); when nothing is found for a spectrally non-dominated
     pair, the verdict is ``inconclusive`` rather than a confirmation.
     """
     if not h.strictly_increasing or h(0.0) != 0.0:
@@ -291,16 +312,18 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     n = b.dim
     probes = []
     if not dominated:
-        probes.append(mc.rank_one(vecs[:, 0], vecs[:, 0]) + delta * np.eye(n))
+        probes.append(mc.rank_one(vecs[:, 0], vecs[:, 0]) + 1e-6 * np.eye(n))
     for _ in range(n_samples):
         v = random_unit_vector(n, rng)
-        probes.append(mc.rank_one(v, v) + delta * np.eye(n))
+        probes.append(mc.rank_one(v, v) + 1e-6 * np.eye(n))
 
     max_violation = 0.0
     counterexample = None
+    # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
+    bound = scale * (1.0 + 1e-6)
     for probe in probes:
-        lhs = _trace_of_fn(b.matrix @ probe @ b.matrix, h)
-        rhs = _trace_of_fn(c.matrix @ probe @ c.matrix, h)
+        lhs = _trace_of_fn(b.matrix @ probe @ b.matrix, h, bound)
+        rhs = _trace_of_fn(c.matrix @ probe @ c.matrix, h, bound)
         gap = lhs - rhs
         if gap > max_violation:
             max_violation = gap
@@ -367,18 +390,18 @@ def prop1_evaluate(alpha: float, t: float, s: float, *, via_exp: bool = False):
     return lhs, rhs
 
 
-def prop1_refutation(alpha: float, *, grid_size: int = 64) -> RefutationWitness:
+def prop1_refutation(alpha: float) -> RefutationWitness:
     """Grid-search a scalar witness showing the sandwiched power trace is not
     an f-divergence.
 
-    Scans a log-spaced grid over (1e-3, 0.5]^2 and returns the pair with the
-    largest |lhs - rhs|; a witness with gap above 1e-3 always exists for
-    alpha != 1.
+    Scans a 64-point log-spaced grid over (1e-3, 0.5]^2 and returns the pair
+    with the largest |lhs - rhs|; a witness with gap above 1e-3 always exists
+    for alpha != 1.
     """
     alpha = float(alpha)
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError("alpha must be positive and different from 1")
-    grid = np.geomspace(1e-3, 0.5, grid_size)
+    grid = np.geomspace(1e-3, 0.5, 64)
     e1 = 1.0 - alpha
     e2 = (1.0 - alpha) / alpha
     p1 = grid**e1

@@ -15,8 +15,9 @@ from .functions import bounded_ratio_fn, linear_fn, power_fn
 from .maps import StateMap
 from .operators import PositiveOperator, as_positive
 from .preserver import (
-    check_invariance,
     functional_eq_residual,
+    invariance_pairs,
+    invariance_reports,
     order_dominance_test,
     prop1_refutation,
     thm4_scalar_test,
@@ -67,11 +68,13 @@ def suite_invariance(*, dim: int, samples: int, seed: int, tol: float):
         ("umegaki", make_divergence("umegaki")),
         ("renyi a=2", make_divergence("renyi", alpha=2)),
     ]
+    # one draw of pairs serves both maps and all five divergences
+    pairs = invariance_pairs(dim, n_samples=samples, seed=seed + 1)
+    reports = invariance_reports(pairs, [m for _, m in maps],
+                                 [d for _, d in divergences], tol=tol)
     assertions = []
-    for map_name, state_map in maps:
-        for div_name, div in divergences:
-            rep = check_invariance(state_map, div, n_samples=samples,
-                                   seed=seed + 1, tol=tol)
+    for (map_name, _), row in zip(maps, reports):
+        for (div_name, _), rep in zip(divergences, row):
             extra = {}
             if rep.witness is not None:
                 _, _, before, after = rep.witness

@@ -134,6 +134,15 @@ def test_exit_code_bad_usage():
     assert out.returncode == 3
 
 
+def test_exit_code_no_samples():
+    # a suite that samples nothing would pass without checking anything
+    for suite, n in (("invariance", "0"), ("invariance", "-3"),
+                     ("prop2-limits", "0"), ("wigner", "0")):
+        res = run_cli("check", suite, "--samples", n)
+        assert res.returncode == 3
+        assert "pass" not in res.stdout
+
+
 def test_exit_code_suite_failure_and_success(tmp_path):
     ok = run_cli("check", "thm4", "--dim", "2", "--alpha", "2")
     assert ok.returncode == 0

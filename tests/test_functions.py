@@ -12,7 +12,7 @@ def test_power_positive_exponent():
     assert f(3.0) == 9.0
     assert f(0.0) == 0.0
     assert f.gamma.is_inf
-    assert f.strictly_increasing and f.strictly_convex and f.injective
+    assert f.strictly_increasing and f.injective
     assert f.diverges_at_infinity
 
 
@@ -20,14 +20,12 @@ def test_power_fractional():
     f = power_fn(0.5)
     assert f(4.0) == 2.0
     assert f.gamma == ExtendedReal(0.0)
-    assert f.strictly_concave and not f.strictly_convex
 
 
 def test_power_negative_exponent():
     f = power_fn(-1)
     assert f(4.0) == 0.25
     assert f.limit_at_zero.is_inf
-    assert f.strictly_decreasing and f.strictly_convex
     with pytest.raises(DomainError):
         f(0.0)
 
@@ -42,7 +40,7 @@ def test_xlogx():
     assert f(0.0) == 0.0
     assert abs(f(2.0) - 2.0 * math.log(2.0)) < 1e-15
     assert f.gamma.is_inf
-    assert f.strictly_convex and not f.injective
+    assert not f.injective
 
 
 def test_linear():
@@ -50,7 +48,7 @@ def test_linear():
     assert f(1.0) == 0.0
     assert f(0.0) == 3.0
     assert f.gamma == ExtendedReal(-3.0)
-    assert f.strictly_decreasing and f.injective
+    assert f.injective
 
 
 def test_bounded_ratio():
@@ -68,8 +66,6 @@ def test_negative_argument_rejected():
 def test_flag_spot_check_catches_lies():
     with pytest.raises(DomainError):
         ScalarFunctionSpec(name="bad", fn=lambda t: -t, strictly_increasing=True)
-    with pytest.raises(DomainError):
-        ScalarFunctionSpec(name="bad", fn=lambda t: t, strictly_convex=True)
     with pytest.raises(DomainError):
         ScalarFunctionSpec(name="bad", fn=lambda t: 1.0, injective=True)
 

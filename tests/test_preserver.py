@@ -7,11 +7,13 @@ import qdiv.matrixcore as mc
 from qdiv.divergence import make_divergence
 from qdiv.functions import DomainError, linear_fn, power_fn
 from qdiv.maps import StateMap, depolarizing_channel
-from qdiv.operators import DensityOperator
+from qdiv.operators import DensityOperator, PositiveOperator
 from qdiv.preserver import (
     WignerError,
     check_invariance,
     functional_eq_residual,
+    invariance_pairs,
+    invariance_reports,
     order_dominance_test,
     orthogonality_indicator,
     prop1_evaluate,
@@ -24,6 +26,7 @@ from qdiv.preserver import (
 )
 from qdiv.sampling import SeededRng, haar_unitary, random_density, \
     random_positive_definite
+from qdiv.suites import suite_invariance
 
 
 # ------------------------------------------------------------- state maps
@@ -40,17 +43,6 @@ def test_depolarizing_channel_action():
     out = ch.apply(a)
     want = 0.5 * a + 0.5 * np.eye(2) / 2.0
     assert np.allclose(out, want, atol=1e-12)
-
-
-def test_tabulated_map_lookup():
-    for c in (1.0, 1e-12):
-        a = c * np.diag([1.0, 0.0]).astype(complex)
-        b = c * np.diag([0.0, 1.0]).astype(complex)
-        m = StateMap.tabulated([(a, b), (b, a)])
-        assert np.array_equal(m.apply(a), b)
-        assert np.array_equal(m.apply(b), a)
-        with pytest.raises(KeyError):
-            m.apply(c * np.eye(2) / 2.0)
 
 
 # -------------------------------------------------------- check_invariance
@@ -87,16 +79,6 @@ def test_depolarizing_channel_is_caught():
     assert rep.max_abs_deviation > 1e-3
 
 
-def test_tabulated_map_uses_its_own_pairs():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    swap = StateMap.tabulated([(a, b), (b, a)])
-    rep = check_invariance(swap, make_divergence("sandwiched", alpha=0.5),
-                           n_samples=10, seed=0)
-    assert rep.samples == 4
-    assert rep.passed
-
-
 def test_check_invariance_accepts_tag_dispatch():
     rng = SeededRng(9)
     rep = check_invariance(
@@ -109,6 +91,50 @@ def test_check_invariance_accepts_tag_dispatch():
             StateMap.unitary_conjugation(np.eye(2)),
             make_divergence("umegaki"), alpha=2,
         )
+
+
+def test_invariance_pairs_need_a_sample():
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError):
+            invariance_pairs(2, n_samples=n_samples, seed=0)
+
+
+def test_invariance_reports_match_separate_checks():
+    maps = [StateMap.unitary_conjugation(haar_unitary(3, SeededRng(11))),
+            depolarizing_channel(0.5, 3)]
+    divs = [make_divergence("sandwiched", alpha=0.5), make_divergence("umegaki")]
+    pairs = invariance_pairs(3, n_samples=30, seed=8)
+    reports = invariance_reports(pairs, maps, divs, tol=1e-9)
+    assert [len(row) for row in reports] == [2, 2]
+    for state_map, row in zip(maps, reports):
+        for div, rep in zip(divs, row):
+            want = check_invariance(state_map, div, n_samples=30, seed=8, tol=1e-9)
+            assert rep.samples == want.samples == 30
+            assert rep.max_abs_deviation == want.max_abs_deviation
+            assert rep.infinity_mismatches == want.infinity_mismatches
+            assert rep.passed == want.passed
+            if rep.witness is not None:
+                assert np.array_equal(rep.witness[0], want.witness[0])
+                assert rep.witness[2:] == want.witness[2:]
+    assert reports[0][0].passed and not reports[1][0].passed
+
+
+def test_suite_invariance_builds_each_operator_once(monkeypatch):
+    # N pairs, then one image of each operator under each of the two maps
+    calls = []
+    original = PositiveOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PositiveOperator, "__init__", counting)
+    for n_samples in (1, 7):
+        calls.clear()
+        passed, assertions = suite_invariance(dim=3, samples=n_samples, seed=2,
+                                              tol=1e-8)
+        assert passed and len(assertions) == 10
+        assert len(calls) == 6 * n_samples
 
 
 def test_witness_invariant_of_report():
@@ -186,6 +212,25 @@ def test_wigner_detects_tampering():
         wigner_reconstruct(images)
 
 
+def test_wigner_reconstruct_needs_no_eigensolver(monkeypatch):
+    # rank-one images give their vectors directly, and all transition
+    # probabilities come from one Gram matrix
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not expected in wigner_reconstruct")
+
+    rng = SeededRng(37)
+    m = StateMap.antiunitary_conjugation(haar_unitary(4, rng))
+    images = [m.apply(p) for p in wigner_probe_projections(4)]
+    monkeypatch.setattr(mc, "eig_hermitian", forbidden)
+    monkeypatch.setattr(mc, "hs_inner", forbidden)
+    u, kind, residual = wigner_reconstruct(images)
+    assert kind == "antiunitary"
+    assert residual < 1e-10
+    images[3], images[5] = images[5], images[3]
+    with pytest.raises(WignerError, match="between probes 0 and 3 is not"):
+        wigner_reconstruct(images)
+
+
 def test_wigner_rejects_non_projection():
     images = wigner_probe_projections(2)
     images[0] = np.eye(2) * 0.5
@@ -221,6 +266,12 @@ def test_verify_conjugation_flags_wrong_unitary():
     rep = verify_conjugation(m, u1, "unitary", seed=2)
     assert rep.max_deviation > 0.1
     assert not rep.matched
+
+
+def test_verify_conjugation_needs_a_sample():
+    m = StateMap.unitary_conjugation(np.eye(2))
+    with pytest.raises(ValueError):
+        verify_conjugation(m, np.eye(2), "unitary", n_samples=0)
 
 
 def test_verify_conjugation_rejects_non_unitary():
@@ -275,6 +326,14 @@ def test_trace_similarity_random_pairs(hname, tol):
         a = random_positive_definite(3, 10.0, rng)
         b = random_density(3, 3, rng)
         assert trace_similarity_check(a, b, h) <= tol
+    # singular B, every rank below n: the noise eigenvalues of BAB count as 0
+    # (sqrt would turn 1e-17 of noise into 3e-9)
+    rng = SeededRng(5)
+    for n in (3, 4):
+        a = random_positive_definite(n, 10.0, rng)
+        for rank in range(1, n):
+            b = random_density(n, rank, rng)
+            assert trace_similarity_check(a, b, h) <= 1e-9
 
 
 # --------------------------------------------------------- order dominance
