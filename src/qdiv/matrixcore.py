@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra, and the package's tolerance policy.
 
 Everything downstream reduces to spectral data of Hermitian matrices: the
-eigensolver is a cyclic Jacobi iteration written here rather than delegated,
-so the stopping tolerance and the eigenvector conventions are fixed by this
-module and reproducible run to run.  Intended scale is small (n up to a few
-dozen), where Jacobi is both accurate and fast enough.
+eigensolver is a Jacobi iteration written here rather than delegated, so the
+stopping tolerance and the eigenvector conventions are fixed by this module and
+reproducible run to run.  It runs a stack (..., n, n) in rounds of disjoint
+rotations (round-robin order), each member bit-identical to a call on it alone.
+Intended scale is small (n up to a few dozen), where Jacobi is accurate and fast.
 
 Tolerance policy.  Every threshold that decides a branch anywhere in the
 package is one of the constants below, and each is a relative factor times a
@@ -22,7 +23,7 @@ caller passes as experiment parameters (``check_invariance(tol)``,
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ SPEC_TOL = 1e-10     # eigenvalue spread counted as one value, relative to ||A||
                      # (cluster_eigendata alone still floors this at 1)
 JACOBI_OFF_TOL = 1e-13   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 64
+_TINY = np.finfo(np.float64).tiny   # not a tolerance: moves only 0 and subnormals
 # Scale-free quantities, compared directly.
 TRACE_TOL = 1e-10           # |tr rho - 1| of a density operator
 SUPPORT_TRACE_TOL = 1e-8    # tr P_inner - <P_inner, P_outer>, and <P_a, P_b>
@@ -74,7 +76,7 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -105,86 +107,105 @@ def rank_one(x, y) -> np.ndarray:
     return np.outer(x, y.conj())
 
 
+@functools.lru_cache(maxsize=None)
+def _jacobi_plan(n: int):
+    """Index tables of ``eig_hermitian`` at order n; see the comments there."""
+    m = n + n % 2
+    h, size = m // 2, (m + n) * m
+    floats = lambda i: np.stack([2 * i, 2 * i + 1], axis=1).ravel()  # re, im of entry i
+    pairs = lambda c: np.stack([c[:h], c[::-1][:h]], axis=1).ravel()  # layout of a circle
+    pivots = np.r_[1:m * m:2 * m + 2, m:m * m:2 * m + 2]             # W[p, q], W[q, p]
+    circle, gathers = np.r_[0:m:2, m - 1:0:-2], []
+    for _ in range(m - 1):
+        g = np.argsort(pairs(circle))
+        circle[1:] = np.roll(circle[1:], 1)
+        g = g[pairs(circle)]
+        src = np.append((np.r_[g, m:m + n][:, None] * m + g).ravel(), size)
+        src[np.isin(src, pivots)] = size
+        gathers.append(src)
+    x = np.arange(m)
+    p = x & ~1
+    reads = np.r_[floats(p * m + p + 1), 2 * (p + 1) * (m + 1), 2 * p * (m + 1)]
+    two = np.tile([-2.0, 2.0, 2.0, 2.0], h).reshape(1, 2 * m)
+    at = np.r_[0:m * m:m + 1, (x ^ 1) * m + x]                      # J[x, x], J[x ^ 1, x]
+    return m, size, floats(np.flatnonzero(1 - np.eye(m))), reads, two, at, tuple(gathers)
+
+
 def eig_hermitian(a):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (..., n, n), by round-parallel Jacobi sweeps: eigenvalues ascending, and
+    eigenvectors the columns of a unitary V with ``A @ V = V @ diag(w)``.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as the columns of a unitary matrix, so that
-    ``A @ V = V @ diag(w)``.  Sweeps stop once the off-diagonal Frobenius norm
-    drops below ``JACOBI_OFF_TOL * ||A||_F``.
-
-    Raises
-    ------
-    ValueError
-        If the input is not Hermitian within ``HERM_TOL``.
-    ConvergenceError
-        If the target is not reached within ``JACOBI_MAX_SWEEPS`` sweeps.
+    A sweep is n - 1 rounds (n for odd n) of disjoint pairs in round-robin
+    (Brent-Luk) order, a round one block rotation J per matrix: W <- J* W J,
+    V <- V J.  A matrix stops at the first sweep where its off-diagonal norm is
+    at most ``JACOBI_OFF_TOL * ||A||_F``, and its arithmetic reads only itself,
+    so it comes out bit-identical to a call on it alone.  Raises ``ValueError``
+    if a matrix is not Hermitian within ``HERM_TOL``, ``ConvergenceError`` if
+    one misses its target in ``JACOBI_MAX_SWEEPS`` sweeps.
     """
-    a = as_complex_matrix(a)
-    if not is_hermitian(a):
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack, got shape {a.shape}")
+    lead, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    ah = np.ascontiguousarray(a.conj().swapaxes(1, 2))
+    sq = lambda x: np.add.reduce(x * x, axis=1)
+    norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
+    herm_sq = sq((a - ah).reshape(len(a), n * n).view(np.float64))  # is_hermitian's test
+    if np.count_nonzero(herm_sq <= HERM_TOL ** 2 * norm_sq) < len(a):
         raise ValueError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-
-    w = hermitian_part(a)
-    v = np.eye(n, dtype=np.complex128)
-    target = JACOBI_OFF_TOL * frobenius(a)
-
-    def off_norm(m):
-        mm = m.copy()
-        np.fill_diagonal(mm, 0.0)
-        return frobenius(mm)
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm(w) <= target:
-            converged = True
+    # A member's row: W (m x m, m = n + n % 2), V (n x m), 0.  Round r rotates
+    # pairs (0, 1), (2, 3), ... of the r-th round-robin layout, then gathers
+    # the next layout (the last: the input order), with 0 for its pivots.
+    m, size, off, reads, two, at, gathers = _jacobi_plan(n)
+    work = np.zeros((len(a), size + 1), dtype=np.complex128)
+    work[:, m * m:size:m + 1] = 1.0                       # V = I
+    work[:, :m * m].reshape(-1, m, m)[:, :n, :n] = 0.5 * (a + ah)
+    target = JACOBI_OFF_TOL ** 2 * norm_sq
+    rows = None  # the rows of ``out`` still in ``work``; None: all of them
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        done = sq(work.view(np.float64).take(off, axis=1)) <= target
+        left = len(done) - np.count_nonzero(done)
+        if not left:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                ph = apq / mag
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                s_ph = s * ph
-                s_phc = s * ph.conjugate()
-                cp = w[:, p].copy()
-                cq = w[:, q].copy()
-                w[:, p] = c * cp - s_phc * cq
-                w[:, q] = s_ph * cp + c * cq
-                rp = w[p, :].copy()
-                rq = w[q, :].copy()
-                w[p, :] = c * rp - s_ph * rq
-                w[q, :] = s_phc * rp + c * rq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s_phc * vq
-                v[:, q] = s_ph * vp + c * vq
-    else:
-        converged = off_norm(w) <= target
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi did not reach off-norm {target:.3e} in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    evals = np.real(np.diag(w))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi left {left} of {len(a)} matrices above "
+                                   f"their off-norm target after {sweep} sweeps")
+        if left < len(done):
+            if rows is None:
+                rows, out = np.arange(len(a)), work
+            out[rows[done]] = work[done]
+            rows, work, target = rows[~done], work[~done], target[~done]
+        k = len(work)  # every round rewrites the same entries of these buffers
+        rot, x = np.zeros((k, m, m), dtype=np.complex128), np.zeros(work.shape, work.dtype)
+        blocks, wv = rot.reshape(k, m * m), x[:, :size].reshape(k, m + n, m)
+        for gather in gathers:
+            # W[p, q], W[q, q], W[p, p] per column: one W[p, q] for both keeps J unitary
+            e = work.view(np.float64).take(reads, axis=1)
+            a2 = (e[:, :2 * m] * two).view(np.complex128)  # -2 conj(W[p, q]), 2 W[p, q]
+            d = e[:, 2 * m:3 * m] - e[:, 3 * m:]
+            m2 = np.abs(a2)
+            den = np.abs(d) + np.hypot(d, m2)
+            np.maximum(den, _TINY, out=den)                # 0 block: J = I, 1/q finite
+            q = np.hypot(den, m2)  # (c, |s|) = (den, m2) / q zeroes W[p, q], angle <= pi/4
+            blocks[:, at] = np.concatenate([den / q, a2 / np.copysign(q, d)], axis=1)
+            np.matmul(work[:, :size].reshape(k, m + n, m), rot, out=wv)
+            wv[:, :m] = rot.conj().swapaxes(1, 2) @ wv[:, :m]
+            work = x.take(gather, axis=1)
+    if rows is not None:
+        out[rows], work = work, out
+    w = work[:, :m * m:m + 1].real[:, :n]
+    pick = np.arange(len(a))[:, None], w.argsort(axis=1, kind="stable")
+    vecs = work[:, m * m:size].reshape(-1, n, m).swapaxes(1, 2)[pick].swapaxes(1, 2)
+    return w[pick].reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 
 def _snapped_psd_eig(m: np.ndarray, bound: float):
-    """Eigensystem of a PSD product of norm at most ``bound``: eigenvalues
-    clamped at 0, those at or below ``EIG_SNAP * bound`` snapped to 0.  The
-    bound, not the product's own top eigenvalue, sets the scale: that top is
-    noise when the product is zero in exact arithmetic."""
+    """Eigensystem of a PSD product (or a stack of them) of norm at most
+    ``bound``: eigenvalues clamped at 0, those at or below ``EIG_SNAP * bound``
+    snapped to 0.  The bound, not the product's own top eigenvalue, sets the
+    scale: that top is noise when the product is zero in exact arithmetic."""
     evals, vecs = eig_hermitian(hermitian_part(m))
     evals = np.clip(evals, 0.0, None)
     evals[evals <= EIG_SNAP * bound] = 0.0

@@ -4,7 +4,8 @@ Construction eigendecomposes once and caches the spectral data; eigenvalues
 inside the PSD noise band are clamped to zero and eigenvalues below the
 support threshold are snapped to exact zero.  Support decisions made from the
 snapped spectrum are therefore deterministic, and every infinite branch
-downstream is decided by ranks rather than by numeric blow-up.
+downstream is decided by ranks rather than by numeric blow-up.  ``from_stack``
+builds many operators with one eigensolver call, by the constructor's checks.
 """
 
 from __future__ import annotations
@@ -21,28 +22,46 @@ class ValidationError(ValueError):
 class PositiveOperator:
     """A positive semidefinite operator with cached spectral data."""
 
+    _unit_trace = False
+
     def __init__(self, matrix):
-        m = mc.as_complex_matrix(matrix)
-        if not mc.is_hermitian(m):
-            raise ValidationError("operator is not Hermitian within tolerance")
-        m = mc.hermitian_part(m)
-        evals, vecs = mc.eig_hermitian(m)
-        norm2 = float(np.max(np.abs(evals)))
-        if evals[0] < -mc.PSD_TOL * norm2:
-            raise ValidationError(
-                f"operator is not PSD: min eigenvalue {evals[0]:.3e}"
-            )
-        evals = np.clip(evals, 0.0, None)
-        top = float(evals[-1])
-        evals[evals <= mc.SUPP_TOL * top] = 0.0
-        m.flags.writeable = False
-        evals.flags.writeable = False
-        vecs.flags.writeable = False
-        self._matrix = m
-        self._evals = evals
-        self._vecs = vecs
-        self._clusters = None
-        self._support = None
+        self._adopt(*self._validated(mc.as_complex_matrix(matrix)))
+
+    @classmethod
+    def from_stack(cls, matrices) -> list:
+        """One operator per matrix of an (N, n, n) stack, each validated as
+        the constructor would, with one eigensolver call for the stack."""
+        stack = np.array(matrices, dtype=np.complex128)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+            raise ValueError(f"expected a stack of square matrices, got {stack.shape}")
+        return [cls.__new__(cls)._adopt(*parts) for parts in zip(*cls._validated(stack))]
+
+    @classmethod
+    def _validated(cls, m):
+        """Hermitian part, snapped eigenvalues and eigenvectors of a matrix or of
+        each matrix of a stack; ``ValidationError`` if one fails ``cls``'s checks."""
+        try:
+            evals, vecs = mc.eig_hermitian(m)
+        except ValueError:
+            raise ValidationError("operator is not Hermitian within tolerance") from None
+        low = evals[..., 0][evals[..., 0] < -mc.PSD_TOL * np.abs(evals).max(-1)]
+        if low.size:
+            raise ValidationError(f"operator is not PSD: min eigenvalue {low[0]:.3e}")
+        m, evals = mc.hermitian_part(m), np.clip(evals, 0.0, None)
+        evals[evals <= mc.SUPP_TOL * evals[..., -1:]] = 0.0
+        if cls._unit_trace:
+            traces = np.ravel(np.trace(m, axis1=-2, axis2=-1).real)
+            off = traces[np.abs(traces - 1.0) > mc.TRACE_TOL]
+            if off.size:
+                raise ValidationError(f"trace {float(off[0])!r} is not 1 within tolerance")
+        return m, evals, vecs
+
+    def _adopt(self, matrix, evals, vecs):
+        for arr in (matrix, evals, vecs):
+            arr.flags.writeable = False
+        self._matrix, self._evals, self._vecs = matrix, evals, vecs
+        self._clusters = self._support = None
+        return self
 
     @property
     def matrix(self) -> np.ndarray:
@@ -111,10 +130,7 @@ class PositiveOperator:
 class DensityOperator(PositiveOperator):
     """A PSD operator of unit trace."""
 
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        if abs(self.trace - 1.0) > mc.TRACE_TOL:
-            raise ValidationError(f"trace {self.trace!r} is not 1 within tolerance")
+    _unit_trace = True
 
 
 def as_positive(x) -> PositiveOperator:

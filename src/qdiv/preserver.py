@@ -27,7 +27,7 @@ from .extended import ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
-from .sampling import SeededRng, random_density, random_density_matrix, \
+from .sampling import SeededRng, random_density_matrix, \
     random_simplex, random_unit_vector
 
 
@@ -66,12 +66,13 @@ def invariance_pairs(n: int, *, n_samples: int, seed: int):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = SeededRng(seed)
-    pairs = []
+    matrices = []
     for i in range(n_samples):
         ra = _rank_pattern(i, n, rng)
         rb = _rank_pattern(i // 3 + i, n, rng)
-        pairs.append((random_density(n, ra, rng), random_density(n, rb, rng)))
-    return pairs
+        matrices += [random_density_matrix(n, ra, rng), random_density_matrix(n, rb, rng)]
+    ops = DensityOperator.from_stack(matrices)
+    return list(zip(ops[::2], ops[1::2]))
 
 
 def _compare(pairs, before, after, tol: float) -> InvarianceReport:
@@ -101,13 +102,14 @@ def invariance_reports(pairs, maps, divergences, *, tol: float):
 
     Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]`` (each a
     two-argument callable).  Each divergence runs once per pair, and each map
-    builds each image once.
+    builds all its images in one stacked construction.
     """
     before = [[div(a, b) for a, b in pairs] for div in divergences]
     reports = []
     for state_map in maps:
-        images = [(DensityOperator(state_map.apply(a.matrix)),
-                   DensityOperator(state_map.apply(b.matrix))) for a, b in pairs]
+        ops = DensityOperator.from_stack([state_map.apply(x.matrix)
+                                          for pair in pairs for x in pair])
+        images = list(zip(ops[::2], ops[1::2]))
         reports.append([
             _compare(pairs, values, [div(a2, b2) for a2, b2 in images], tol)
             for div, values in zip(divergences, before)
@@ -270,15 +272,14 @@ def trace_similarity_check(a, b, h) -> float:
     ab2a = sa @ b.matrix @ b.matrix @ sa
     # both products have norm at most ||A|| ||B||^2
     bound = float(a.eigenvalues[-1]) * float(b.eigenvalues[-1]) ** 2
-    t1 = _trace_of_fn(bab, h, bound)
-    t2 = _trace_of_fn(ab2a, h, bound)
+    t1, t2 = _traces_of_fn(np.array([bab, ab2a]), h, bound)
     return abs(t1 - t2)
 
 
-def _trace_of_fn(m: np.ndarray, h, bound: float) -> float:
-    """tr h(M) for a PSD product M of norm at most ``bound``, noise as 0."""
-    evals, _ = mc._snapped_psd_eig(m, bound)
-    return float(sum(h(v) for v in evals))
+def _traces_of_fn(stack: np.ndarray, h, bound: float) -> list:
+    """tr h(M) for each PSD product M of a stack of norm at most ``bound``, noise as 0."""
+    evals, _ = mc._snapped_psd_eig(stack, bound)
+    return [float(sum(h(v) for v in row)) for row in evals]
 
 
 @dataclass
@@ -321,9 +322,10 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     counterexample = None
     # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
     bound = scale * (1.0 + 1e-6)
-    for probe in probes:
-        lhs = _trace_of_fn(b.matrix @ probe @ b.matrix, h, bound)
-        rhs = _trace_of_fn(c.matrix @ probe @ c.matrix, h, bound)
+    probes = np.array(probes).reshape(-1, n, n)
+    lhs_all = _traces_of_fn(b.matrix @ probes @ b.matrix, h, bound)
+    rhs_all = _traces_of_fn(c.matrix @ probes @ c.matrix, h, bound)
+    for probe, lhs, rhs in zip(probes, lhs_all, rhs_all):
         gap = lhs - rhs
         if gap > max_violation:
             max_violation = gap

@@ -203,6 +203,8 @@ def suite_prop2_limits(*, dim: int, samples: int, seed: int):
 
 
 def suite_thm4(*, dim: int, alpha: float):
+    if dim < 2:
+        raise ValueError("thm4 needs dimension at least 2: diag(1..n) is scalar at n = 1")
     assertions = []
     scalar = thm4_scalar_test(3.0 * np.eye(dim), alpha)
     assertions.append(_entry(

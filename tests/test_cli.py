@@ -143,6 +143,13 @@ def test_exit_code_no_samples():
         assert "pass" not in res.stdout
 
 
+def test_exit_code_thm4_dimension_one():
+    # diag(1..n) is scalar at n = 1, so the suite's expected violation cannot occur
+    res = run_cli("check", "thm4", "--dim", "1")
+    assert res.returncode == 2
+    assert "dimension at least 2" in res.stderr
+
+
 def test_exit_code_suite_failure_and_success(tmp_path):
     ok = run_cli("check", "thm4", "--dim", "2", "--alpha", "2")
     assert ok.returncode == 0

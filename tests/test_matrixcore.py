@@ -3,7 +3,7 @@ import pytest
 
 import qdiv.matrixcore as mc
 from qdiv.functions import bounded_ratio_fn, power_fn
-from qdiv.operators import PositiveOperator
+from qdiv.operators import PositiveOperator, ValidationError
 from qdiv.sampling import SeededRng, haar_unitary, random_positive_definite, \
     random_unit_vector
 
@@ -84,6 +84,76 @@ def test_eig_zero_matrix():
     w, v = mc.eig_hermitian(np.zeros((3, 3)))
     assert np.all(w == 0.0)
     assert np.allclose(v, np.eye(3))
+
+
+def mixed_stack(n, seed):
+    """Random Hermitian, diagonal (0 sweeps), zero, degenerate and rank-deficient
+    members, and one whose first pivot block is exactly zero with a tied diagonal."""
+    rng = np.random.default_rng(seed)
+    tied = np.eye(n)
+    tied[-1, :] = tied[:, -1] = 1.0
+    tied[-1, -1] = 2.0
+    stack = [random_hermitian(n, seed), np.diag(np.arange(n, 0.0, -1)),
+             np.zeros((n, n)), np.eye(n), random_hermitian(n, seed + 1), tied]
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    # two degenerate spectra, a rank-one projection, a depolarized pure state
+    for spectrum in ([2.0] * (n // 2) + [-1.0] * (n - n // 2), [0.0] * (n - 1) + [1.0],
+                     [0.3 / n] * (n - 1) + [0.7 + 0.3 / n]):
+        stack.append((u * spectrum) @ u.conj().T)
+    return np.array(stack, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+def test_eig_stack_members_bit_identical_to_single_calls(n):
+    stack = mixed_stack(n, n)
+    w, v = mc.eig_hermitian(stack)
+    assert w.shape == (len(stack), n) and v.shape == (len(stack), n, n)
+    for i, a in enumerate(stack):
+        wi, vi = mc.eig_hermitian(a)
+        assert np.array_equal(wi, w[i]) and np.array_equal(vi, v[i])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_eig_stack_degenerate_and_rank_deficient_match_oracle(n):
+    stack = mixed_stack(n, 10 + n)
+    w, v = mc.eig_hermitian(stack)
+    for a, wi, vi in zip(stack, w, v):
+        assert np.max(np.abs(wi - np.linalg.eigvalsh(a))) < 1e-11 * max(1, np.abs(wi).max())
+        assert mc.frobenius(vi.conj().T @ vi - np.eye(n)) <= mc.PROJ_TOL
+        assert mc.frobenius((vi * wi) @ vi.conj().T - a) <= 1e-10 * max(1, mc.frobenius(a))
+
+
+def test_eig_stack_keeps_leading_shape():
+    stack = np.array([[random_hermitian(4, 3 * i + j) for j in range(3)] for i in range(2)])
+    w, v = mc.eig_hermitian(stack)
+    assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+    assert np.array_equal(w[1, 2], mc.eig_hermitian(stack[1, 2])[0])
+
+
+def test_eig_stack_rejects_a_non_hermitian_member():
+    stack = mixed_stack(3, 0)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(ValueError):
+        mc.eig_hermitian(stack)
+    with pytest.raises(ValidationError):
+        PositiveOperator.from_stack(stack)
+
+
+def test_eig_stack_convergence_error_past_the_sweep_budget(monkeypatch):
+    monkeypatch.setattr(mc, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(mc.ConvergenceError):
+        mc.eig_hermitian(np.array([random_hermitian(4, s) for s in range(3)]))
+
+
+def test_from_stack_matches_the_constructor():
+    stack = np.array([random_hermitian(3, s) for s in range(4)])
+    stack = np.array([a @ a for a in stack])
+    for op, a in zip(PositiveOperator.from_stack(stack), stack):
+        one = PositiveOperator(a)
+        assert type(op) is PositiveOperator
+        for got, want in ((op.matrix, one.matrix), (op.eigenvalues, one.eigenvalues),
+                          (op.eigenvectors, one.eigenvectors)):
+            assert np.array_equal(got, want) and not got.flags.writeable
 
 
 # ------------------------------------------------------- cluster_eigendata

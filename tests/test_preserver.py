@@ -120,21 +120,34 @@ def test_invariance_reports_match_separate_checks():
 
 
 def test_suite_invariance_builds_each_operator_once(monkeypatch):
-    # N pairs, then one image of each operator under each of the two maps
-    calls = []
-    original = PositiveOperator.__init__
+    # N pairs, then one image of each operator under each of the two maps.
+    # Stacked construction bypasses __init__, so count at the validation
+    # helper that every construction goes through, and count the stacked
+    # eigensolver calls: one for the pairs and one per map, whatever N is.
+    built = []
+    stacked = []
+    validated = PositiveOperator._validated.__func__
+    eig = mc.eig_hermitian
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        original(self, *args, **kwargs)
+    def counting_validated(cls, m):
+        built.append(1 if np.ndim(m) == 2 else len(m))
+        return validated(cls, m)
 
-    monkeypatch.setattr(PositiveOperator, "__init__", counting)
+    def counting_eig(a):
+        if np.ndim(a) == 3:
+            stacked.append(len(a))
+        return eig(a)
+
+    monkeypatch.setattr(PositiveOperator, "_validated", classmethod(counting_validated))
+    monkeypatch.setattr(mc, "eig_hermitian", counting_eig)
     for n_samples in (1, 7):
-        calls.clear()
+        built.clear()
+        stacked.clear()
         passed, assertions = suite_invariance(dim=3, samples=n_samples, seed=2,
                                               tol=1e-8)
         assert passed and len(assertions) == 10
-        assert len(calls) == 6 * n_samples
+        assert sum(built) == 6 * n_samples
+        assert stacked == [2 * n_samples] * 3
 
 
 def test_witness_invariant_of_report():
