@@ -10,6 +10,7 @@ or assertion failure, 2 input validation failure, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -212,8 +213,8 @@ def cmd_sample(args) -> int:
         m = random_density_matrix(args.dim, rank, rng)
         files.save_operator(args.out, m, role="density")
     elif args.kind == "pd":
-        if args.kappa < 1.0:
-            raise UsageError("--kappa must be at least 1")
+        if not (math.isfinite(args.kappa) and args.kappa >= 1.0):
+            raise UsageError("--kappa must be a finite number of at least 1")
         op = random_positive_definite(args.dim, args.kappa, rng)
         files.save_operator(args.out, op.matrix, role="positive")
     else:

@@ -40,6 +40,7 @@ SPEC_TOL = 1e-10     # eigenvalue spread counted as one value, relative to ||A||
 JACOBI_OFF_TOL = 1e-13   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 64
 _TINY = np.finfo(np.float64).tiny   # not a tolerance: moves only 0 and subnormals
+_SAFE_EXP = 512      # not a tolerance: ||A||_F^2 outside 2^(+-512) runs rescaled
 # Scale-free quantities, compared directly.
 TRACE_TOL = 1e-10           # |tr rho - 1| of a density operator
 SUPPORT_TRACE_TOL = 1e-8    # tr P_inner - <P_inner, P_outer>, and <P_a, P_b>
@@ -140,7 +141,10 @@ def eig_hermitian(a):
     (Brent-Luk) order, a round one block rotation J per matrix: W <- J* W J,
     V <- V J.  A matrix stops at the first sweep where its off-diagonal norm is
     at most ``JACOBI_OFF_TOL * ||A||_F``, and its arithmetic reads only itself,
-    so it comes out bit-identical to a call on it alone.  Raises ``ValueError``
+    so it comes out bit-identical to a call on it alone.  A matrix with
+    ||A||_F^2 outside 2^(+-512), where sums of squares would under- or
+    overflow, runs scaled by an exact power of two and has its eigenvalues
+    scaled back; every other matrix runs unscaled.  Raises ``ValueError``
     if a matrix is not Hermitian within ``HERM_TOL``, ``ConvergenceError`` if
     one misses its target in ``JACOBI_MAX_SWEEPS`` sweeps.
     """
@@ -149,9 +153,21 @@ def eig_hermitian(a):
         raise ValueError(f"expected a square matrix or a stack, got shape {a.shape}")
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, n, n)
-    ah = np.ascontiguousarray(a.conj().swapaxes(1, 2))
     sq = lambda x: np.add.reduce(x * x, axis=1)
-    norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
+    with np.errstate(over="ignore"):
+        norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
+    # A member whose squares would under- or overflow runs scaled by an exact
+    # power of two, its largest entry in [1/2, 1); the others run unchanged.
+    # The min/max test keeps the common all-in-range case to two reductions.
+    odd = None
+    if not (norm_sq.min() >= 2.0 ** -_SAFE_EXP and norm_sq.max() <= 2.0 ** _SAFE_EXP):
+        odd = ~((norm_sq >= 2.0 ** -_SAFE_EXP) & (norm_sq <= 2.0 ** _SAFE_EXP))
+        a = a.copy()
+        parts = a[odd].view(np.float64)
+        shift = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+        a[odd] = np.ldexp(parts, -shift[:, None, None]).view(np.complex128)
+        norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
+    ah = np.ascontiguousarray(a.conj().swapaxes(1, 2))
     herm_sq = sq((a - ah).reshape(len(a), n * n).view(np.float64))  # is_hermitian's test
     if np.count_nonzero(herm_sq <= HERM_TOL ** 2 * norm_sq) < len(a):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -198,7 +214,10 @@ def eig_hermitian(a):
     w = work[:, :m * m:m + 1].real[:, :n]
     pick = np.arange(len(a))[:, None], w.argsort(axis=1, kind="stable")
     vecs = work[:, m * m:size].reshape(-1, n, m).swapaxes(1, 2)[pick].swapaxes(1, 2)
-    return w[pick].reshape(lead + (n,)), vecs.reshape(lead + (n, n))
+    w = w[pick]
+    if odd is not None:
+        w[odd] = np.ldexp(w[odd], shift[:, None])
+    return w.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 
 def _snapped_psd_eig(m: np.ndarray, bound: float):

@@ -27,8 +27,8 @@ from .extended import ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
-from .sampling import SeededRng, random_density_matrix, \
-    random_simplex, random_unit_vector
+from .sampling import SeededRng, random_density_matrices, random_simplex, \
+    random_unit_vector
 
 
 class WignerError(ValueError):
@@ -66,12 +66,14 @@ def invariance_pairs(n: int, *, n_samples: int, seed: int):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = SeededRng(seed)
-    matrices = []
-    for i in range(n_samples):
-        ra = _rank_pattern(i, n, rng)
-        rb = _rank_pattern(i // 3 + i, n, rng)
-        matrices += [random_density_matrix(n, ra, rng), random_density_matrix(n, rb, rng)]
-    ops = DensityOperator.from_stack(matrices)
+
+    def ranks():
+        for i in range(n_samples):
+            ra = _rank_pattern(i, n, rng)
+            rb = _rank_pattern(i // 3 + i, n, rng)
+            yield from (ra, rb)
+
+    ops = DensityOperator.from_stack(random_density_matrices(n, ranks(), rng))
     return list(zip(ops[::2], ops[1::2]))
 
 
@@ -244,9 +246,10 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
     u = require_unitary(u, max(tol, mc.UNITARY_TOL))
     rng = SeededRng(seed)
     n = state_map.dim
+    states = random_density_matrices(
+        n, (_rank_pattern(i, n, rng) for i in range(n_samples)), rng)
     max_dev = 0.0
-    for i in range(n_samples):
-        a = random_density_matrix(n, _rank_pattern(i, n, rng), rng)
+    for a in states:
         dev = mc.frobenius(state_map.apply(a) - conjugate_by(u, kind, a))
         max_dev = max(max_dev, dev)
     return ConjugationReport(samples=n_samples, max_deviation=max_dev, tol=tol)
@@ -314,8 +317,7 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     probes = []
     if not dominated:
         probes.append(mc.rank_one(vecs[:, 0], vecs[:, 0]) + 1e-6 * np.eye(n))
-    for _ in range(n_samples):
-        v = random_unit_vector(n, rng)
+    for v in random_unit_vector(n, rng, count=n_samples):
         probes.append(mc.rank_one(v, v) + 1e-6 * np.eye(n))
 
     max_violation = 0.0
@@ -349,11 +351,9 @@ def functional_eq_residual(f, n: int, *, n_samples: int = 200,
     """
     if n < 2:
         raise ValueError("need at least two entries per probability vector")
-    rng = SeededRng(seed)
+    draws = random_simplex(n, SeededRng(seed), count=2 * n_samples)
     worst = 0.0
-    for _ in range(n_samples):
-        a = random_simplex(n, rng)
-        b = random_simplex(n, rng)
+    for a, b in zip(draws[0::2], draws[1::2]):
         res = abs(float(sum(bk * f(ak / bk) for ak, bk in zip(a, b))))
         worst = max(worst, res)
     return worst

@@ -190,6 +190,15 @@ def test_sample_pd_kappa_one(tmp_path):
     assert np.allclose(m, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf", "0.5"])
+def test_sample_pd_bad_kappa_is_a_usage_error(tmp_path, kappa):
+    res = run_cli("sample", "pd", "--dim", "2", "--kappa", kappa,
+                  "--out", str(tmp_path / "pd.json"))
+    assert res.returncode == 3
+    assert "--kappa" in res.stderr
+    assert not (tmp_path / "pd.json").exists()
+
+
 def test_sample_bad_rank(tmp_path):
     res = run_cli("sample", "density", "--dim", "2", "--rank", "5",
                   "--out", str(tmp_path / "x.json"))

@@ -123,6 +123,29 @@ def test_eig_stack_degenerate_and_rank_deficient_match_oracle(n):
         assert mc.frobenius((vi * wi) @ vi.conj().T - a) <= 1e-10 * max(1, mc.frobenius(a))
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1e160, 1e200])
+def test_eig_extreme_scales_are_rescaled(s):
+    # squared entries under- or overflow here; the spectrum must still be s * [-1, 3]
+    w, v = mc.eig_hermitian(np.array([[1.0, 2.0], [2.0, 1.0]]) * s)
+    assert np.allclose(w / s, [-1.0, 3.0], rtol=1e-14, atol=0.0)
+    assert np.allclose(np.abs(v), np.sqrt(0.5), rtol=1e-14, atol=0.0)
+    a = random_hermitian(4, 3)
+    wa, va = mc.eig_hermitian(a)
+    ws, vs = mc.eig_hermitian(a * s)
+    assert np.allclose(ws / s, wa, rtol=1e-12, atol=1e-12 * np.abs(wa).max())
+    assert mc.frobenius((vs * (ws / s)) @ vs.conj().T - a) <= 1e-12 * mc.frobenius(a)
+
+
+def test_eig_stack_mixing_scales_matches_single_calls():
+    stack = np.array([random_hermitian(3, seed) * s
+                      for seed, s in enumerate((1.0, 1e-200, 1e200, 0.0, 1e150, 3e-160))])
+    w, v = mc.eig_hermitian(stack)
+    for i, a in enumerate(stack):
+        wi, vi = mc.eig_hermitian(a)
+        assert np.array_equal(wi, w[i]) and np.array_equal(vi, v[i])
+    assert np.array_equal(w[3], np.zeros(3))
+
+
 def test_eig_stack_keeps_leading_shape():
     stack = np.array([[random_hermitian(4, 3 * i + j) for j in range(3)] for i in range(2)])
     w, v = mc.eig_hermitian(stack)

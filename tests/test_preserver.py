@@ -523,3 +523,25 @@ def test_thm4_agrees_with_spectral_test():
 def test_thm4_rejects_singular():
     with pytest.raises(ValueError):
         thm4_scalar_test(np.diag([1.0, 0.0]), 2.0)
+
+
+def test_stacked_draws_make_one_sampler_call(monkeypatch):
+    # invariance_pairs and verify_conjugation lay out their draws first and
+    # fill every matrix with one Ginibre stack and one Haar stack
+    import qdiv.sampling as sampling
+    calls = []
+    for name in ("ginibre", "haar_unitary"):
+        def counting(*args, _fn=getattr(sampling, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sampling, name, counting)
+    for n_samples in (1, 30):
+        calls.clear()
+        invariance_pairs(3, n_samples=n_samples, seed=4)
+        assert sorted(calls) == ["ginibre", "haar_unitary"]
+        calls.clear()
+        u = haar_unitary(4, SeededRng(5))
+        calls.clear()
+        verify_conjugation(StateMap.unitary_conjugation(u), u, "unitary",
+                           n_samples=n_samples, seed=6)
+        assert sorted(calls) == ["ginibre", "haar_unitary"]

@@ -1,9 +1,11 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 import qdiv.matrixcore as mc
+from qdiv import sampling
 from qdiv.files import load_operator
 from qdiv.operators import DensityOperator
 from qdiv.sampling import SeededRng, ginibre, haar_unitary, random_antiunitary, \
@@ -23,9 +25,12 @@ def test_rng_uniform_range():
     for _ in range(1000):
         u = rng.uniform()
         assert 0.0 <= u < 1.0
-    for _ in range(1000):
-        u = rng.uniform_pos()
-        assert 0.0 < u <= 1.0
+    # the extreme outputs: uniforms 0 and 1 - 2^-53; every logarithm argument
+    # lies in (0, 1], so exponentials and normals stay finite
+    extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
+    assert sampling._uniform(extremes).tolist() == [0.0, 1.0 - 2.0**-53]
+    assert sampling._exponentials(extremes).tolist() == [-math.log(2.0**-53), 0.0]
+    assert np.all(np.isfinite(sampling._complex_normals(np.tile(extremes, 2)).view(float)))
 
 
 def test_ginibre_bitwise_reproducible():
@@ -146,6 +151,12 @@ def test_random_pd_positive_and_conditioned():
 def test_random_pd_rejects_bad_kappa():
     with pytest.raises(ValueError):
         random_positive_definite(2, 0.5, SeededRng(0))
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_random_pd_rejects_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="finite"):
+        random_positive_definite(2, kappa, SeededRng(0))
 
 
 def test_antiunitary_on_real_diagonal_is_plain_similarity():
