@@ -20,6 +20,7 @@ from .matrixcore import (
 )
 from .operators import DensityOperator, PositiveOperator, ValidationError
 from .divergence import (
+    NonFiniteResultError,
     d_fg,
     d_fg_limit_probe,
     f_divergence,

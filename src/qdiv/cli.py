@@ -4,7 +4,8 @@ Subcommands: ``div`` (compute a divergence between two operator files),
 ``check`` (run a named property suite), ``reconstruct`` (recover an
 implementing (anti)unitary from probe images, simulated or read from files),
 and ``sample`` (write seeded random operators).  Exit codes: 0 success, 1 suite
-or assertion failure, 2 input validation failure, 3 usage error.
+or assertion failure, 2 input validation failure (including a divergence whose
+finite value a float cannot hold), 3 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import time
 
 from . import files
-from .divergence import DIVERGENCE_TAGS, make_divergence
+from .divergence import DIVERGENCE_TAGS, NonFiniteResultError, make_divergence
 from .extended import fmt_extended
 from .functions import DomainError
 from .maps import StateMap, require_unitary
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except (files.OperatorFileError, ValidationError, DomainError,
-                ValueError) as exc:
+                NonFiniteResultError, ValueError) as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             return EXIT_INVALID
     except KeyboardInterrupt:

@@ -2,7 +2,10 @@
 
 Each quantity is computed from snapped spectral data, so support conditions
 (the +inf branches) are decided by ranks, never by numeric overflow: every
-+inf branch goes through ``support_contains`` or ``supports_orthogonal``.
++inf branch goes through ``support_contains`` or ``supports_orthogonal`` and
+returns ``INF``.  Every other branch returns a float through one gate,
+``_gated``, which raises ``NonFiniteResultError`` when that float is inf or
+NaN or when an overflow stopped its computation.
 
 The finite values come from two kernels.  ``_sandwich_eigs`` gives the
 spectrum of F A F* with F diagonal in a given set of eigenvectors of B; the
@@ -17,6 +20,7 @@ other.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -26,6 +30,30 @@ from . import matrixcore as mc
 from .extended import INF, ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec, spec_from_name
 from .operators import PositiveOperator, ValidationError, as_density, as_positive
+
+class NonFiniteResultError(ValueError):
+    """A finite branch gave inf or NaN: its value does not fit a float."""
+
+
+def _gated(fn):
+    """Pass ``INF``, a support verdict, through; return any other result of
+    ``fn`` as a checked finite value.  Overflow inside ``fn`` (numpy's is
+    silenced here) ends as ``NonFiniteResultError`` too."""
+    @functools.wraps(fn)
+    def gate(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                value = fn(*args, **kwargs)
+            except OverflowError:
+                raise NonFiniteResultError(
+                    f"{fn.__name__}: the value overflows a float") from None
+        if value is INF:
+            return INF
+        if not math.isfinite(value):
+            raise NonFiniteResultError(
+                f"{fn.__name__}: the value is not a finite float (got {value})")
+        return ExtendedReal(value)
+    return gate
 
 
 def support_contains(outer: PositiveOperator, inner: PositiveOperator) -> bool:
@@ -76,17 +104,7 @@ def _overlaps(a: PositiveOperator, b: PositiveOperator) -> np.ndarray:
     return np.abs(a.eigenvectors.conj().T @ b.eigenvectors) ** 2
 
 
-def _f_at_zero_term(f: ScalarFunctionSpec):
-    """Value of f at 0, or None when the one-sided limit is +inf."""
-    if f.value_at_zero is not None:
-        return f.value_at_zero
-    if f.limit_at_zero is not None:
-        if f.limit_at_zero.is_inf:
-            return None
-        return f.limit_at_zero.value
-    raise DomainError(f"{f.name}: undefined at the required ratio 0")
-
-
+@_gated
 def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
     """Quantum f-divergence as a double sum over pairs of eigenvectors.
 
@@ -104,26 +122,28 @@ def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
 
     f0 = gamma = 0.0
     if not support_contains(a, b):
-        f0 = _f_at_zero_term(f)
-        if f0 is None:
+        if f.limit_at_zero is None:
+            raise DomainError(f"{f.name}: undefined at the required ratio 0")
+        if f.limit_at_zero == math.inf:
             return INF
+        f0 = f.limit_at_zero
     if not support_contains(b, a):
-        if f.gamma.is_inf:
+        if f.gamma == math.inf:
             return INF
-        gamma = f.gamma.value
+        gamma = f.gamma
 
     lam, mu = a.eigenvalues, b.eigenvalues
     w = _overlaps(a, b)
     # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
     i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
     fvals = np.array([f(t) for t in lam[i] / mu[j]])
-    total = (np.sum(w[i, j] * mu[j] * fvals)
-             + f0 * np.sum(w[lam == 0.0] @ mu)
-             + gamma * np.sum(lam @ w[:, mu == 0.0]))
-    return ExtendedReal(float(total))
+    return (np.sum(w[i, j] * mu[j] * fvals)
+            + f0 * np.sum(w[lam == 0.0] @ mu)
+            + gamma * np.sum(lam @ w[:, mu == 0.0]))
 
 
-def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
+@_gated
+def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
     """Superoperator form: <sqrt(B), f(L_A R_{B^-1}) sqrt(B)> in HS geometry.
 
     Requires invertible B.  Must agree with the eigenvector double sum; the
@@ -136,7 +156,8 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
     bound = float(a.eigenvalues[-1] / b.eigenvalues[0])
     evals, vecs = mc._snapped_psd_eig(mc.superop_lr(a.matrix, binv), bound)
-    fvals = np.array([f(v) if v > 0.0 else _require_zero_value(f) for v in evals])
+    # evals are clamped at 0, where f takes its declared limit
+    fvals = np.array([f(v) for v in evals])
     mf = (vecs * fvals) @ vecs.conj().T
     s = mc.vec(b.sqrt())
     out = complex(np.vdot(s, mf @ s))
@@ -144,16 +165,10 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     scale = float(np.max(np.abs(fvals), initial=0.0)) * float(np.vdot(s, s).real)
     if abs(out.imag) > mc.SUPEROP_IMAG_TOL * scale:
         raise ArithmeticError("superoperator value has a large imaginary part")
-    return float(out.real)
+    return out.real
 
 
-def _require_zero_value(f: ScalarFunctionSpec) -> float:
-    f0 = _f_at_zero_term(f)
-    if f0 is None:
-        raise DomainError(f"{f.name}: diverges at 0 but a zero ratio occurred")
-    return f0
-
-
+@_gated
 def umegaki(a, b) -> ExtendedReal:
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
     a, b = _operands(a, b, as_density)
@@ -165,7 +180,7 @@ def umegaki(a, b) -> ExtendedReal:
     # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B with mu_j > 0
     weights = (ev @ _overlaps(a, b))[mu > 0.0]
     term_b = float(np.log(mu[mu > 0.0]) @ weights)
-    return ExtendedReal(term_a - term_b)
+    return term_a - term_b
 
 
 def _check_alpha(alpha: float) -> float:
@@ -175,6 +190,7 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+@_gated
 def renyi_traditional(a, b, alpha: float) -> ExtendedReal:
     """(alpha-1)^-1 log tr(A^alpha B^(1-alpha)) with the support case split."""
     alpha = _check_alpha(alpha)
@@ -191,9 +207,10 @@ def renyi_traditional(a, b, alpha: float) -> ExtendedReal:
     t = float(lam[lam > 0.0] ** alpha @ w @ mu[mu > 0.0] ** (1.0 - alpha))
     if t <= 0.0:
         raise ArithmeticError("trace term vanished outside the infinite branch")
-    return ExtendedReal(math.log(t) / (alpha - 1.0))
+    return math.log(t) / (alpha - 1.0)
 
 
+@_gated
 def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
     """tr (B^e A B^e)^alpha with e = (1-alpha)/(2 alpha), powers on supports.
 
@@ -208,9 +225,10 @@ def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
     mu = b.eigenvalues
     evals = _sandwich_eigs(a, b.support_basis, mu[mu > 0.0] ** e)
     pos = evals[evals > 0.0]
-    return ExtendedReal(float(np.sum(pos**alpha)))
+    return np.sum(pos**alpha)
 
 
+@_gated
 def sandwiched_renyi(a, b, alpha: float) -> ExtendedReal:
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
@@ -221,19 +239,20 @@ def sandwiched_renyi(a, b, alpha: float) -> ExtendedReal:
         return INF
     # for alpha > 1 the core decides supp A <= supp B
     core = sandwiched_core(a, b, alpha)
-    if core.is_inf:
+    if core == math.inf:
         return INF
-    ratio = core.value / a.trace
+    ratio = core / a.trace
     if ratio <= 0.0:
         raise ArithmeticError("core trace vanished outside the infinite branch")
-    return ExtendedReal(math.log(ratio) / (alpha - 1.0))
+    return math.log(ratio) / (alpha - 1.0)
 
 
 def _require_g(g: ScalarFunctionSpec) -> None:
-    if g.value_at_zero is None or g.value_at_zero != 0.0:
+    if g.limit_at_zero != 0.0:
         raise DomainError(f"{g.name}: outer function must satisfy g(0) = 0")
 
 
+@_gated
 def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
     """Generalized quantity tr g(f(B) A f(B)), extended to singular B.
 
@@ -249,7 +268,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
             raise DomainError(
                 f"{f.name}: limit at 0+ must be declared for singular arguments"
             )
-        if f.limit_at_zero.is_inf:
+        if f.limit_at_zero == math.inf:
             if not (g.strictly_increasing and g.diverges_at_infinity):
                 raise DomainError(
                     f"{g.name}: must be strictly increasing and unbounded "
@@ -257,7 +276,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
                 )
             if not support_contains(b, a):
                 return INF
-        elif f.limit_at_zero.value != 0.0:
+        elif f.limit_at_zero != 0.0:
             raise DomainError(
                 f"{f.name}: finite nonzero limit at 0+ has no defined extension"
             )
@@ -265,7 +284,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
     mu = b.eigenvalues
     fb = np.array([f(t) for t in mu[mu > 0.0]])
     evals = _sandwich_eigs(a, b.support_basis, fb)
-    return ExtendedReal(float(np.sum([g(v) for v in evals])))
+    return np.sum([g(v) for v in evals])
 
 
 def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,

@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import matrixcore as mc
-from .extended import ExtendedReal
 from .maps import require_unitary
 from .operators import DensityOperator, PositiveOperator
 
@@ -113,10 +112,8 @@ def validate_role(matrix: np.ndarray, role: Optional[str]):
 
 
 def _jsonable(x):
-    if isinstance(x, ExtendedReal):
-        return "inf" if x.is_inf else x.value
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
+    if isinstance(x, float):  # also the divergences' results and np.float64
+        return "inf" if math.isinf(x) else float(x)
     if isinstance(x, np.floating):
         return float(x)
     if isinstance(x, np.integer):

@@ -1,11 +1,12 @@
 """Scalar functions with declared domain behavior.
 
 Every divergence here is parameterized by scalar functions whose behavior at
-the boundary (value at 0, limits at 0+ and infinity, slope at infinity) decides
-support conditions and infinite branches.  Those limits are not computable from
-a black-box callable, so they are declared up front and the callable is only
-trusted on the open positive axis.  The declared monotonicity and injectivity
-flags are spot-checked on a grid at construction time.
+the boundary (limit at 0+, slope at infinity) decides support conditions and
+infinite branches.  Those limits are not computable from a black-box callable,
+so they are declared up front as plain floats, ``math.inf`` for +inf, and the
+callable is only trusted on the open positive axis.  A finite limit at 0+ is
+also the value at 0.  The declared monotonicity and injectivity flags are
+spot-checked on a grid at construction time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extended import INF, ExtendedReal
 
 
 class DomainError(ValueError):
@@ -37,12 +37,12 @@ class ScalarFunctionSpec:
         Identifier used in reports and error messages.
     fn : callable
         Evaluates the function at strictly positive arguments.
-    value_at_zero : float, optional
-        Defined value at 0, when the function extends there.
-    gamma : ExtendedReal, optional
-        Slope at infinity, lim f(t)/t.  Declared, never estimated.
-    limit_at_zero : ExtendedReal, optional
-        Limit as t -> 0+; either a finite value or +inf.
+    gamma : float, optional
+        Slope at infinity, lim f(t)/t, ``math.inf`` for +inf.  Declared,
+        never estimated.
+    limit_at_zero : float, optional
+        Limit as t -> 0+, ``math.inf`` for +inf.  When finite it is also
+        the value at 0.
     diverges_at_infinity : bool
         Whether f(t) -> inf as t -> inf.  Needed to check the hypotheses of
         the singular-argument extension of the generalized divergence.
@@ -50,9 +50,8 @@ class ScalarFunctionSpec:
 
     name: str
     fn: Callable[[float], float]
-    value_at_zero: Optional[float] = None
-    gamma: Optional[ExtendedReal] = None
-    limit_at_zero: Optional[ExtendedReal] = None
+    gamma: Optional[float] = None
+    limit_at_zero: Optional[float] = None
     strictly_increasing: bool = False
     injective: bool = False
     diverges_at_infinity: bool = False
@@ -73,33 +72,20 @@ class ScalarFunctionSpec:
         if t < 0.0:
             raise DomainError(f"{self.name}: argument {t} is negative")
         if t == 0.0:
-            if self.value_at_zero is not None:
-                return self.value_at_zero
-            if self.limit_at_zero is not None and self.limit_at_zero.is_finite:
-                return self.limit_at_zero.value
-            raise DomainError(f"{self.name}: undefined at 0")
+            if self.limit_at_zero is None or self.limit_at_zero == math.inf:
+                raise DomainError(f"{self.name}: undefined at 0")
+            return self.limit_at_zero
         return float(self.fn(t))
 
 
 def power_fn(p: float) -> ScalarFunctionSpec:
     """t -> t**p with the zero-limit and slope-at-infinity of the power family."""
     p = float(p)
-    if p > 0.0:
-        value_at_zero, limit_at_zero = 0.0, ExtendedReal(0.0)
-    elif p == 0.0:
-        value_at_zero, limit_at_zero = 1.0, ExtendedReal(1.0)
-    else:
-        value_at_zero, limit_at_zero = None, INF
-    if p > 1.0:
-        gamma = INF
-    elif p == 1.0:
-        gamma = ExtendedReal(1.0)
-    else:
-        gamma = ExtendedReal(0.0)
+    limit_at_zero = 0.0 if p > 0.0 else 1.0 if p == 0.0 else math.inf
+    gamma = math.inf if p > 1.0 else 1.0 if p == 1.0 else 0.0
     return ScalarFunctionSpec(
         name=f"power:{p:g}",
         fn=lambda t: t**p,
-        value_at_zero=value_at_zero,
         gamma=gamma,
         limit_at_zero=limit_at_zero,
         strictly_increasing=p > 0.0,
@@ -113,9 +99,8 @@ def xlogx_fn() -> ScalarFunctionSpec:
     return ScalarFunctionSpec(
         name="xlogx",
         fn=lambda t: t * math.log(t),
-        value_at_zero=0.0,
-        gamma=INF,
-        limit_at_zero=ExtendedReal(0.0),
+        gamma=math.inf,
+        limit_at_zero=0.0,
         diverges_at_infinity=True,
     )
 
@@ -126,9 +111,8 @@ def linear_fn(c: float) -> ScalarFunctionSpec:
     return ScalarFunctionSpec(
         name=f"linear:{c:g}",
         fn=lambda t: c * (t - 1.0),
-        value_at_zero=-c,
-        gamma=ExtendedReal(c),
-        limit_at_zero=ExtendedReal(-c),
+        gamma=c,
+        limit_at_zero=-c,
         strictly_increasing=c > 0.0,
         injective=c != 0.0,
         diverges_at_infinity=c > 0.0,
@@ -140,9 +124,8 @@ def bounded_ratio_fn() -> ScalarFunctionSpec:
     return ScalarFunctionSpec(
         name="ratio",
         fn=lambda t: t / (1.0 + t),
-        value_at_zero=0.0,
-        gamma=ExtendedReal(0.0),
-        limit_at_zero=ExtendedReal(0.0),
+        gamma=0.0,
+        limit_at_zero=0.0,
         strictly_increasing=True,
         injective=True,
         diverges_at_infinity=False,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import matrixcore as mc
 from .divergence import d_fg, make_divergence
-from .extended import ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
@@ -42,7 +41,7 @@ class InvarianceReport:
     samples: int
     max_abs_deviation: float
     infinity_mismatches: int
-    witness: Optional[Tuple[np.ndarray, np.ndarray, ExtendedReal, ExtendedReal]]
+    witness: Optional[Tuple[np.ndarray, np.ndarray, float, float]]
     tol: float
 
     @property
@@ -84,8 +83,8 @@ def _compare(pairs, before, after, tol: float) -> InvarianceReport:
     witness = None
     for (a, b), x, y in zip(pairs, before, after):
         # +inf outcomes compare by category: a mismatch, or no deviation
-        mismatch = x.is_inf != y.is_inf
-        dev = 0.0 if x.is_inf or y.is_inf else abs(x.value - y.value)
+        mismatch = (x == math.inf) != (y == math.inf)
+        dev = 0.0 if math.inf in (x, y) else abs(x - y)
         mismatches += mismatch
         max_dev = max(max_dev, dev)
         if (mismatch or dev > tol) and witness is None:
@@ -258,12 +257,12 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
 def orthogonality_indicator(a, b, f: ScalarFunctionSpec,
                             g: ScalarFunctionSpec) -> bool:
     """Whether the generalized divergence vanishes, which flags AB = 0."""
-    if f.limit_at_zero is None or f.limit_at_zero != ExtendedReal(0.0):
+    if f.limit_at_zero != 0.0:
         raise DomainError("f must tend to 0 at 0+ for the orthogonality test")
     if not g.injective:
         raise DomainError("g must be injective for the orthogonality test")
     val = d_fg(as_density(a), as_density(b), f, g)
-    return val.is_finite and abs(val.value) <= mc.ORTHOGONALITY_TOL
+    return abs(val) <= mc.ORTHOGONALITY_TOL
 
 
 def trace_similarity_check(a, b, h) -> float:

@@ -170,7 +170,7 @@ def test_fdiv_f_diverging_at_zero_needs_supp_b_inside_supp_a():
 def test_fdiv_requires_gamma():
     from qdiv.functions import ScalarFunctionSpec
 
-    bare = ScalarFunctionSpec(name="bare", fn=lambda t: t * t, value_at_zero=0.0)
+    bare = ScalarFunctionSpec(name="bare", fn=lambda t: t * t, limit_at_zero=0.0)
     with pytest.raises(DomainError):
         f_divergence(diag_density([0.5, 0.5]), diag_density([0.5, 0.5]), bare)
 

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from qdiv.extended import INF, ExtendedReal, ExtendedRealError, as_extended, \
-    fmt_extended
+from qdiv.extended import INF, ExtendedReal, ExtendedRealError, fmt_extended
 
 
 def test_rejects_nan_and_minus_inf():
@@ -28,8 +27,3 @@ def test_formatting():
     assert fmt_extended(INF) == "inf"
     assert fmt_extended(0.0) == "0.000000000000"
     assert fmt_extended(math.log(2.0)) == "0.693147180560"
-
-
-def test_coercion():
-    assert as_extended(INF) is INF
-    assert as_extended(1.0) == ExtendedReal(1.0)
