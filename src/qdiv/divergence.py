@@ -5,7 +5,10 @@ Each quantity is computed from snapped spectral data, so support conditions
 +inf branch goes through ``support_contains`` or ``supports_orthogonal`` and
 returns ``INF``.  Every other branch returns a float through one gate,
 ``_gated``, which raises ``NonFiniteResultError`` when that float is inf or
-NaN or when an overflow stopped its computation.
+NaN or when an overflow stopped its computation.  The Renyi traces are
+computed as logs, the sandwiched ones on operands scaled by exact powers of
+two, so a divergence whose value a float can hold does not overflow on the
+way to it.
 
 The finite values come from two kernels.  ``_sandwich_eigs`` gives the
 spectrum of F A F* with F diagonal in a given set of eigenvectors of B; the
@@ -37,8 +40,9 @@ class NonFiniteResultError(ValueError):
 
 def _gated(fn):
     """Pass ``INF``, a support verdict, through; return any other result of
-    ``fn`` as a checked finite value.  Overflow inside ``fn`` (numpy's is
-    silenced here) ends as ``NonFiniteResultError`` too."""
+    ``fn`` as a checked finite value.  An ``OverflowError`` inside ``fn`` ends
+    as ``NonFiniteResultError`` too; numpy's overflow, invalid and log-of-zero
+    warnings are silenced here, since the inf or NaN they leave is caught."""
     @functools.wraps(fn)
     def gate(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -52,7 +56,7 @@ def _gated(fn):
         if not math.isfinite(value):
             raise NonFiniteResultError(
                 f"{fn.__name__}: the value is not a finite float (got {value})")
-        return ExtendedReal(value)
+        return ExtendedReal(value)  # a float; the benchmark reads .value, .is_inf
     return gate
 
 
@@ -79,23 +83,31 @@ def _operands(a, b, as_op=as_positive):
     return a, b
 
 
-def _sandwich_bound(fvals, a: PositiveOperator) -> float:
-    """Norm bound max|f|^2 ||A|| for F A F* with F of eigenvalues ``fvals``."""
-    return float(np.max(np.abs(fvals), initial=0.0)) ** 2 * float(a.eigenvalues[-1])
+def _log_trace(a: PositiveOperator) -> float:
+    """log tr A from the snapped spectrum, without overflow; A must be nonzero."""
+    top = float(a.eigenvalues[-1])
+    return math.log(top) + math.log((a.eigenvalues / top).sum())
 
 
-def _sandwich_eigs(a: PositiveOperator, vecs: np.ndarray, fvals) -> np.ndarray:
-    """Snapped eigenvalues of diag(fvals) (vecs* A vecs) diag(fvals).
+def _sandwich_eigs(a: PositiveOperator, vecs: np.ndarray, fvals,
+                   shift: int = 0) -> np.ndarray:
+    """Snapped eigenvalues of diag(fvals) (vecs* A' vecs) diag(fvals), with
+    A' = 2^shift A.
 
     With orthonormal columns ``vecs`` and F = vecs diag(fvals) vecs*, these
-    are the eigenvalues of F A F* on the span of ``vecs``; F A F* is zero on
+    are the eigenvalues of F A' F* on the span of ``vecs``; F A' F* is zero on
     its complement.  Empty when ``vecs`` has no columns.
     """
     if vecs.shape[1] == 0:
         return np.zeros(0)
-    a0 = vecs.conj().T @ a.matrix @ vecs
+    m, top = a.matrix, math.ldexp(a.eigenvalues[-1], shift)
+    if shift:  # exact while the entries stay normal floats
+        m = np.ldexp(m.view(np.float64), shift).view(np.complex128)
+    a0 = vecs.conj().T @ m @ vecs
     s0 = (fvals[:, None] * a0) * fvals[None, :]
-    evals, _ = mc._snapped_psd_eig(s0, _sandwich_bound(fvals, a))
+    # ||F A' F*|| <= max|f|^2 ||A'||
+    bound = float(np.max(np.abs(fvals), initial=0.0)) ** 2 * top
+    evals, _ = mc._snapped_psd_eig(s0, bound)
     return evals
 
 
@@ -105,7 +117,7 @@ def _overlaps(a: PositiveOperator, b: PositiveOperator) -> np.ndarray:
 
 
 @_gated
-def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
+def f_divergence(a, b, f: ScalarFunctionSpec) -> float:
     """Quantum f-divergence as a double sum over pairs of eigenvectors.
 
     With A = sum_i l_i |u_i><u_i| and B = sum_j m_j |v_j><v_j| (snapped
@@ -143,7 +155,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
 
 
 @_gated
-def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
+def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
     """Superoperator form: <sqrt(B), f(L_A R_{B^-1}) sqrt(B)> in HS geometry.
 
     Requires invertible B.  Must agree with the eigenvector double sum; the
@@ -169,7 +181,7 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> ExtendedReal:
 
 
 @_gated
-def umegaki(a, b) -> ExtendedReal:
+def umegaki(a, b) -> float:
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
     a, b = _operands(a, b, as_density)
     if not support_contains(b, a):
@@ -190,28 +202,56 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _renyi_is_inf(a: PositiveOperator, b: PositiveOperator, alpha: float) -> bool:
+    """The Renyi support split: +inf for orthogonal supports when alpha < 1,
+    and for supp A not inside supp B when alpha > 1."""
+    if a.eigenvalues[-1] == 0.0 or b.eigenvalues[-1] == 0.0:  # top of ascending
+        raise ValidationError("operators must be nonzero")
+    return supports_orthogonal(a, b) if alpha < 1.0 else not support_contains(b, a)
+
+
 @_gated
-def renyi_traditional(a, b, alpha: float) -> ExtendedReal:
-    """(alpha-1)^-1 log tr(A^alpha B^(1-alpha)) with the support case split."""
+def renyi_traditional(a, b, alpha: float) -> float:
+    """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
-    a, b = _operands(a, b, as_density)
-    if alpha < 1.0:
-        if supports_orthogonal(a, b):
-            return INF
-    else:
-        if not support_contains(b, a):
-            return INF
+    a, b = _operands(a, b)
+    if _renyi_is_inf(a, b, alpha):
+        return INF
     lam, mu = a.eigenvalues, b.eigenvalues
-    # tr(A^alpha B^(1-alpha)) = sum_ij l_i^alpha W_ij m_j^(1-alpha) over l_i, m_j > 0
-    w = _overlaps(a, b)[np.ix_(lam > 0.0, mu > 0.0)]
-    t = float(lam[lam > 0.0] ** alpha @ w @ mu[mu > 0.0] ** (1.0 - alpha))
-    if t <= 0.0:
-        raise ArithmeticError("trace term vanished outside the infinite branch")
-    return math.log(t) / (alpha - 1.0)
+    pa, pb = lam > 0.0, mu > 0.0
+    # logs of the terms l_i^alpha W_ij m_j^(1-alpha) of the trace over
+    # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp
+    terms = (np.log(_overlaps(a, b)[pa][:, pb])
+             + alpha * np.log(lam[pa])[:, None] + (1.0 - alpha) * np.log(mu[pb]))
+    top = terms.max()
+    log_trace_ab = top + math.log(np.exp(terms - top).sum())
+    return (log_trace_ab - _log_trace(a)) / (alpha - 1.0)
+
+
+def _log_sandwiched_core(a, b, alpha: float) -> float:
+    """log tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha); -inf when it vanishes.
+
+    The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
+    eigenvalues lie in [1/2, 1), so the scales of A and B cannot make it over-
+    or underflow.  With s the top eigenvalue of S, log tr S^alpha =
+    alpha log s + log sum (s_i/s)^alpha, and the scales come back as
+    tr (B^e A B^e)^alpha = 2^(alpha ka + (1-alpha) kb) tr S^alpha.
+    """
+    mu = b.eigenvalues
+    ka, kb = math.frexp(a.eigenvalues[-1])[1], math.frexp(mu[-1])[1]
+    e = (1.0 - alpha) / (2.0 * alpha)
+    mu = np.ldexp(mu[mu > 0.0], -kb)
+    evals = _sandwich_eigs(a, b.support_basis, mu**e, -ka)
+    pos = evals[evals > 0.0]
+    if not pos.size:
+        return -math.inf
+    top = pos[-1]
+    log_core = alpha * math.log(top) + math.log(((pos / top) ** alpha).sum())
+    return log_core + (alpha * ka + (1.0 - alpha) * kb) * math.log(2.0)
 
 
 @_gated
-def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
+def sandwiched_core(a, b, alpha: float) -> float:
     """tr (B^e A B^e)^alpha with e = (1-alpha)/(2 alpha), powers on supports.
 
     For alpha > 1 the value is +inf unless supp A <= supp B; for alpha < 1 the
@@ -221,30 +261,18 @@ def sandwiched_core(a, b, alpha: float) -> ExtendedReal:
     a, b = _operands(a, b)
     if alpha > 1.0 and not support_contains(b, a):
         return INF
-    e = (1.0 - alpha) / (2.0 * alpha)
-    mu = b.eigenvalues
-    evals = _sandwich_eigs(a, b.support_basis, mu[mu > 0.0] ** e)
-    pos = evals[evals > 0.0]
-    return np.sum(pos**alpha)
+    return math.exp(_log_sandwiched_core(a, b, alpha))
 
 
 @_gated
-def sandwiched_renyi(a, b, alpha: float) -> ExtendedReal:
+def sandwiched_renyi(a, b, alpha: float) -> float:
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
     a, b = _operands(a, b)
-    if a.rank == 0 or b.rank == 0:
-        raise ValidationError("operators must be nonzero")
-    if alpha < 1.0 and supports_orthogonal(a, b):
+    if _renyi_is_inf(a, b, alpha):
         return INF
-    # for alpha > 1 the core decides supp A <= supp B
-    core = sandwiched_core(a, b, alpha)
-    if core == math.inf:
-        return INF
-    ratio = core / a.trace
-    if ratio <= 0.0:
-        raise ArithmeticError("core trace vanished outside the infinite branch")
-    return math.log(ratio) / (alpha - 1.0)
+    # a vanished core gives -inf, which the gate rejects
+    return (_log_sandwiched_core(a, b, alpha) - _log_trace(a)) / (alpha - 1.0)
 
 
 def _require_g(g: ScalarFunctionSpec) -> None:
@@ -253,7 +281,7 @@ def _require_g(g: ScalarFunctionSpec) -> None:
 
 
 @_gated
-def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> ExtendedReal:
+def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> float:
     """Generalized quantity tr g(f(B) A f(B)), extended to singular B.
 
     For invertible B this is a plain trace.  For singular B the declared limit

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 
-
 class DomainError(ValueError):
     """A scalar function was used outside its declared domain."""
 

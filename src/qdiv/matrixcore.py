@@ -77,7 +77,10 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    # halving first cannot overflow, and is exact above the subnormal range
+    h = 0.5 * a
+    h += h.conj().swapaxes(-1, -2)
+    return h
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -145,8 +148,9 @@ def eig_hermitian(a):
     ||A||_F^2 outside 2^(+-512), where sums of squares would under- or
     overflow, runs scaled by an exact power of two and has its eigenvalues
     scaled back; every other matrix runs unscaled.  Raises ``ValueError``
-    if a matrix is not Hermitian within ``HERM_TOL``, ``ConvergenceError`` if
-    one misses its target in ``JACOBI_MAX_SWEEPS`` sweeps.
+    if a matrix has a non-finite entry or is not Hermitian within
+    ``HERM_TOL``, ``ConvergenceError`` if one misses its target in
+    ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
@@ -159,12 +163,16 @@ def eig_hermitian(a):
     # A member whose squares would under- or overflow runs scaled by an exact
     # power of two, its largest entry in [1/2, 1); the others run unchanged.
     # The min/max test keeps the common all-in-range case to two reductions.
+    # An inf or NaN entry makes its norm inf or NaN, so it lands here too.
     odd = None
     if not (norm_sq.min() >= 2.0 ** -_SAFE_EXP and norm_sq.max() <= 2.0 ** _SAFE_EXP):
         odd = ~((norm_sq >= 2.0 ** -_SAFE_EXP) & (norm_sq <= 2.0 ** _SAFE_EXP))
         a = a.copy()
         parts = a[odd].view(np.float64)
-        shift = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+        top = np.abs(parts).max(axis=(1, 2))
+        if not np.isfinite(top).all():
+            raise ValueError("matrix has a non-finite entry")
+        shift = np.frexp(top)[1]
         a[odd] = np.ldexp(parts, -shift[:, None, None]).view(np.complex128)
         norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
     ah = np.ascontiguousarray(a.conj().swapaxes(1, 2))

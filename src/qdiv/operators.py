@@ -42,8 +42,8 @@ class PositiveOperator:
         each matrix of a stack; ``ValidationError`` if one fails ``cls``'s checks."""
         try:
             evals, vecs = mc.eig_hermitian(m)
-        except ValueError:
-            raise ValidationError("operator is not Hermitian within tolerance") from None
+        except ValueError as exc:
+            raise ValidationError(f"operator rejected: {exc}") from None
         low = evals[..., 0][evals[..., 0] < -mc.PSD_TOL * np.abs(evals).max(-1)]
         if low.size:
             raise ValidationError(f"operator is not PSD: min eigenvalue {low[0]:.3e}")

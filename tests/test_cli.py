@@ -1,9 +1,13 @@
+import math
+import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qdiv.cli import main
 from qdiv.files import load_operator, parse_report, save_operator, strip_wall_time
 from qdiv.sampling import SeededRng, haar_unitary
 
@@ -127,6 +131,63 @@ def test_exit_code_unknown_function(diag_files):
     a, b = diag_files
     out = run_cli("div", "fdiv", a, b, "--f", "mystery:3")
     assert out.returncode == 3
+
+
+def _readme_exit_codes():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    paragraph = readme.read_text(encoding="utf-8").split("Exit codes:")[1].split("\n\n")[0]
+    return {int(c) for c in re.findall(r"`(\d)`", paragraph)}
+
+
+def _scalar_file(tmp_path, name, entry):
+    """An n = 1 positive operator file; JSON text, so inf and nan can be spelled."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(f'{{"dim": 1, "role": "positive", "re": [[{entry}]], "im": [[0]]}}')
+    return str(path)
+
+
+DIV_PARAMS = {"umegaki": [], "renyi": ["--alpha", "2"], "sandwiched": ["--alpha", "3"],
+              "sandwiched-core": ["--alpha", "2"], "fdiv": ["--f", "xlogx"],
+              "dfg": ["--f", "power:0.5", "--g", "power:2"]}
+
+
+def test_div_edge_inputs_exit_with_a_documented_code(tmp_path, capsys):
+    """n = 1 operands 2^k (k from -1070 to 1020) on either side or both,
+    subnormal, zero and non-finite entries: every run ends with an exit code
+    the README lists, and no exception escapes ``main``.  Both Renyi
+    divergences of the 1x1 operators [a] and [b] are log a - log b at every
+    scale."""
+    codes = _readme_exit_codes()
+    assert codes == {0, 1, 2, 3}
+    one = _scalar_file(tmp_path, "one", "1")
+    scales = {_scalar_file(tmp_path, f"k{k}", repr(2.0**k)): k * math.log(2.0)
+              for k in list(range(-1070, 1021, 29)) + [1020]}
+    odd = [_scalar_file(tmp_path, f"odd{i}", entry) for i, entry in enumerate(
+        ["5e-324", "1e-320", "0", "-1e-320", "Infinity", "-Infinity", "NaN", "1e999"])]
+    for tag, params in DIV_PARAMS.items():
+        for x in list(scales) + odd:
+            for a, b in ((x, one), (one, x), (x, x)):
+                capsys.readouterr()
+                code = main(["div", tag, a, b, *params])
+                assert code in codes, (tag, a, b)
+                if tag in ("renyi", "sandwiched") and x in scales:
+                    want = {(x, one): scales[x], (one, x): -scales[x], (x, x): 0.0}[a, b]
+                    assert code == 0
+                    assert float(capsys.readouterr().out) == pytest.approx(want, abs=1e-9)
+
+
+def test_div_unrepresentable_value_exits_two_without_a_traceback(tmp_path):
+    half, tiny = tmp_path / "half.json", tmp_path / "tiny.json"
+    save_operator(half, np.diag([0.5, 0.5]), role="positive")
+    save_operator(tiny, 1e-160 * np.diag([1.0, 0.5]), role="positive")
+    # f(l/m) = (0.5/1e-160)^2 overflows a float
+    out = run_cli("div", "fdiv", str(half), str(tiny), "--f", "power:2")
+    assert out.returncode == 2
+    assert out.stderr.startswith("invalid input:")
+    assert "Traceback" not in out.stderr
+    out = run_cli("div", "sandwiched", str(half), str(tiny), "--alpha", "3")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "368.178613064424"
 
 
 def test_exit_code_bad_usage():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import qdiv.divergence as dv
 import qdiv.matrixcore as mc
 from qdiv.divergence import (
+    NonFiniteResultError,
     d_fg,
     d_fg_limit_probe,
     f_divergence,
@@ -643,3 +645,98 @@ def test_make_divergence_unknown_tag():
         make_divergence("renyi")
     with pytest.raises(KeyError):
         make_divergence("dfg", f=power_fn(1))
+
+
+# ------------------------------------ log-domain Renyi and the finite gate
+# Definite pairs whose values a float holds, though intermediate powers
+# (1e-9^-49, s^50, (1e160)^2) do not.
+HALF = np.diag([0.5, 0.5])
+SKEWED = np.diag([1.0 - 1e-9, 1e-9])
+TINY = 1e-160 * np.diag([1.0, 0.5])
+
+
+def test_alpha_50_on_a_definite_pair_is_finite():
+    # both traces are 0.5^50 (1-1e-9)^-49 + 0.5^50 (1e-9)^-49 in closed form
+    want = (50 * math.log(0.5) + 49 * 9 * math.log(10.0)
+            + math.log1p((1e-9 / (1.0 - 1e-9)) ** 49)) / 49
+    assert want == pytest.approx(20.0159727956, abs=1e-10)
+    for div in (renyi_traditional, sandwiched_renyi):
+        assert float(div(HALF, SKEWED, 50)) == pytest.approx(want, rel=1e-12)
+
+
+def test_sandwiched_on_a_tiny_second_operand_is_finite():
+    # D(A || cB) = D(A || B) - log c
+    want = float(sandwiched_renyi(HALF, TINY / 1e-160, 3)) + 160 * math.log(10.0)
+    got = float(sandwiched_renyi(HALF, TINY, 3))
+    assert got == pytest.approx(368.178613064, abs=1e-9)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e308, 1e-320])
+def test_sandwiched_at_the_ends_of_the_float_range_is_finite(c):
+    # D(c I || I/2) = log(2c) at n = 2; 1e-320 is subnormal
+    for alpha in (0.5, 2.0):
+        got = float(sandwiched_renyi(PositiveOperator(c * np.eye(2)), HALF, alpha))
+        assert got == pytest.approx(math.log(2.0) + math.log(c), rel=1e-12)
+
+
+def _normal_exponents(*matrices, step=61):
+    """k on a grid for which 2^k times each nonzero entry stays normal."""
+    parts = np.abs(np.concatenate([np.ravel(m).view(np.float64) for m in matrices]))
+    lo, hi = np.frexp(parts[parts > 0.0].min())[1], np.frexp(parts.max())[1]
+    return range(-1021 - lo, 1024 - hi, step)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 50.0])
+def test_sandwiched_scale_covariance_over_the_exponent_range(alpha):
+    # D(2^k A || B) = D(A || B) + k log 2 and D(A || 2^k B) = D(A || B) - k log 2,
+    # for k keeping every nonzero entry a normal float
+    rng = SeededRng(83)
+    pairs = [(HALF, SKEWED),
+             (random_positive_definite(3, 10.0, rng).matrix, random_density(3, 3, rng).matrix)]
+    for a, b in pairs:
+        base = float(sandwiched_renyi(a, b, alpha))
+        for k in _normal_exponents(a, b):
+            for got, shift in ((sandwiched_renyi(2.0**k * a, b, alpha), k),
+                               (sandwiched_renyi(a, 2.0**k * b, alpha), -k)):
+                want = base + shift * math.log(2.0)
+                assert float(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_renyi_scale_covariance_over_the_exponent_range():
+    base = float(renyi_traditional(HALF, SKEWED, 50))
+    for k in _normal_exponents(HALF, SKEWED):
+        for got, shift in ((renyi_traditional(2.0**k * HALF, SKEWED, 50), k),
+                           (renyi_traditional(HALF, 2.0**k * SKEWED, 50), -k)):
+            want = base + shift * math.log(2.0)
+            assert float(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_overflow_on_a_finite_branch_raises_the_typed_error():
+    big, one = PositiveOperator(1e308 * np.eye(2)), PositiveOperator(np.eye(2))
+    cases = [
+        # f(l/m) = (0.5/1e-160)^2 overflows though the exact value is 7.5e159
+        lambda: f_divergence(HALF, TINY, power_fn(2)),
+        lambda: d_fg(big, one, power_fn(0.5), power_fn(2)),
+        lambda: sandwiched_core(big, HALF, 2.0),
+        lambda: f_divergence(big, HALF, xlogx_fn()),
+    ]
+    for case in cases:
+        with pytest.raises(NonFiniteResultError):
+            case()
+
+
+def test_a_vanished_trace_on_a_finite_branch_raises_the_typed_error(monkeypatch):
+    monkeypatch.setattr(dv, "_sandwich_eigs", lambda *args: np.zeros(2))
+    for alpha in (0.5, 2.0):
+        with pytest.raises(NonFiniteResultError):
+            sandwiched_renyi(HALF, HALF, alpha)
+        assert float(sandwiched_core(HALF, HALF, alpha)) == 0.0
+
+
+def test_inf_comes_only_from_a_support_decision():
+    # INF itself, returned by the support split before any arithmetic that
+    # would overflow on these pairs
+    singular = PositiveOperator(np.diag([1.0, 0.0]))
+    assert f_divergence(HALF, singular, power_fn(2)) is dv.INF
+    assert sandwiched_renyi(HALF, singular, 50) is dv.INF

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -27,3 +28,14 @@ def test_formatting():
     assert fmt_extended(INF) == "inf"
     assert fmt_extended(0.0) == "0.000000000000"
     assert fmt_extended(math.log(2.0)) == "0.693147180560"
+
+
+def test_is_a_float_with_floats_equality_hash_and_text():
+    x = ExtendedReal(1.5)
+    assert isinstance(x, float) and x == 1.5 and hash(x) == hash(1.5)
+    assert repr(x) == "1.5" and repr(INF) == "inf"
+    assert json.dumps({"v": x}) == json.dumps({"v": 1.5})
+    assert INF == math.inf and INF.is_inf and not INF.is_finite
+    assert x.value == 1.5 and type(x.value) is float
+    with pytest.raises(AttributeError):
+        x.other = 1.0

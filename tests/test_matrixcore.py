@@ -80,6 +80,18 @@ def test_eig_rejects_non_hermitian():
         mc.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_eig_rejects_non_finite_entries_before_the_hermitian_test(bad):
+    # tier-1 turns warnings into errors: a RuntimeWarning here would fail first
+    m = np.array([[1.0, bad], [np.conj(bad), 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        mc.eig_hermitian(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        mc.eig_hermitian(np.array([np.eye(2), m]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        PositiveOperator(m)
+
+
 def test_eig_zero_matrix():
     w, v = mc.eig_hermitian(np.zeros((3, 3)))
     assert np.all(w == 0.0)
