@@ -1,29 +1,38 @@
-"""Distinguishability functionals on positive operators.
+"""Distinguishability functionals on positive operators, evaluated on stacks.
+
+Every divergence takes a pair of operators, or two equal-length stacks of
+them (lists or tuples of operators or matrices, or (N, n, n) arrays), and
+then returns one value per pair.  There is one implementation per
+divergence: a pair is the stack of one, and each member of a stack gets, bit
+for bit, the value that the call on its pair alone gets.
 
 Each quantity is computed from snapped spectral data, so support conditions
 (the +inf branches) are decided by ranks, never by numeric overflow: every
 +inf branch goes through ``support_contains`` or ``supports_orthogonal`` and
-returns ``INF``.  Every other branch returns a float through one gate,
-``_gated``, which raises ``NonFiniteResultError`` when that float is inf or
-NaN or when an overflow stopped its computation.  The Renyi traces are
-computed as logs, the sandwiched ones on operands scaled by exact powers of
-two, so a divergence whose value a float can hold does not overflow on the
-way to it.
+returns ``INF``.  Every other branch returns a float through one per-pair
+gate, ``_gated``, which raises ``NonFiniteResultError`` when that float is inf
+or NaN or when an overflow stopped its computation.  In a stack, the first
+pair in order that fails raises its error, as a loop over the pairs would.
+The Renyi traces are computed as logs, the sandwiched ones on operands scaled
+by exact powers of two, so a divergence whose value a float can hold does not
+overflow on the way to it.
 
-The finite values come from two kernels.  ``_sandwich_eigs`` gives the
-spectrum of F A F* with F diagonal in a given set of eigenvectors of B; the
-generalized quantity tr g(f(B) A f(B)), its limit probe and the sandwiched
-Renyi core tr (B^e A B^e)^alpha (f = t^e, g = t^alpha) are traces of it.
-``_overlaps`` gives W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and
-v_j of B; the f-divergence, Umegaki and traditional Renyi (Petz-type traces)
-are sums over W.  The superoperator form of the f-divergence uses neither
-kernel and is kept as an independent route, so the two can cross-check each
-other.
+The finite values come from two stacked kernels.  ``_sandwich_eigs`` gives
+the spectrum of F A F* with F diagonal in a given set of eigenvectors of B;
+the generalized quantity tr g(f(B) A f(B)), its limit probe and the sandwiched
+Renyi core tr (B^e A B^e)^alpha (f = t^e, g = t^alpha) are traces of it.  It
+groups the members by (n, rank of B), and makes one stacked product and one
+eigensolver call per group.  ``_overlaps`` gives W_ij = |<u_i, v_j>|^2 for the
+eigenvectors u_i of A and v_j of B, one stacked product per order n; the
+f-divergence, Umegaki and traditional Renyi (Petz-type traces) are sums over
+W, and so are the support verdicts.  The cheap final reductions (log-sum-exp,
+the sums over W) stay per pair, where stacking them would change the bits.
+The superoperator form of the f-divergence uses neither kernel and is kept as
+an independent route, so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Optional
 
@@ -34,44 +43,44 @@ from .extended import INF, ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec, spec_from_name
 from .operators import PositiveOperator, ValidationError, as_density, as_positive
 
+
 class NonFiniteResultError(ValueError):
     """A finite branch gave inf or NaN: its value does not fit a float."""
 
 
-def _gated(fn):
-    """Pass ``INF``, a support verdict, through; return any other result of
-    ``fn`` as a checked finite value.  An ``OverflowError`` inside ``fn`` ends
-    as ``NonFiniteResultError`` too; numpy's overflow, invalid and log-of-zero
-    warnings are silenced here, since the inf or NaN they leave is caught."""
-    @functools.wraps(fn)
-    def gate(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                value = fn(*args, **kwargs)
-            except OverflowError:
-                raise NonFiniteResultError(
-                    f"{fn.__name__}: the value overflows a float") from None
-        if value is INF:
-            return INF
-        if not math.isfinite(value):
-            raise NonFiniteResultError(
-                f"{fn.__name__}: the value is not a finite float (got {value})")
-        return ExtendedReal(value)  # a float; the benchmark reads .value, .is_inf
-    return gate
+def _gated(name: str, value):
+    """Pass ``INF``, a support verdict, through; return any other value as a
+    checked finite float."""
+    if value is INF:
+        return INF
+    if not math.isfinite(value):
+        raise NonFiniteResultError(
+            f"{name}: the value is not a finite float (got {value})")
+    return ExtendedReal(value)  # a float; the benchmark reads .value, .is_inf
 
 
-def support_contains(outer: PositiveOperator, inner: PositiveOperator) -> bool:
-    """Whether supp(inner) is contained in supp(outer)."""
-    pi = inner.support_projection
-    po = outer.support_projection
-    defect = float(np.trace(pi).real) - mc.hs_inner(pi, po).real
-    return defect <= mc.SUPPORT_TRACE_TOL
+def _takes_stacks(fn: Callable) -> Callable:
+    """Mark a divergence callable that also evaluates two stacks at once
+    (``invariance_reports`` reads the mark)."""
+    fn.takes_stacks = True
+    return fn
 
 
-def supports_orthogonal(a: PositiveOperator, b: PositiveOperator) -> bool:
-    """Whether the supports of a and b are orthogonal subspaces."""
-    overlap = mc.hs_inner(a.support_projection, b.support_projection).real
-    return overlap <= mc.SUPPORT_TRACE_TOL
+def _is_stack(x) -> bool:
+    """A list or tuple of operators or matrices, or an (N, n, n) array, as
+    against one operator or one (nested-list) matrix."""
+    if isinstance(x, np.ndarray):
+        return x.ndim == 3
+    return isinstance(x, (list, tuple)) and (
+        not x or isinstance(x[0], PositiveOperator) or np.ndim(x[0]) == 2)
+
+
+def _grouped(keys):
+    """Positions grouped by key, in order of first appearance."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return groups.values()
 
 
 def _operands(a, b, as_op=as_positive):
@@ -83,116 +92,279 @@ def _operands(a, b, as_op=as_positive):
     return a, b
 
 
+class _Pairs:
+    """The operand pairs of one divergence call, and their outcomes.
+
+    ``a`` and ``b`` are one pair of operators, the N = 1 call, or two
+    equal-length stacks; each operand is converted by ``as_op`` on its own.
+    ``out[k]`` is ``None`` while pair k is open, then ``INF``, its finite
+    value, or the exception it raises.  The exceptions wait in ``out`` so
+    that ``results`` raises the one of the first pair in order.  numpy's
+    overflow, invalid and log-of-zero warnings are silenced inside the
+    ``with`` block, since the inf or NaN they leave is caught by the gate.
+    """
+
+    def __init__(self, name: str, a, b, as_op=as_positive):
+        self.name = name
+        self.single = not _is_stack(a)
+        if _is_stack(b) == self.single:
+            raise ValueError("expected two operators or two stacks of them")
+        if self.single:
+            a, b = [a], [b]
+        elif len(a) != len(b):
+            raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
+        self.a, self.b, self.out = [None] * len(a), [None] * len(a), [None] * len(a)
+        for k, (x, y) in enumerate(zip(a, b)):
+            try:
+                self.a[k], self.b[k] = _operands(x, y, as_op)
+            except Exception as exc:
+                self.out[k] = exc
+
+    def __enter__(self):
+        self._quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+        self._quiet.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._quiet.__exit__(*exc_info)
+
+    def open(self):
+        """Positions of the open pairs, and their operands as two lists."""
+        idx = [k for k, out in enumerate(self.out) if out is None]
+        return idx, [self.a[k] for k in idx], [self.b[k] for k in idx]
+
+    def set_inf(self, idx, verdicts) -> None:
+        """Close with ``INF`` each pair of ``idx`` whose verdict is true."""
+        for k, inf in zip(idx, verdicts):
+            if inf:
+                self.out[k] = INF
+
+    def attempt(self, k: int, fn, *args):
+        """``fn(*args)`` for pair k.  If it raises, the exception (an overflow
+        as ``NonFiniteResultError``) closes the pair and None is returned."""
+        try:
+            return fn(*args)
+        except OverflowError:
+            self.out[k] = NonFiniteResultError(f"{self.name}: the value overflows a float")
+        except Exception as exc:
+            self.out[k] = exc
+        return None
+
+    def settle(self, k: int, fn, *args) -> None:
+        """Close pair k with ``fn(*args)``, or with the exception it raises."""
+        value = self.attempt(k, fn, *args)
+        if self.out[k] is None:
+            self.out[k] = value
+
+    def results(self):
+        """The gated value of each pair (of the pair, for the N = 1 call)."""
+        values = []
+        for out in self.out:
+            if isinstance(out, Exception):
+                raise out
+            values.append(_gated(self.name, out))
+        return values[0] if self.single else values
+
+
+def _overlap_groups(a, b):
+    """(positions, W stack) per order n for two equal-length lists of
+    operators: W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and v_j of
+    B, one stacked product per order."""
+    for idx in _grouped(x.dim for x in a):
+        u = np.array([a[k].eigenvectors for k in idx])
+        v = np.array([b[k].eigenvectors for k in idx])
+        yield idx, np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
+
+
+def _overlaps(a, b) -> list:
+    """W of each pair of two equal-length lists of operators."""
+    out = [None] * len(a)
+    for idx, w in _overlap_groups(a, b):
+        for k, wk in zip(idx, w):
+            out[k] = wk
+    return out
+
+
+def _support_overlaps(a, b) -> np.ndarray:
+    """<P_A, P_B> for the support projections of each pair: the sum of W_ij
+    over l_i, m_j > 0."""
+    out = np.empty(len(a))
+    for idx, w in _overlap_groups(a, b):
+        ma = np.array([a[k].eigenvalues > 0.0 for k in idx])
+        mb = np.array([b[k].eigenvalues > 0.0 for k in idx])
+        out[idx] = (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
+    return out
+
+
+def _verdicts(a, b, test):
+    """``test`` on the support data of a pair of operators (a bool) or of two
+    equal-length stacks of them (a bool array)."""
+    if not _is_stack(a):
+        return bool(test([a], [b])[0])
+    return test(list(a), list(b))
+
+
+def support_contains(outer, inner):
+    """Whether supp(inner) is contained in supp(outer): whether
+    tr P_inner - <P_inner, P_outer> = rank(inner) - <P_inner, P_outer> is at
+    most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict per pair."""
+    return _verdicts(outer, inner, lambda o, i: np.array(
+        [x.rank for x in i]) - _support_overlaps(i, o) <= mc.SUPPORT_TRACE_TOL)
+
+
+def supports_orthogonal(a, b):
+    """Whether the supports of a and b are orthogonal subspaces: whether
+    <P_a, P_b> is at most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict
+    per pair."""
+    return _verdicts(a, b, lambda x, y: _support_overlaps(x, y) <= mc.SUPPORT_TRACE_TOL)
+
+
 def _log_trace(a: PositiveOperator) -> float:
     """log tr A from the snapped spectrum, without overflow; A must be nonzero."""
     top = float(a.eigenvalues[-1])
     return math.log(top) + math.log((a.eigenvalues / top).sum())
 
 
-def _sandwich_eigs(a: PositiveOperator, vecs: np.ndarray, fvals,
-                   shift: int = 0) -> np.ndarray:
-    """Snapped eigenvalues of diag(fvals) (vecs* A' vecs) diag(fvals), with
-    A' = 2^shift A.
+def _sandwich_eigs(ops, vecs, fvals, shifts=None) -> list:
+    """Snapped eigenvalues of diag(f) (V* A' V) diag(f), A' = 2^shift A, for
+    each member: A = ``ops[k]``, V = ``vecs[k]``, f = ``fvals[k]`` and shift =
+    ``shifts[k]`` (0 when ``shifts`` is None).
 
-    With orthonormal columns ``vecs`` and F = vecs diag(fvals) vecs*, these
-    are the eigenvalues of F A' F* on the span of ``vecs``; F A' F* is zero on
-    its complement.  Empty when ``vecs`` has no columns.
+    With orthonormal columns V and F = V diag(f) V*, these are the eigenvalues
+    of F A' F* on the span of V; F A' F* is zero on its complement.  Empty
+    when V has no columns, None when an entry of the product overflowed.
+    Members are grouped by the shape of V: one stacked product and one
+    eigensolver call per group, and each member comes out bit-identical to
+    a group of one.
     """
-    if vecs.shape[1] == 0:
-        return np.zeros(0)
-    m, top = a.matrix, math.ldexp(a.eigenvalues[-1], shift)
-    if shift:  # exact while the entries stay normal floats
-        m = np.ldexp(m.view(np.float64), shift).view(np.complex128)
-    a0 = vecs.conj().T @ m @ vecs
-    s0 = (fvals[:, None] * a0) * fvals[None, :]
-    # ||F A' F*|| <= max|f|^2 ||A'||
-    bound = float(np.max(np.abs(fvals), initial=0.0)) ** 2 * top
-    evals, _ = mc._snapped_psd_eig(s0, bound)
-    return evals
+    out = [np.zeros(0)] * len(ops)
+    for idx in _grouped(v.shape for v in vecs):
+        if not vecs[idx[0]].shape[1]:
+            continue
+        m = np.array([ops[k].matrix for k in idx])
+        top = np.array([ops[k].eigenvalues[-1] for k in idx])
+        if shifts is not None:  # exact while the entries stay normal floats
+            shift = np.array([shifts[k] for k in idx])
+            m = np.ldexp(m.view(np.float64), shift[:, None, None]).view(np.complex128)
+            top = np.ldexp(top, shift)
+        v = np.array([vecs[k] for k in idx])
+        f = np.array([fvals[k] for k in idx])
+        s0 = (f[:, :, None] * (v.conj().swapaxes(1, 2) @ m @ v)) * f[:, None, :]
+        # ||F A' F*|| <= max|f|^2 ||A'||
+        bound = np.max(np.abs(f), axis=1) ** 2 * top
+        finite = np.isfinite(s0.view(np.float64)).all(axis=(1, 2))
+        if not finite.all():
+            s0, bound = s0[finite], bound[finite]
+        evals = iter(mc._snapped_psd_eig(s0, bound)[0] if len(s0) else ())
+        for k, ok in zip(idx, finite):
+            out[k] = next(evals) if ok else None
+    return out
 
 
-def _overlaps(a: PositiveOperator, b: PositiveOperator) -> np.ndarray:
-    """W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and v_j of B."""
-    return np.abs(a.eigenvectors.conj().T @ b.eigenvectors) ** 2
-
-
-@_gated
-def f_divergence(a, b, f: ScalarFunctionSpec) -> float:
+@_takes_stacks
+def f_divergence(a, b, f: ScalarFunctionSpec):
     """Quantum f-divergence as a double sum over pairs of eigenvectors.
 
     With A = sum_i l_i |u_i><u_i| and B = sum_j m_j |v_j><v_j| (snapped
     spectra) and overlaps W_ij = |<u_i, v_j>|^2, the value is the sum of
     W_ij m_j f(l_i/m_j) over l_i, m_j > 0, plus f(0) times the weight of
     supp B on the kernel of A, plus gamma * W_ij l_i over the kernel of B,
-    with 0*inf = 0.  The support decisions say which kernel terms exist and
-    give the +inf branches: f(0+) = +inf with supp B not inside supp A, and
-    gamma = +inf with supp A not inside supp B.
+    with 0*inf = 0.  The term m f(l/m) is the perspective of f, taken from
+    its declared closed form where the family has one, so that a ratio l/m
+    that overflows does not end a finite branch.  The support decisions say
+    which kernel terms exist and give the +inf branches: f(0+) = +inf with
+    supp B not inside supp A, and gamma = +inf with supp A not inside supp B.
     """
-    a, b = _operands(a, b)
     if f.gamma is None:
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
+    perspective = f.perspective or (lambda x, y: y * f(x / y))
 
-    f0 = gamma = 0.0
-    if not support_contains(a, b):
-        if f.limit_at_zero is None:
-            raise DomainError(f"{f.name}: undefined at the required ratio 0")
-        if f.limit_at_zero == math.inf:
-            return INF
-        f0 = f.limit_at_zero
-    if not support_contains(b, a):
-        if f.gamma == math.inf:
-            return INF
-        gamma = f.gamma
+    def value(x, y, w, f0, gamma):
+        lam, mu = x.eigenvalues, y.eigenvalues
+        # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
+        i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
+        pvals = np.array([perspective(s, t)
+                          for s, t in zip(lam[i].tolist(), mu[j].tolist())])
+        return (np.sum(w[i, j] * pvals)
+                + f0 * np.sum(w[lam == 0.0] @ mu)
+                + gamma * np.sum(lam @ w[:, mu == 0.0]))
 
-    lam, mu = a.eigenvalues, b.eigenvalues
-    w = _overlaps(a, b)
-    # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
-    i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
-    fvals = np.array([f(t) for t in lam[i] / mu[j]])
-    return (np.sum(w[i, j] * mu[j] * fvals)
-            + f0 * np.sum(w[lam == 0.0] @ mu)
-            + gamma * np.sum(lam @ w[:, mu == 0.0]))
+    with _Pairs("f_divergence", a, b) as p:
+        idx, pa, pb = p.open()
+        kernel_terms = {}
+        for k, b_in_a, a_in_b in zip(idx, support_contains(pa, pb),
+                                     support_contains(pb, pa)):
+            f0 = gamma = 0.0
+            if not b_in_a:
+                if f.limit_at_zero is None:
+                    p.out[k] = DomainError(f"{f.name}: undefined at the required ratio 0")
+                    continue
+                if f.limit_at_zero == math.inf:
+                    p.out[k] = INF
+                    continue
+                f0 = f.limit_at_zero
+            if not a_in_b:
+                if f.gamma == math.inf:
+                    p.out[k] = INF
+                    continue
+                gamma = f.gamma
+            kernel_terms[k] = f0, gamma
+        idx, pa, pb = p.open()
+        for k, x, y, w in zip(idx, pa, pb, _overlaps(pa, pb)):
+            p.settle(k, value, x, y, w, *kernel_terms[k])
+        return p.results()
 
 
-@_gated
-def f_divergence_superop(a, b, f: ScalarFunctionSpec) -> float:
+@_takes_stacks
+def f_divergence_superop(a, b, f: ScalarFunctionSpec):
     """Superoperator form: <sqrt(B), f(L_A R_{B^-1}) sqrt(B)> in HS geometry.
 
     Requires invertible B.  Must agree with the eigenvector double sum; the
-    pair is kept as a dual-route cross-check.
+    pair is kept as a dual-route cross-check, evaluated pair by pair.
     """
-    a, b = _operands(a, b)
-    if not b.definite:
-        raise ValidationError("second operator must be positive definite")
-    binv = b.pseudo_power(-1.0)
-    # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
-    bound = float(a.eigenvalues[-1] / b.eigenvalues[0])
-    evals, vecs = mc._snapped_psd_eig(mc.superop_lr(a.matrix, binv), bound)
-    # evals are clamped at 0, where f takes its declared limit
-    fvals = np.array([f(v) for v in evals])
-    mf = (vecs * fvals) @ vecs.conj().T
-    s = mc.vec(b.sqrt())
-    out = complex(np.vdot(s, mf @ s))
-    # roundoff in the imaginary part grows with the size of f on the spectrum
-    scale = float(np.max(np.abs(fvals), initial=0.0)) * float(np.vdot(s, s).real)
-    if abs(out.imag) > mc.SUPEROP_IMAG_TOL * scale:
-        raise ArithmeticError("superoperator value has a large imaginary part")
-    return out.real
+    def value(x, y):
+        if not y.definite:
+            raise ValidationError("second operator must be positive definite")
+        binv = y.pseudo_power(-1.0)
+        # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
+        bound = float(x.eigenvalues[-1] / y.eigenvalues[0])
+        evals, vecs = mc._snapped_psd_eig(mc.superop_lr(x.matrix, binv), bound)
+        # evals are clamped at 0, where f takes its declared limit
+        fvals = _mapped(f, evals)
+        mf = (vecs * fvals) @ vecs.conj().T
+        s = mc.vec(y.sqrt())
+        out = complex(np.vdot(s, mf @ s))
+        # roundoff in the imaginary part grows with the size of f on the spectrum
+        scale = float(np.max(np.abs(fvals), initial=0.0)) * float(np.vdot(s, s).real)
+        if abs(out.imag) > mc.SUPEROP_IMAG_TOL * scale:
+            raise ArithmeticError("superoperator value has a large imaginary part")
+        return out.real
+
+    with _Pairs("f_divergence_superop", a, b) as p:
+        for k, x, y in zip(*p.open()):
+            p.settle(k, value, x, y)
+        return p.results()
 
 
-@_gated
-def umegaki(a, b) -> float:
+@_takes_stacks
+def umegaki(a, b):
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
-    a, b = _operands(a, b, as_density)
-    if not support_contains(b, a):
-        return INF
-    ev = a.eigenvalues
-    term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
-    mu = b.eigenvalues
-    # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B with mu_j > 0
-    weights = (ev @ _overlaps(a, b))[mu > 0.0]
-    term_b = float(np.log(mu[mu > 0.0]) @ weights)
-    return term_a - term_b
+    def value(x, y, w):
+        ev = x.eigenvalues
+        term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
+        mu = y.eigenvalues
+        # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B with mu_j > 0
+        weights = (ev @ w)[mu > 0.0]
+        term_b = float(np.log(mu[mu > 0.0]) @ weights)
+        return term_a - term_b
+
+    with _Pairs("umegaki", a, b, as_density) as p:
+        idx, pa, pb = p.open()
+        p.set_inf(idx, ~support_contains(pb, pa))
+        idx, pa, pb = p.open()
+        for k, x, y, w in zip(idx, pa, pb, _overlaps(pa, pb)):
+            p.settle(k, value, x, y, w)
+        return p.results()
 
 
 def _check_alpha(alpha: float) -> float:
@@ -202,34 +374,46 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _renyi_is_inf(a: PositiveOperator, b: PositiveOperator, alpha: float) -> bool:
-    """The Renyi support split: +inf for orthogonal supports when alpha < 1,
-    and for supp A not inside supp B when alpha > 1."""
-    if a.eigenvalues[-1] == 0.0 or b.eigenvalues[-1] == 0.0:  # top of ascending
-        raise ValidationError("operators must be nonzero")
-    return supports_orthogonal(a, b) if alpha < 1.0 else not support_contains(b, a)
+def _renyi_split(p: _Pairs, alpha: float) -> None:
+    """The Renyi support split on the open pairs: +inf for orthogonal supports
+    when alpha < 1, and for supp A not inside supp B when alpha > 1."""
+    idx, pa, pb = p.open()
+    for k, x, y in zip(idx, pa, pb):
+        if x.eigenvalues[-1] == 0.0 or y.eigenvalues[-1] == 0.0:  # top of ascending
+            p.out[k] = ValidationError("operators must be nonzero")
+    idx, pa, pb = p.open()
+    p.set_inf(idx, supports_orthogonal(pa, pb) if alpha < 1.0
+              else ~support_contains(pb, pa))
 
 
-@_gated
-def renyi_traditional(a, b, alpha: float) -> float:
+@_takes_stacks
+def renyi_traditional(a, b, alpha: float):
     """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
-    a, b = _operands(a, b)
-    if _renyi_is_inf(a, b, alpha):
-        return INF
-    lam, mu = a.eigenvalues, b.eigenvalues
-    pa, pb = lam > 0.0, mu > 0.0
-    # logs of the terms l_i^alpha W_ij m_j^(1-alpha) of the trace over
-    # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp
-    terms = (np.log(_overlaps(a, b)[pa][:, pb])
-             + alpha * np.log(lam[pa])[:, None] + (1.0 - alpha) * np.log(mu[pb]))
-    top = terms.max()
-    log_trace_ab = top + math.log(np.exp(terms - top).sum())
-    return (log_trace_ab - _log_trace(a)) / (alpha - 1.0)
+
+    def value(x, y, w):
+        lam, mu = x.eigenvalues, y.eigenvalues
+        pa, pb = lam > 0.0, mu > 0.0
+        # logs of the terms l_i^alpha W_ij m_j^(1-alpha) of the trace over
+        # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp
+        terms = (np.log(w[pa][:, pb])
+                 + alpha * np.log(lam[pa])[:, None] + (1.0 - alpha) * np.log(mu[pb]))
+        top = terms.max()
+        log_trace_ab = top + math.log(np.exp(terms - top).sum())
+        return (log_trace_ab - _log_trace(x)) / (alpha - 1.0)
+
+    with _Pairs("renyi_traditional", a, b) as p:
+        _renyi_split(p, alpha)
+        idx, pa, pb = p.open()
+        for k, x, y, w in zip(idx, pa, pb, _overlaps(pa, pb)):
+            p.settle(k, value, x, y, w)
+        return p.results()
 
 
-def _log_sandwiched_core(a, b, alpha: float) -> float:
-    """log tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha); -inf when it vanishes.
+def _log_sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
+    """Close each open pair with ``finish(x, log_core)``, where log_core =
+    log tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), is -inf when the core
+    vanishes.
 
     The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
     eigenvalues lie in [1/2, 1), so the scales of A and B cannot make it over-
@@ -237,42 +421,55 @@ def _log_sandwiched_core(a, b, alpha: float) -> float:
     alpha log s + log sum (s_i/s)^alpha, and the scales come back as
     tr (B^e A B^e)^alpha = 2^(alpha ka + (1-alpha) kb) tr S^alpha.
     """
-    mu = b.eigenvalues
-    ka, kb = math.frexp(a.eigenvalues[-1])[1], math.frexp(mu[-1])[1]
     e = (1.0 - alpha) / (2.0 * alpha)
-    mu = np.ldexp(mu[mu > 0.0], -kb)
-    evals = _sandwich_eigs(a, b.support_basis, mu**e, -ka)
-    pos = evals[evals > 0.0]
-    if not pos.size:
-        return -math.inf
-    top = pos[-1]
-    log_core = alpha * math.log(top) + math.log(((pos / top) ** alpha).sum())
-    return log_core + (alpha * ka + (1.0 - alpha) * kb) * math.log(2.0)
+    idx, pa, pb = p.open()
+    ka = [math.frexp(x.eigenvalues[-1])[1] for x in pa]
+    kb = [math.frexp(y.eigenvalues[-1])[1] for y in pb]
+    fvals = [np.ldexp(y.eigenvalues[y.eigenvalues > 0.0], -k) ** e
+             for y, k in zip(pb, kb)]
+    spectra = _sandwich_eigs(pa, [y.support_basis for y in pb], fvals,
+                             [-k for k in ka])
+
+    def close(x, evals, ka, kb):
+        if evals is None:
+            raise OverflowError
+        pos = evals[evals > 0.0]
+        if not pos.size:
+            return finish(x, -math.inf)
+        top = pos[-1]
+        log_core = alpha * math.log(top) + math.log(((pos / top) ** alpha).sum())
+        return finish(x, log_core + (alpha * ka + (1.0 - alpha) * kb) * math.log(2.0))
+
+    for k, x, evals, a_exp, b_exp in zip(idx, pa, spectra, ka, kb):
+        p.settle(k, close, x, evals, a_exp, b_exp)
 
 
-@_gated
-def sandwiched_core(a, b, alpha: float) -> float:
+@_takes_stacks
+def sandwiched_core(a, b, alpha: float):
     """tr (B^e A B^e)^alpha with e = (1-alpha)/(2 alpha), powers on supports.
 
     For alpha > 1 the value is +inf unless supp A <= supp B; for alpha < 1 the
     compression to supp B is built into the sandwich, which works on supp B.
     """
     alpha = _check_alpha(alpha)
-    a, b = _operands(a, b)
-    if alpha > 1.0 and not support_contains(b, a):
-        return INF
-    return math.exp(_log_sandwiched_core(a, b, alpha))
+    with _Pairs("sandwiched_core", a, b) as p:
+        if alpha > 1.0:
+            idx, pa, pb = p.open()
+            p.set_inf(idx, ~support_contains(pb, pa))
+        _log_sandwiched_cores(p, alpha, lambda x, log_core: math.exp(log_core))
+        return p.results()
 
 
-@_gated
-def sandwiched_renyi(a, b, alpha: float) -> float:
+@_takes_stacks
+def sandwiched_renyi(a, b, alpha: float):
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
-    a, b = _operands(a, b)
-    if _renyi_is_inf(a, b, alpha):
-        return INF
-    # a vanished core gives -inf, which the gate rejects
-    return (_log_sandwiched_core(a, b, alpha) - _log_trace(a)) / (alpha - 1.0)
+    with _Pairs("sandwiched_renyi", a, b) as p:
+        _renyi_split(p, alpha)
+        # a vanished core gives -inf, which the gate rejects
+        _log_sandwiched_cores(
+            p, alpha, lambda x, log_core: (log_core - _log_trace(x)) / (alpha - 1.0))
+        return p.results()
 
 
 def _require_g(g: ScalarFunctionSpec) -> None:
@@ -280,8 +477,25 @@ def _require_g(g: ScalarFunctionSpec) -> None:
         raise DomainError(f"{g.name}: outer function must satisfy g(0) = 0")
 
 
-@_gated
-def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> float:
+def _singular_extension(f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> bool:
+    """Whether tr g(f(B) A f(B)) has a +inf branch at singular B (f diverges
+    at 0+); ``DomainError`` when f and g admit no extension to singular B."""
+    if f.limit_at_zero is None:
+        raise DomainError(f"{f.name}: limit at 0+ must be declared for singular arguments")
+    if f.limit_at_zero == math.inf:
+        if not (g.strictly_increasing and g.diverges_at_infinity):
+            raise DomainError(
+                f"{g.name}: must be strictly increasing and unbounded "
+                "when f diverges at 0+"
+            )
+        return True
+    if f.limit_at_zero != 0.0:
+        raise DomainError(f"{f.name}: finite nonzero limit at 0+ has no defined extension")
+    return False
+
+
+@_takes_stacks
+def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
     """Generalized quantity tr g(f(B) A f(B)), extended to singular B.
 
     For invertible B this is a plain trace.  For singular B the declared limit
@@ -289,29 +503,40 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> float:
     (with g strictly increasing and unbounded) is finite exactly when
     supp A <= supp B and +inf otherwise.
     """
-    a, b = _operands(a, b)
     _require_g(g)
-    if not b.definite:
-        if f.limit_at_zero is None:
-            raise DomainError(
-                f"{f.name}: limit at 0+ must be declared for singular arguments"
-            )
-        if f.limit_at_zero == math.inf:
-            if not (g.strictly_increasing and g.diverges_at_infinity):
-                raise DomainError(
-                    f"{g.name}: must be strictly increasing and unbounded "
-                    "when f diverges at 0+"
-                )
-            if not support_contains(b, a):
-                return INF
-        elif f.limit_at_zero != 0.0:
-            raise DomainError(
-                f"{f.name}: finite nonzero limit at 0+ has no defined extension"
-            )
-    # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
-    mu = b.eigenvalues
-    fb = np.array([f(t) for t in mu[mu > 0.0]])
-    evals = _sandwich_eigs(a, b.support_basis, fb)
+    with _Pairs("d_fg", a, b) as p:
+        idx, pa, pb = p.open()
+        singular = [k for k, y in zip(idx, pb) if not y.definite]
+        if singular:
+            try:
+                diverging = _singular_extension(f, g)
+            except DomainError as exc:
+                for k in singular:
+                    p.out[k] = exc
+                diverging = False
+            if diverging:
+                p.set_inf(singular, ~support_contains([p.b[k] for k in singular],
+                                                      [p.a[k] for k in singular]))
+        # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
+        idx, pa, pb = p.open()
+        fb = {k: p.attempt(k, _mapped, f, y.eigenvalues[y.eigenvalues > 0.0])
+              for k, y in zip(idx, pb)}
+        idx, pa, pb = p.open()
+        spectra = _sandwich_eigs(pa, [y.support_basis for y in pb], [fb[k] for k in idx])
+        for k, evals in zip(idx, spectra):
+            p.settle(k, _trace_of, g, evals)
+        return p.results()
+
+
+def _mapped(f: ScalarFunctionSpec, values) -> np.ndarray:
+    """f at each value, as an array."""
+    return np.array([f(t) for t in values])
+
+
+def _trace_of(g: ScalarFunctionSpec, evals) -> float:
+    """tr g(S) from the spectrum of S; an S that overflowed (None) overflows."""
+    if evals is None:
+        raise OverflowError
     return np.sum([g(v) for v in evals])
 
 
@@ -322,6 +547,8 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     Returns ``(values, estimate)`` where the estimate is the last value, or
     +inf when the values cross 1e12 and keep growing from that point on.
     The probe is a diagnostic for the rank-based extension, not its definition.
+    Each value passes the finite-value gate, so one that overflows raises
+    ``NonFiniteResultError``.  The whole schedule is one eigensolver call.
     """
     a, b = _operands(a, b)
     _require_g(g)
@@ -331,11 +558,15 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     if any(y >= x for x, y in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 
-    values = []
-    for eps in schedule:
-        fb = np.array([f(t + eps) for t in b.eigenvalues])
-        evals = _sandwich_eigs(a, b.eigenvectors, fb)
-        values.append(float(np.sum([g(v) for v in evals])))
+    name, steps = "d_fg_limit_probe", len(schedule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fb = [_mapped(f, b.eigenvalues + eps) for eps in schedule]
+            spectra = _sandwich_eigs([a] * steps, [b.eigenvectors] * steps, fb)
+            values = [float(_gated(name, _trace_of(g, evals)))
+                      for evals in spectra]
+        except OverflowError:
+            raise NonFiniteResultError(f"{name}: the value overflows a float") from None
 
     crossing = next((i for i, v in enumerate(values) if v > 1e12), None)
     diverged = crossing is not None and all(
@@ -353,8 +584,10 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
                     f=None, g=None) -> Callable:
     """Resolve a divergence tag plus parameters into a two-argument callable.
 
-    ``f`` and ``g`` may be ScalarFunctionSpec instances or registry names like
-    ``power:2``.  Unknown tags or missing parameters raise KeyError.
+    The callable takes a pair of operators or two stacks, as the divergence
+    functions do, and is marked ``takes_stacks``.  ``f`` and ``g``
+    may be ScalarFunctionSpec instances or registry names like ``power:2``.
+    Unknown tags or missing parameters raise KeyError.
     """
     if isinstance(f, str):
         f = spec_from_name(f)
@@ -365,21 +598,21 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     if tag == "renyi":
         if alpha is None:
             raise KeyError("renyi needs --alpha")
-        return lambda a, b: renyi_traditional(a, b, alpha)
+        return _takes_stacks(lambda a, b: renyi_traditional(a, b, alpha))
     if tag == "sandwiched":
         if alpha is None:
             raise KeyError("sandwiched needs --alpha")
-        return lambda a, b: sandwiched_renyi(a, b, alpha)
+        return _takes_stacks(lambda a, b: sandwiched_renyi(a, b, alpha))
     if tag == "sandwiched-core":
         if alpha is None:
             raise KeyError("sandwiched-core needs --alpha")
-        return lambda a, b: sandwiched_core(a, b, alpha)
+        return _takes_stacks(lambda a, b: sandwiched_core(a, b, alpha))
     if tag == "fdiv":
         if f is None:
             raise KeyError("fdiv needs --f")
-        return lambda a, b: f_divergence(a, b, f)
+        return _takes_stacks(lambda a, b: f_divergence(a, b, f))
     if tag == "dfg":
         if f is None or g is None:
             raise KeyError("dfg needs --f and --g")
-        return lambda a, b: d_fg(a, b, f, g)
+        return _takes_stacks(lambda a, b: d_fg(a, b, f, g))
     raise KeyError(f"unknown divergence tag {tag!r} (have: {DIVERGENCE_TAGS})")

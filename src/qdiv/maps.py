@@ -28,7 +28,8 @@ def require_unitary(u, tol: float = mc.UNITARY_TOL) -> np.ndarray:
 
 
 def conjugate_by(u: np.ndarray, kind: str, a: np.ndarray) -> np.ndarray:
-    """Apply U A U* (unitary kind) or U conj(A) U* (antiunitary kind)."""
+    """Apply U A U* (unitary kind) or U conj(A) U* (antiunitary kind), to A
+    or to each matrix of a stack (..., n, n)."""
     if kind in (UNITARY, "unitary"):
         return u @ a @ u.conj().T
     if kind in (ANTIUNITARY, "antiunitary"):
@@ -70,7 +71,9 @@ class StateMap:
         return self.kraus[0].shape[0]
 
     def apply(self, a) -> np.ndarray:
-        a = mc.as_complex_matrix(a)
+        """The image of a matrix, or of each matrix of a stack (..., n, n);
+        a stack member's image is bit-identical to the image of it alone."""
+        a = mc.as_complex_matrix(a, stack=True)
         if self.kind in (UNITARY, ANTIUNITARY):
             return conjugate_by(self.unitary, self.kind, a)
         out = np.zeros_like(a)

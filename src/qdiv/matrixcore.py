@@ -64,11 +64,14 @@ class ConvergenceError(RuntimeError):
     """The Jacobi iteration failed to converge within the sweep budget."""
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Validate a square 2-d array and return a complex128 copy."""
+def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate a square 2-d array, or with ``stack`` also a stack of them
+    (..., n, n), and return a complex128 copy."""
     m = np.array(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if ((m.ndim < 2 if stack else m.ndim != 2)
+            or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1):
+        want = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise ValueError(f"expected {want}, got shape {m.shape}")
     return m
 
 
@@ -228,14 +231,15 @@ def eig_hermitian(a):
     return w.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 
-def _snapped_psd_eig(m: np.ndarray, bound: float):
+def _snapped_psd_eig(m: np.ndarray, bound):
     """Eigensystem of a PSD product (or a stack of them) of norm at most
-    ``bound``: eigenvalues clamped at 0, those at or below ``EIG_SNAP * bound``
-    snapped to 0.  The bound, not the product's own top eigenvalue, sets the
-    scale: that top is noise when the product is zero in exact arithmetic."""
+    ``bound`` (one for all, or one per member): eigenvalues clamped at 0,
+    those at or below ``EIG_SNAP * bound`` snapped to 0.  The bound, not the
+    product's own top eigenvalue, sets the scale: that top is noise when the
+    product is zero in exact arithmetic."""
     evals, vecs = eig_hermitian(hermitian_part(m))
     evals = np.clip(evals, 0.0, None)
-    evals[evals <= EIG_SNAP * bound] = 0.0
+    evals[evals <= EIG_SNAP * np.asarray(bound)[..., None]] = 0.0
     return evals, vecs
 
 

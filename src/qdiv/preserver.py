@@ -5,7 +5,11 @@ maps, reconstruct the implementing (anti)unitary from rank-one image data, and
 run the scalar checks (trace similarity, order dominance, the probability
 vector functional equation, the strict-convexity refutation, and the
 mean-product criterion for scalar operators).  One draw of pairs serves every
-map and divergence; ``reports[0][1]`` below is Umegaki under ``state_map``::
+map and divergence.  The comparison runs on stacks: each map is applied once
+to the (2N, n, n) stack of the pairs, and each divergence from
+``make_divergence`` (or a divergence function itself) is one stacked call on
+the pairs and one on each map's images, with the values of the per-pair
+calls.  ``reports[0][1]`` below is Umegaki under ``state_map``::
 
     pairs = invariance_pairs(3, n_samples=100, seed=1)
     sandwiched = make_divergence("sandwiched", alpha=2)
@@ -98,21 +102,33 @@ def _compare(pairs, before, after, tol: float) -> InvarianceReport:
     )
 
 
+def _values(divergence, a, b) -> list:
+    """A divergence on the pairs (a[k], b[k]): one stacked call when the
+    callable is marked ``takes_stacks``, else one call per pair."""
+    if getattr(divergence, "takes_stacks", False):
+        return divergence(a, b)
+    return [divergence(x, y) for x, y in zip(a, b)]
+
+
 def invariance_reports(pairs, maps, divergences, *, tol: float):
     """Compare every divergence across every map on the same pairs.
 
     Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]`` (each a
-    two-argument callable).  Each divergence runs once per pair, and each map
-    builds all its images in one stacked construction.
+    two-argument callable).  Each map is applied once, to the (2N, n, n)
+    stack of the pairs, and its images are built in one stacked construction.
+    A divergence marked ``takes_stacks`` (each divergence function, and each
+    callable from ``make_divergence``) runs once on the pairs and once on each
+    map's images; any other callable runs pair by pair.  Either way the
+    values, and so the reports, are those of the per-pair calls.
     """
-    before = [[div(a, b) for a, b in pairs] for div in divergences]
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    before = [_values(div, a, b) for div in divergences]
+    stack = np.array([x.matrix for pair in pairs for x in pair])
     reports = []
     for state_map in maps:
-        ops = DensityOperator.from_stack([state_map.apply(x.matrix)
-                                          for pair in pairs for x in pair])
-        images = list(zip(ops[::2], ops[1::2]))
+        ops = DensityOperator.from_stack(state_map.apply(stack))
         reports.append([
-            _compare(pairs, values, [div(a2, b2) for a2, b2 in images], tol)
+            _compare(pairs, values, _values(div, ops[::2], ops[1::2]), tol)
             for div, values in zip(divergences, before)
         ])
     return reports
@@ -239,7 +255,10 @@ class ConjugationReport:
 def verify_conjugation(state_map: StateMap, u, kind: str, *,
                        n_samples: int = 50, seed: int = 0,
                        tol: float = 1e-8) -> ConjugationReport:
-    """Max deviation between a map and conjugation by a candidate unitary."""
+    """Max deviation between a map and conjugation by a candidate unitary.
+
+    The map and the conjugation each run once, on the stack of sampled
+    states; the norms stay per state, so the value is the per-state loop's."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     u = require_unitary(u, max(tol, mc.UNITARY_TOL))
@@ -247,10 +266,8 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
     n = state_map.dim
     states = random_density_matrices(
         n, (_rank_pattern(i, n, rng) for i in range(n_samples)), rng)
-    max_dev = 0.0
-    for a in states:
-        dev = mc.frobenius(state_map.apply(a) - conjugate_by(u, kind, a))
-        max_dev = max(max_dev, dev)
+    diffs = state_map.apply(states) - conjugate_by(u, kind, states)
+    max_dev = max(0.0, *(mc.frobenius(d) for d in diffs))
     return ConjugationReport(samples=n_samples, max_deviation=max_dev, tol=tol)
 
 

@@ -180,14 +180,24 @@ def test_div_unrepresentable_value_exits_two_without_a_traceback(tmp_path):
     half, tiny = tmp_path / "half.json", tmp_path / "tiny.json"
     save_operator(half, np.diag([0.5, 0.5]), role="positive")
     save_operator(tiny, 1e-160 * np.diag([1.0, 0.5]), role="positive")
-    # f(l/m) = (0.5/1e-160)^2 overflows a float
-    out = run_cli("div", "fdiv", str(half), str(tiny), "--f", "power:2")
+    # the value, the sum of l^3/m^2 over the diagonal, is about 6.25e319
+    out = run_cli("div", "fdiv", str(half), str(tiny), "--f", "power:3")
     assert out.returncode == 2
     assert out.stderr.startswith("invalid input:")
     assert "Traceback" not in out.stderr
     out = run_cli("div", "sandwiched", str(half), str(tiny), "--alpha", "3")
     assert out.returncode == 0
     assert out.stdout.strip() == "368.178613064424"
+
+
+def test_div_fdiv_xlogx_with_a_ratio_beyond_a_float(tmp_path):
+    one, tiny = tmp_path / "one.json", tmp_path / "tiny.json"
+    save_operator(one, np.array([[1.0]]), role="positive")
+    save_operator(tiny, np.array([[2.0**-1070]]), role="positive")
+    # l/m = 2^1070 overflows a float; the value l log(l/m) does not
+    out = run_cli("div", "fdiv", str(one), str(tiny), "--f", "xlogx")
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(1070 * math.log(2.0), abs=1e-12)
 
 
 def test_exit_code_bad_usage():

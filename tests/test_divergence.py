@@ -715,8 +715,8 @@ def test_renyi_scale_covariance_over_the_exponent_range():
 def test_overflow_on_a_finite_branch_raises_the_typed_error():
     big, one = PositiveOperator(1e308 * np.eye(2)), PositiveOperator(np.eye(2))
     cases = [
-        # f(l/m) = (0.5/1e-160)^2 overflows though the exact value is 7.5e159
-        lambda: f_divergence(HALF, TINY, power_fn(2)),
+        # the sum of l^3/m^2 over the diagonal is about 6.25e319
+        lambda: f_divergence(HALF, TINY, power_fn(3)),
         lambda: d_fg(big, one, power_fn(0.5), power_fn(2)),
         lambda: sandwiched_core(big, HALF, 2.0),
         lambda: f_divergence(big, HALF, xlogx_fn()),
@@ -727,7 +727,7 @@ def test_overflow_on_a_finite_branch_raises_the_typed_error():
 
 
 def test_a_vanished_trace_on_a_finite_branch_raises_the_typed_error(monkeypatch):
-    monkeypatch.setattr(dv, "_sandwich_eigs", lambda *args: np.zeros(2))
+    monkeypatch.setattr(dv, "_sandwich_eigs", lambda ops, *args: [np.zeros(2)] * len(ops))
     for alpha in (0.5, 2.0):
         with pytest.raises(NonFiniteResultError):
             sandwiched_renyi(HALF, HALF, alpha)
@@ -740,3 +740,50 @@ def test_inf_comes_only_from_a_support_decision():
     singular = PositiveOperator(np.diag([1.0, 0.0]))
     assert f_divergence(HALF, singular, power_fn(2)) is dv.INF
     assert sandwiched_renyi(HALF, singular, 50) is dv.INF
+
+
+def test_limit_probe_overflow_raises_the_typed_error():
+    big, one = PositiveOperator(1e200 * np.eye(2)), PositiveOperator(np.eye(2))
+    # g(t) = t^2 of the 1e200-sized sandwich overflows
+    with pytest.raises(NonFiniteResultError, match="d_fg_limit_probe"):
+        d_fg_limit_probe(big, one, power_fn(0.5), power_fn(2), [1e-1, 1e-2])
+
+
+def test_limit_probe_schedule_matches_one_step_at_a_time():
+    rng = SeededRng(75)
+    a, b = random_density(3, 3, rng), random_density(3, 2, rng)
+    f, g = power_fn(1), power_fn(2)
+    schedule = list(np.geomspace(1e-1, 1e-8, 8))
+    values, _ = d_fg_limit_probe(a, b, f, g, schedule)
+    assert all(type(v) is float for v in values)
+    for eps, v in zip(schedule, values):
+        shifted = PositiveOperator(b.matrix + eps * np.eye(3))
+        assert v == pytest.approx(float(d_fg(a, shifted, f, g)), rel=1e-12)
+
+
+# ------------------------------------------------- declared perspectives
+
+def test_fdiv_perspective_keeps_a_representable_value_finite():
+    # l/m = 2^1070 overflows; the value is l log(l/m) = 1070 log 2
+    got = f_divergence(np.array([[1.0]]), np.array([[2.0**-1070]]), xlogx_fn())
+    assert float(got) == pytest.approx(1070 * math.log(2.0), rel=1e-15)
+    # (l/m)^2 overflows; the value is the sum of l^2/m, 7.5e159
+    got = f_divergence(HALF, TINY, power_fn(2))
+    assert float(got) == pytest.approx(7.5e159, rel=1e-12)
+    # l/m underflows; for p = 0.5 the value is sqrt(l m)
+    got = f_divergence(np.array([[2.0**-1060]]), np.array([[2.0**20]]), power_fn(0.5))
+    assert float(got) == pytest.approx(2.0**-520, rel=1e-14)
+    got = f_divergence(np.array([[2.0**20]]), np.array([[2.0**-1060]]), linear_fn(2.0))
+    assert float(got) == 2.0 * (2.0**20 - 2.0**-1060)
+
+
+@pytest.mark.parametrize("f", [xlogx_fn(), power_fn(2), power_fn(0.5), power_fn(-0.5),
+                               linear_fn(-3.0)], ids=lambda f: f.name)
+def test_fdiv_is_covariant_under_a_common_scale(f):
+    # D_f(cA || cB) = c D_f(A || B) for c = 2^k over the double range
+    rng = SeededRng(77)
+    a, b = random_density(3, 3, rng), random_density(3, 3, rng)
+    base = float(f_divergence(a, b, f))
+    for k in (-1000, -300, 300, 1000):
+        got = f_divergence(2.0**k * a.matrix, 2.0**k * b.matrix, f)
+        assert float(got) == pytest.approx(2.0**k * base, rel=1e-12)

@@ -87,3 +87,17 @@ def test_undeclared_zero_raises():
     f = ScalarFunctionSpec(name="opaque", fn=lambda t: t + 1.0)
     with pytest.raises(DomainError):
         f(0.0)
+
+
+def test_perspective_spot_check_catches_lies():
+    with pytest.raises(DomainError, match="perspective"):
+        ScalarFunctionSpec(name="bad", fn=lambda t: t * t,
+                           perspective=lambda lam, mu: lam * lam)
+
+
+def test_declared_perspectives_agree_with_the_direct_form():
+    for f in (power_fn(2), power_fn(0.5), power_fn(-1), power_fn(0), xlogx_fn(),
+              linear_fn(-3)):
+        for lam, mu in ((0.3, 0.7), (2.0, 1e-3), (1e-5, 4.0)):
+            want = mu * f(lam / mu)
+            assert f.perspective(lam, mu) == pytest.approx(want, rel=1e-14, abs=1e-300)

@@ -1,0 +1,210 @@
+"""The stacked path: a divergence on two stacks of operators, a map on a stack
+of matrices and the stacked conjugation check, each against the same
+computation on one pair or one matrix at a time, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+import qdiv.matrixcore as mc
+from qdiv.divergence import (
+    DIVERGENCE_TAGS,
+    NonFiniteResultError,
+    d_fg,
+    make_divergence,
+    sandwiched_core,
+    support_contains,
+    supports_orthogonal,
+)
+from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
+from qdiv.operators import DensityOperator, PositiveOperator
+from qdiv.preserver import (
+    _rank_pattern,
+    check_invariance,
+    invariance_pairs,
+    invariance_reports,
+    verify_conjugation,
+)
+from qdiv.functions import DomainError, power_fn
+from qdiv.sampling import SeededRng, haar_unitary, random_density, \
+    random_density_matrices
+from qdiv.suites import _singular_pair
+
+# at least one parameter set per tag; the dfg pairs take both limits of f at 0+
+PARAMS = {
+    "umegaki": [{}],
+    "renyi": [{"alpha": 0.5}, {"alpha": 2.0}],
+    "sandwiched": [{"alpha": 0.5}, {"alpha": 2.0}, {"alpha": 3.0}],
+    "sandwiched-core": [{"alpha": 0.5}, {"alpha": 3.0}],
+    "fdiv": [{"f": "xlogx"}, {"f": "power:2"}, {"f": "power:0.5"},
+             {"f": "linear:-3"}],
+    "dfg": [{"f": "power:0.5", "g": "power:2"}, {"f": "power:-0.5", "g": "power:2"}],
+}
+DIMS = (1, 2, 3, 4, 8)
+
+
+def test_every_tag_is_covered():
+    assert set(PARAMS) == set(DIVERGENCE_TAGS)
+
+
+def _pairs(n):
+    """Full, rank-one and intermediate ranks from ``invariance_pairs``, plus
+    nested and orthogonal supports (n > 1)."""
+    pairs = invariance_pairs(n, n_samples=12, seed=n)
+    if n > 1:
+        rng = SeededRng(100 + n)
+        for contained in (True, False, True):
+            a, b = _singular_pair(n, rng, contained)
+            pairs.append((DensityOperator(a.matrix), b))
+        b = random_density(n, n - 1, rng)
+        kernel = b.eigenvectors[:, b.eigenvalues == 0.0][:, 0]
+        pairs.append((DensityOperator(mc.rank_one(kernel, kernel)), b))
+    return pairs
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _same(x, y):
+    if isinstance(x, Exception) or isinstance(y, Exception):
+        return type(x) is type(y) and str(x) == str(y)
+    return repr(x) == repr(y) and type(x) is type(y)
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("tag", DIVERGENCE_TAGS)
+def test_stack_member_equals_the_single_call_bit_for_bit(tag, n):
+    pairs = _pairs(n)
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    for params in PARAMS[tag]:
+        div = make_divergence(tag, **params)
+        single = [_outcome(lambda: div(x, y)) for x, y in pairs]
+        stacked = _outcome(lambda: div(a, b))
+        first_error = next((s for s in single if isinstance(s, Exception)), None)
+        if first_error is not None:
+            assert _same(stacked, first_error), (tag, params)
+            continue
+        assert isinstance(stacked, list) and len(stacked) == len(pairs)
+        for k, (x, y) in enumerate(zip(single, stacked)):
+            assert _same(x, y), (tag, params, n, k, x, y)
+        # a stack of raw matrices converts each operand as the single call does
+        assert [repr(v) for v in div(np.array([x.matrix for x in a]),
+                                     [y.matrix for y in b])] == [repr(v) for v in single]
+
+
+def test_the_stacks_hit_both_branches():
+    # the pairs above reach +inf and finite values for the Renyi split
+    pairs = _pairs(4)
+    values = make_divergence("sandwiched", alpha=2.0)(*map(list, zip(*pairs)))
+    assert math.inf in values and any(v != math.inf for v in values)
+    values = make_divergence("sandwiched", alpha=0.5)(*map(list, zip(*pairs)))
+    assert math.inf in values
+
+
+def test_support_verdicts_on_stacks():
+    pairs = _pairs(3)
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    assert support_contains(b, a).tolist() == [support_contains(y, x) for x, y in pairs]
+    assert supports_orthogonal(a, b).tolist() == [supports_orthogonal(x, y)
+                                                  for x, y in pairs]
+    assert support_contains([], []).tolist() == []
+
+
+def test_a_stack_raises_the_first_failing_pair_error():
+    big, one = PositiveOperator(1e308 * np.eye(2)), PositiveOperator(np.eye(2))
+    half = PositiveOperator(np.diag([0.5, 0.5]))
+    # the scalar call's error, for the pair whose finite branch overflows
+    with pytest.raises(NonFiniteResultError) as single:
+        sandwiched_core(big, half, 2.0)
+    with pytest.raises(NonFiniteResultError) as stacked:
+        sandwiched_core([half, big, half], [half, half, one], 2.0)
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(NonFiniteResultError) as single:
+        d_fg(big, one, power_fn(0.5), power_fn(2))
+    with pytest.raises(NonFiniteResultError) as stacked:
+        d_fg([one, big, big], [one, one, half], power_fn(0.5), power_fn(2))
+    assert str(stacked.value) == str(single.value)
+    # pair order decides between errors of different kinds
+    singular = PositiveOperator(np.diag([1.0, 0.0]))
+    flat = power_fn(0.0)  # f(0+) = 1: no extension to a singular B
+    with pytest.raises(DomainError):
+        d_fg([one, half, big], [singular, one, one], flat, power_fn(2))
+    with pytest.raises(NonFiniteResultError):
+        d_fg([one, big, half], [one, one, singular], flat, power_fn(2))
+
+
+def test_stacks_must_come_in_equal_length_pairs():
+    one = PositiveOperator(np.eye(2))
+    with pytest.raises(ValueError, match="two operators or two stacks"):
+        sandwiched_core(one, [one], 2.0)
+    with pytest.raises(ValueError, match="stacks of 2 and 1"):
+        sandwiched_core([one, one], [one], 2.0)
+    assert sandwiched_core([], [], 2.0) == []
+
+
+def _maps(n, rng):
+    u = haar_unitary(n, rng)
+    return [StateMap.unitary_conjugation(u), StateMap.antiunitary_conjugation(u),
+            depolarizing_channel(0.3, n)]
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_stacked_map_application_equals_the_per_matrix_one(n):
+    rng = SeededRng(n)
+    states = random_density_matrices(n, [n, 1, max(1, n - 1)] * 5, rng)
+    for state_map in _maps(n, rng):
+        stacked = state_map.apply(states)
+        assert stacked.shape == states.shape
+        for s, img in zip(states, stacked):
+            assert np.array_equal(state_map.apply(s), img)
+        # any leading shape
+        assert np.array_equal(state_map.apply(states.reshape(3, 5, n, n)),
+                              stacked.reshape(3, 5, n, n))
+    with pytest.raises(ValueError, match="square"):
+        state_map.apply(np.zeros((2, n, n + 1)))
+
+
+@pytest.mark.parametrize("n", (2, 5, 16))
+def test_stacked_conjugation_check_equals_the_per_state_loop(n):
+    rng = SeededRng(40 + n)
+    u, other = haar_unitary(n, rng), haar_unitary(n, rng)
+    for state_map in _maps(n, rng):
+        for kind in ("unitary", "antiunitary"):
+            for cand in (u, other):
+                rep = verify_conjugation(state_map, cand, kind, n_samples=50, seed=n)
+                # the per-state loop as it ran before stacking
+                draw = SeededRng(n)
+                states = random_density_matrices(
+                    n, (_rank_pattern(i, n, draw) for i in range(50)), draw)
+                want = 0.0
+                for a in states:
+                    want = max(want, mc.frobenius(state_map.apply(a)
+                                                  - conjugate_by(cand, kind, a)))
+                assert repr(rep.max_deviation) == repr(want)
+
+
+def test_a_plain_callable_runs_pair_by_pair_with_the_same_reports():
+    pairs = invariance_pairs(3, n_samples=30, seed=4)
+    maps = _maps(3, SeededRng(5))
+    stacked = make_divergence("sandwiched", alpha=2.0)
+    seen = []
+
+    def plain(a, b):
+        seen.append(isinstance(a, PositiveOperator))
+        return stacked(a, b)
+
+    want = invariance_reports(pairs, maps, [stacked], tol=1e-9)
+    got = invariance_reports(pairs, maps, [plain], tol=1e-9)
+    assert len(seen) == 4 * len(pairs) and all(seen)
+    for row_w, row_g in zip(want, got):
+        for w, g in zip(row_w, row_g):
+            assert repr(w.max_abs_deviation) == repr(g.max_abs_deviation)
+            assert w.infinity_mismatches == g.infinity_mismatches
+            assert (w.witness is None) == (g.witness is None)
+    rep = check_invariance(maps[2], plain, n_samples=30, seed=4)
+    assert repr(rep.max_abs_deviation) == repr(got[2][0].max_abs_deviation)
