@@ -232,7 +232,8 @@ def _sandwich_eigs(ops, vecs, fvals, shifts=None) -> list:
 
     With orthonormal columns V and F = V diag(f) V*, these are the eigenvalues
     of F A' F* on the span of V; F A' F* is zero on its complement.  Empty
-    when V has no columns, None when an entry of the product overflowed.
+    when V has no columns, None when an entry of the product or its norm
+    bound overflowed.
     Members are grouped by the shape of V: one stacked product and one
     eigensolver call per group, and each member comes out bit-identical to
     a group of one.
@@ -250,9 +251,10 @@ def _sandwich_eigs(ops, vecs, fvals, shifts=None) -> list:
         v = np.array([vecs[k] for k in idx])
         f = np.array([fvals[k] for k in idx])
         s0 = (f[:, :, None] * (v.conj().swapaxes(1, 2) @ m @ v)) * f[:, None, :]
-        # ||F A' F*|| <= max|f|^2 ||A'||
-        bound = np.max(np.abs(f), axis=1) ** 2 * top
-        finite = np.isfinite(s0.view(np.float64)).all(axis=(1, 2))
+        # ||F A' F*|| <= max|f|^2 ||A'||, squared last so that max|f|^2 alone
+        # cannot overflow; a bound that overflows is an overflow of the member
+        bound = (np.max(np.abs(f), axis=1) * np.sqrt(top)) ** 2
+        finite = np.isfinite(s0.view(np.float64)).all(axis=(1, 2)) & np.isfinite(bound)
         if not finite.all():
             s0, bound = s0[finite], bound[finite]
         evals = iter(mc._snapped_psd_eig(s0, bound)[0] if len(s0) else ())
@@ -261,7 +263,6 @@ def _sandwich_eigs(ops, vecs, fvals, shifts=None) -> list:
     return out
 
 
-@_takes_stacks
 def f_divergence(a, b, f: ScalarFunctionSpec):
     """Quantum f-divergence as a double sum over pairs of eigenvectors.
 
@@ -315,7 +316,6 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
         return p.results()
 
 
-@_takes_stacks
 def f_divergence_superop(a, b, f: ScalarFunctionSpec):
     """Superoperator form: <sqrt(B), f(L_A R_{B^-1}) sqrt(B)> in HS geometry.
 
@@ -386,7 +386,6 @@ def _renyi_split(p: _Pairs, alpha: float) -> None:
               else ~support_contains(pb, pa))
 
 
-@_takes_stacks
 def renyi_traditional(a, b, alpha: float):
     """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
@@ -444,7 +443,6 @@ def _log_sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
         p.settle(k, close, x, evals, a_exp, b_exp)
 
 
-@_takes_stacks
 def sandwiched_core(a, b, alpha: float):
     """tr (B^e A B^e)^alpha with e = (1-alpha)/(2 alpha), powers on supports.
 
@@ -460,7 +458,6 @@ def sandwiched_core(a, b, alpha: float):
         return p.results()
 
 
-@_takes_stacks
 def sandwiched_renyi(a, b, alpha: float):
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
@@ -494,7 +491,6 @@ def _singular_extension(f: ScalarFunctionSpec, g: ScalarFunctionSpec) -> bool:
     return False
 
 
-@_takes_stacks
 def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
     """Generalized quantity tr g(f(B) A f(B)), extended to singular B.
 
@@ -547,8 +543,8 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     Returns ``(values, estimate)`` where the estimate is the last value, or
     +inf when the values cross 1e12 and keep growing from that point on.
     The probe is a diagnostic for the rank-based extension, not its definition.
-    Each value passes the finite-value gate, so one that overflows raises
-    ``NonFiniteResultError``.  The whole schedule is one eigensolver call.
+    The steps are evaluated as one stack, under the divergences' per-pair
+    gate, so a value that overflows raises ``NonFiniteResultError``.
     """
     a, b = _operands(a, b)
     _require_g(g)
@@ -558,15 +554,15 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     if any(y >= x for x, y in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 
-    name, steps = "d_fg_limit_probe", len(schedule)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            fb = [_mapped(f, b.eigenvalues + eps) for eps in schedule]
-            spectra = _sandwich_eigs([a] * steps, [b.eigenvectors] * steps, fb)
-            values = [float(_gated(name, _trace_of(g, evals)))
-                      for evals in spectra]
-        except OverflowError:
-            raise NonFiniteResultError(f"{name}: the value overflows a float") from None
+    steps = len(schedule)
+    with _Pairs("d_fg_limit_probe", [a] * steps, [b] * steps) as p:
+        fb = [p.attempt(k, _mapped, f, b.eigenvalues + eps)
+              for k, eps in enumerate(schedule)]
+        idx, pa, pb = p.open()
+        spectra = _sandwich_eigs(pa, [y.eigenvectors for y in pb], [fb[k] for k in idx])
+        for k, evals in zip(idx, spectra):
+            p.settle(k, _trace_of, g, evals)
+        values = [float(v) for v in p.results()]
 
     crossing = next((i for i, v in enumerate(values) if v > 1e12), None)
     diverged = crossing is not None and all(

@@ -116,9 +116,9 @@ def invariance_reports(pairs, maps, divergences, *, tol: float):
     Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]`` (each a
     two-argument callable).  Each map is applied once, to the (2N, n, n)
     stack of the pairs, and its images are built in one stacked construction.
-    A divergence marked ``takes_stacks`` (each divergence function, and each
-    callable from ``make_divergence``) runs once on the pairs and once on each
-    map's images; any other callable runs pair by pair.  Either way the
+    A divergence marked ``takes_stacks`` (``umegaki``, and each callable from
+    ``make_divergence``) runs once on the pairs and once on each map's
+    images; any other callable runs pair by pair.  Either way the
     values, and so the reports, are those of the per-pair calls.
     """
     a, b = [x for x, _ in pairs], [y for _, y in pairs]

@@ -200,6 +200,16 @@ def test_div_fdiv_xlogx_with_a_ratio_beyond_a_float(tmp_path):
     assert float(out.stdout) == pytest.approx(1070 * math.log(2.0), abs=1e-12)
 
 
+def test_div_dfg_with_f_squared_beyond_a_float(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_operator(a, 1e-170 * np.eye(2), role="positive")
+    save_operator(b, 1e-160 * np.eye(2), role="positive")
+    # f(B)^2 = 1e320 overflows a float; tr (f(B) A f(B))^2 = 2e300 does not
+    out = run_cli("div", "dfg", str(a), str(b), "--f", "power:-1", "--g", "power:2")
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(2e300, rel=1e-14)
+
+
 def test_exit_code_bad_usage():
     out = run_cli("frobnicate")
     assert out.returncode == 3

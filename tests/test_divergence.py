@@ -749,6 +749,28 @@ def test_limit_probe_overflow_raises_the_typed_error():
         d_fg_limit_probe(big, one, power_fn(0.5), power_fn(2), [1e-1, 1e-2])
 
 
+def test_sandwich_bound_does_not_overflow_before_the_sandwich():
+    # f(B) = 1e160 I, so max|f|^2 alone overflows, but the sandwich
+    # f(B) A f(B) = 1e150 I and its trace of squares, 2e300, fit a float
+    a, b = 1e-170 * np.eye(2), 1e-160 * np.eye(2)
+    got = d_fg(a, b, power_fn(-1), power_fn(2))
+    assert float(got) == pytest.approx(2e300, rel=1e-14)
+    values, _ = d_fg_limit_probe(a, np.zeros((2, 2)), power_fn(-1), power_fn(2),
+                                 [1e-100, 1e-160])
+    assert values == pytest.approx([2e60, 2e300], rel=1e-14)
+
+
+def test_a_sandwich_bound_that_overflows_raises_the_typed_error():
+    # f(B) = diag(1e140, 1e150) and the sandwich diag(1e290, 1e290) is
+    # finite, but its norm bound max|f|^2 ||A|| = 1e300 * 1e10 is not: an
+    # overflow, never eigenvalues snapped to 0 against an infinite bound
+    a, b = np.diag([1e10, 1e-10]), np.diag([1e-140, 1e-150])
+    with pytest.raises(NonFiniteResultError, match="d_fg"):
+        d_fg(a, b, power_fn(-1), power_fn(1))
+    with pytest.raises(NonFiniteResultError, match="d_fg_limit_probe"):
+        d_fg_limit_probe(a, b, power_fn(-1), power_fn(1), [1e-300])
+
+
 def test_limit_probe_schedule_matches_one_step_at_a_time():
     rng = SeededRng(75)
     a, b = random_density(3, 3, rng), random_density(3, 2, rng)
