@@ -7,28 +7,32 @@ divergence: a pair is the stack of one, and each member of a stack gets, bit
 for bit, the value that the call on its pair alone gets.
 
 Each quantity is computed from snapped spectral data, so support conditions
-(the +inf branches) are decided by ranks, never by numeric overflow: every
-+inf branch goes through ``support_contains`` or ``supports_orthogonal`` and
-returns ``INF``.  Every other branch returns a float through one per-pair
-gate, ``_gated``, which raises ``NonFiniteResultError`` when that float is inf
-or NaN or when an overflow stopped its computation.  In a stack, the first
-pair in order that fails raises its error, as a loop over the pairs would.
-The Renyi traces are computed as logs, the sandwiched ones on operands scaled
-by exact powers of two, so a divergence whose value a float can hold does not
-overflow on the way to it.
+(the +inf branches) are decided by ranks, never by numeric overflow.  Every
++inf verdict is one comparison on the trace overlap <P_A, P_B> of the two
+support projections, against ``SUPPORT_TRACE_TOL``: supp B lies inside supp A
+when rank B - <P_A, P_B> is at most it, and the supports are orthogonal when
+<P_A, P_B> is; such a branch returns ``INF``.  Every other branch returns a
+float through one per-pair gate, ``_gated``, which raises
+``NonFiniteResultError`` when that float is inf or NaN or when an overflow
+stopped its computation.  In a stack, the first pair in order that fails
+raises its error, as a loop over the pairs would.  The Renyi traces are
+computed as logs, the sandwiched ones on operands scaled by exact powers of
+two, so a divergence whose value a float can hold does not overflow on the way
+to it.
 
-The finite values come from two stacked kernels.  ``_sandwich_eigs`` gives
-the spectrum of F A F* with F diagonal in a given set of eigenvectors of B;
-the generalized quantity tr g(f(B) A f(B)), its limit probe and the sandwiched
+The finite values come from two stacked kernels.  ``_sandwich_eigs`` gives the
+spectrum of F A F* with F diagonal in a given set of eigenvectors of B; the
+generalized quantity tr g(f(B) A f(B)), its limit probe and the sandwiched
 Renyi core tr (B^e A B^e)^alpha (f = t^e, g = t^alpha) are traces of it.  It
 groups the members by (n, rank of B), and makes one stacked product and one
 eigensolver call per group.  ``_overlaps`` gives W_ij = |<u_i, v_j>|^2 for the
-eigenvectors u_i of A and v_j of B, one stacked product per order n; the
-f-divergence, Umegaki and traditional Renyi (Petz-type traces) are sums over
-W, and so are the support verdicts.  The cheap final reductions (log-sum-exp,
-the sums over W) stay per pair, where stacking them would change the bits.
-The superoperator form of the f-divergence uses neither kernel and is kept as
-an independent route, so the two can cross-check each other.
+eigenvectors u_i of A and v_j of B, and <P_A, P_B> as a sum over W, with one
+stacked product per order n, once per call; the f-divergence, Umegaki and
+traditional Renyi (Petz-type traces) are sums over that same W.  The cheap
+final reductions (log-sum-exp, the sums over W) stay per pair, where stacking
+them would change the bits.  The superoperator form of the f-divergence uses
+neither kernel and is kept as an independent route, so the two can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -57,13 +61,6 @@ def _gated(name: str, value):
         raise NonFiniteResultError(
             f"{name}: the value is not a finite float (got {value})")
     return ExtendedReal(value)  # a float; the benchmark reads .value, .is_inf
-
-
-def _takes_stacks(fn: Callable) -> Callable:
-    """Mark a divergence callable that also evaluates two stacks at once
-    (``invariance_reports`` reads the mark)."""
-    fn.takes_stacks = True
-    return fn
 
 
 def _is_stack(x) -> bool:
@@ -133,12 +130,6 @@ class _Pairs:
         idx = [k for k, out in enumerate(self.out) if out is None]
         return idx, [self.a[k] for k in idx], [self.b[k] for k in idx]
 
-    def set_inf(self, idx, verdicts) -> None:
-        """Close with ``INF`` each pair of ``idx`` whose verdict is true."""
-        for k, inf in zip(idx, verdicts):
-            if inf:
-                self.out[k] = INF
-
     def attempt(self, k: int, fn, *args):
         """``fn(*args)`` for pair k.  If it raises, the exception (an overflow
         as ``NonFiniteResultError``) closes the pair and None is returned."""
@@ -166,57 +157,73 @@ class _Pairs:
         return values[0] if self.single else values
 
 
-def _overlap_groups(a, b):
-    """(positions, W stack) per order n for two equal-length lists of
-    operators: W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and v_j of
-    B, one stacked product per order."""
+def _overlaps(a, b) -> list:
+    """(W, <P_A, P_B>) for each pair of two equal-length lists of operators.
+
+    W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and v_j of B, and
+    <P_A, P_B> = tr P_A P_B is the sum of W_ij over l_i, m_j > 0, the one
+    number every support verdict reads.  One stacked product per order n.
+    """
+    out = [None] * len(a)
     for idx in _grouped(x.dim for x in a):
         u = np.array([a[k].eigenvectors for k in idx])
         v = np.array([b[k].eigenvectors for k in idx])
-        yield idx, np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
-
-
-def _overlaps(a, b) -> list:
-    """W of each pair of two equal-length lists of operators."""
-    out = [None] * len(a)
-    for idx, w in _overlap_groups(a, b):
-        for k, wk in zip(idx, w):
-            out[k] = wk
-    return out
-
-
-def _support_overlaps(a, b) -> np.ndarray:
-    """<P_A, P_B> for the support projections of each pair: the sum of W_ij
-    over l_i, m_j > 0."""
-    out = np.empty(len(a))
-    for idx, w in _overlap_groups(a, b):
+        w = np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
         ma = np.array([a[k].eigenvalues > 0.0 for k in idx])
         mb = np.array([b[k].eigenvalues > 0.0 for k in idx])
-        out[idx] = (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
+        overlap = (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
+        for k, wk, ok in zip(idx, w, overlap.tolist()):
+            out[k] = wk, ok
     return out
+
+
+def _inside(x: PositiveOperator, overlap: float) -> bool:
+    """Whether supp x lies inside the other support of a pair with
+    <P_A, P_B> = ``overlap``: whether tr P_x - <P_A, P_B> is at most
+    ``SUPPORT_TRACE_TOL``."""
+    return x.rank - overlap <= mc.SUPPORT_TRACE_TOL
+
+
+def _settle_on_overlaps(p: _Pairs, value, idx=None) -> None:
+    """Close each open pair k of ``p`` (each of ``idx`` when given) with
+    ``value(A, B, W, <P_A, P_B>)``, all from one ``_overlaps`` call; a pair
+    whose value is None stays open."""
+    if idx is None:
+        idx = p.open()[0]
+    pa, pb = [p.a[k] for k in idx], [p.b[k] for k in idx]
+    for k, x, y, (w, overlap) in zip(idx, pa, pb, _overlaps(pa, pb)):
+        p.settle(k, value, x, y, w, overlap)
+
+
+def _inf_unless_inside(x, y, w, overlap):
+    """``INF`` when supp A is not inside supp B, else None."""
+    return None if _inside(x, overlap) else INF
 
 
 def _verdicts(a, b, test):
-    """``test`` on the support data of a pair of operators (a bool) or of two
-    equal-length stacks of them (a bool array)."""
-    if not _is_stack(a):
-        return bool(test([a], [b])[0])
-    return test(list(a), list(b))
+    """``test(A, B, <P_A, P_B>)`` on a pair of operators (a bool) or on each
+    pair of two equal-length stacks (a bool array), with the operands
+    converted as the divergences convert theirs."""
+    p = _Pairs("support", a, b)
+    for exc in filter(None, p.out):
+        raise exc
+    verdicts = np.array([test(x, y, overlap) for x, y, (_w, overlap)
+                         in zip(p.a, p.b, _overlaps(p.a, p.b))], dtype=bool)
+    return bool(verdicts[0]) if p.single else verdicts
 
 
 def support_contains(outer, inner):
     """Whether supp(inner) is contained in supp(outer): whether
     tr P_inner - <P_inner, P_outer> = rank(inner) - <P_inner, P_outer> is at
     most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict per pair."""
-    return _verdicts(outer, inner, lambda o, i: np.array(
-        [x.rank for x in i]) - _support_overlaps(i, o) <= mc.SUPPORT_TRACE_TOL)
+    return _verdicts(outer, inner, lambda o, i, overlap: _inside(i, overlap))
 
 
 def supports_orthogonal(a, b):
     """Whether the supports of a and b are orthogonal subspaces: whether
     <P_a, P_b> is at most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict
     per pair."""
-    return _verdicts(a, b, lambda x, y: _support_overlaps(x, y) <= mc.SUPPORT_TRACE_TOL)
+    return _verdicts(a, b, lambda x, y, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
 
 
 def _log_trace(a: PositiveOperator) -> float:
@@ -280,7 +287,18 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
     perspective = f.perspective or (lambda x, y: y * f(x / y))
 
-    def value(x, y, w, f0, gamma):
+    def value(x, y, w, overlap):
+        f0 = gamma = 0.0
+        if not _inside(y, overlap):
+            if f.limit_at_zero is None:
+                raise DomainError(f"{f.name}: undefined at the required ratio 0")
+            if f.limit_at_zero == math.inf:
+                return INF
+            f0 = f.limit_at_zero
+        if not _inside(x, overlap):
+            if f.gamma == math.inf:
+                return INF
+            gamma = f.gamma
         lam, mu = x.eigenvalues, y.eigenvalues
         # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
         i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
@@ -291,28 +309,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
                 + gamma * np.sum(lam @ w[:, mu == 0.0]))
 
     with _Pairs("f_divergence", a, b) as p:
-        idx, pa, pb = p.open()
-        kernel_terms = {}
-        for k, b_in_a, a_in_b in zip(idx, support_contains(pa, pb),
-                                     support_contains(pb, pa)):
-            f0 = gamma = 0.0
-            if not b_in_a:
-                if f.limit_at_zero is None:
-                    p.out[k] = DomainError(f"{f.name}: undefined at the required ratio 0")
-                    continue
-                if f.limit_at_zero == math.inf:
-                    p.out[k] = INF
-                    continue
-                f0 = f.limit_at_zero
-            if not a_in_b:
-                if f.gamma == math.inf:
-                    p.out[k] = INF
-                    continue
-                gamma = f.gamma
-            kernel_terms[k] = f0, gamma
-        idx, pa, pb = p.open()
-        for k, x, y, w in zip(idx, pa, pb, _overlaps(pa, pb)):
-            p.settle(k, value, x, y, w, *kernel_terms[k])
+        _settle_on_overlaps(p, value)
         return p.results()
 
 
@@ -328,7 +325,10 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
         binv = y.pseudo_power(-1.0)
         # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
         bound = float(x.eigenvalues[-1] / y.eigenvalues[0])
-        evals, vecs = mc._snapped_psd_eig(mc.superop_lr(x.matrix, binv), bound)
+        lr = mc.superop_lr(x.matrix, binv)
+        if not (math.isfinite(bound) and np.isfinite(lr).all()):
+            raise OverflowError
+        evals, vecs = mc._snapped_psd_eig(lr, bound)
         # evals are clamped at 0, where f takes its declared limit
         fvals = _mapped(f, evals)
         mf = (vecs * fvals) @ vecs.conj().T
@@ -346,10 +346,11 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
         return p.results()
 
 
-@_takes_stacks
 def umegaki(a, b):
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
-    def value(x, y, w):
+    def value(x, y, w, overlap):
+        if not _inside(x, overlap):
+            return INF
         ev = x.eigenvalues
         term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
         mu = y.eigenvalues
@@ -359,11 +360,7 @@ def umegaki(a, b):
         return term_a - term_b
 
     with _Pairs("umegaki", a, b, as_density) as p:
-        idx, pa, pb = p.open()
-        p.set_inf(idx, ~support_contains(pb, pa))
-        idx, pa, pb = p.open()
-        for k, x, y, w in zip(idx, pa, pb, _overlaps(pa, pb)):
-            p.settle(k, value, x, y, w)
+        _settle_on_overlaps(p, value)
         return p.results()
 
 
@@ -374,23 +371,24 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _renyi_split(p: _Pairs, alpha: float) -> None:
-    """The Renyi support split on the open pairs: +inf for orthogonal supports
-    when alpha < 1, and for supp A not inside supp B when alpha > 1."""
-    idx, pa, pb = p.open()
-    for k, x, y in zip(idx, pa, pb):
-        if x.eigenvalues[-1] == 0.0 or y.eigenvalues[-1] == 0.0:  # top of ascending
-            p.out[k] = ValidationError("operators must be nonzero")
-    idx, pa, pb = p.open()
-    p.set_inf(idx, supports_orthogonal(pa, pb) if alpha < 1.0
-              else ~support_contains(pb, pa))
+def _renyi_inf(x, y, overlap: float, alpha: float) -> bool:
+    """The Renyi support split of a pair: +inf for orthogonal supports when
+    alpha < 1, and for supp A not inside supp B when alpha > 1;
+    ``ValidationError`` when an operator is zero."""
+    if x.eigenvalues[-1] == 0.0 or y.eigenvalues[-1] == 0.0:  # top of ascending
+        raise ValidationError("operators must be nonzero")
+    if alpha < 1.0:
+        return overlap <= mc.SUPPORT_TRACE_TOL  # orthogonal supports
+    return not _inside(x, overlap)
 
 
 def renyi_traditional(a, b, alpha: float):
     """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
 
-    def value(x, y, w):
+    def value(x, y, w, overlap):
+        if _renyi_inf(x, y, overlap, alpha):
+            return INF
         lam, mu = x.eigenvalues, y.eigenvalues
         pa, pb = lam > 0.0, mu > 0.0
         # logs of the terms l_i^alpha W_ij m_j^(1-alpha) of the trace over
@@ -402,10 +400,7 @@ def renyi_traditional(a, b, alpha: float):
         return (log_trace_ab - _log_trace(x)) / (alpha - 1.0)
 
     with _Pairs("renyi_traditional", a, b) as p:
-        _renyi_split(p, alpha)
-        idx, pa, pb = p.open()
-        for k, x, y, w in zip(idx, pa, pb, _overlaps(pa, pb)):
-            p.settle(k, value, x, y, w)
+        _settle_on_overlaps(p, value)
         return p.results()
 
 
@@ -452,8 +447,7 @@ def sandwiched_core(a, b, alpha: float):
     alpha = _check_alpha(alpha)
     with _Pairs("sandwiched_core", a, b) as p:
         if alpha > 1.0:
-            idx, pa, pb = p.open()
-            p.set_inf(idx, ~support_contains(pb, pa))
+            _settle_on_overlaps(p, _inf_unless_inside)
         _log_sandwiched_cores(p, alpha, lambda x, log_core: math.exp(log_core))
         return p.results()
 
@@ -462,7 +456,8 @@ def sandwiched_renyi(a, b, alpha: float):
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
     with _Pairs("sandwiched_renyi", a, b) as p:
-        _renyi_split(p, alpha)
+        _settle_on_overlaps(p, lambda x, y, w, overlap:
+                            INF if _renyi_inf(x, y, overlap, alpha) else None)
         # a vanished core gives -inf, which the gate rejects
         _log_sandwiched_cores(
             p, alpha, lambda x, log_core: (log_core - _log_trace(x)) / (alpha - 1.0))
@@ -511,8 +506,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
                     p.out[k] = exc
                 diverging = False
             if diverging:
-                p.set_inf(singular, ~support_contains([p.b[k] for k in singular],
-                                                      [p.a[k] for k in singular]))
+                _settle_on_overlaps(p, _inf_unless_inside, singular)
         # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
         idx, pa, pb = p.open()
         fb = {k: p.attempt(k, _mapped, f, y.eigenvalues[y.eigenvalues > 0.0])
@@ -572,8 +566,17 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     return values, estimate
 
 
-# Dispatch used by the command line and the invariance harness.
-DIVERGENCE_TAGS = ("umegaki", "renyi", "sandwiched", "sandwiched-core", "fdiv", "dfg")
+# Dispatch used by the command line and the invariance harness: each tag's
+# divergence function, by its name in this module, and the parameters it takes.
+_TAGS = {
+    "umegaki": ("umegaki", ()),
+    "renyi": ("renyi_traditional", ("alpha",)),
+    "sandwiched": ("sandwiched_renyi", ("alpha",)),
+    "sandwiched-core": ("sandwiched_core", ("alpha",)),
+    "fdiv": ("f_divergence", ("f",)),
+    "dfg": ("d_fg", ("f", "g")),
+}
+DIVERGENCE_TAGS = tuple(_TAGS)
 
 
 def make_divergence(tag: str, alpha: Optional[float] = None,
@@ -581,34 +584,27 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     """Resolve a divergence tag plus parameters into a two-argument callable.
 
     The callable takes a pair of operators or two stacks, as the divergence
-    functions do, and is marked ``takes_stacks``.  ``f`` and ``g``
-    may be ScalarFunctionSpec instances or registry names like ``power:2``.
-    Unknown tags or missing parameters raise KeyError.
+    functions do, and is marked ``takes_stacks``.  It looks its function up
+    by name at each call, so it sees a wrapper bound to that name later.
+    ``f`` and ``g`` may be ScalarFunctionSpec instances or registry names
+    like ``power:2``.  Unknown tags, and missing parameters or ones the tag
+    does not take, raise KeyError.
     """
+    if tag not in _TAGS:
+        raise KeyError(f"unknown divergence tag {tag!r} (have: {DIVERGENCE_TAGS})")
+    name, takes = _TAGS[tag]
     if isinstance(f, str):
         f = spec_from_name(f)
     if isinstance(g, str):
         g = spec_from_name(g)
-    if tag == "umegaki":
-        return umegaki
-    if tag == "renyi":
-        if alpha is None:
-            raise KeyError("renyi needs --alpha")
-        return _takes_stacks(lambda a, b: renyi_traditional(a, b, alpha))
-    if tag == "sandwiched":
-        if alpha is None:
-            raise KeyError("sandwiched needs --alpha")
-        return _takes_stacks(lambda a, b: sandwiched_renyi(a, b, alpha))
-    if tag == "sandwiched-core":
-        if alpha is None:
-            raise KeyError("sandwiched-core needs --alpha")
-        return _takes_stacks(lambda a, b: sandwiched_core(a, b, alpha))
-    if tag == "fdiv":
-        if f is None:
-            raise KeyError("fdiv needs --f")
-        return _takes_stacks(lambda a, b: f_divergence(a, b, f))
-    if tag == "dfg":
-        if f is None or g is None:
-            raise KeyError("dfg needs --f and --g")
-        return _takes_stacks(lambda a, b: d_fg(a, b, f, g))
-    raise KeyError(f"unknown divergence tag {tag!r} (have: {DIVERGENCE_TAGS})")
+    given = {"alpha": alpha, "f": f, "g": g}
+    for key, value in given.items():
+        if (key in takes) != (value is not None):
+            raise KeyError(f"{tag} {'needs' if key in takes else 'takes no'} --{key}")
+    params = {key: given[key] for key in takes}
+
+    def divergence(a, b):
+        return globals()[name](a, b, **params)
+
+    divergence.takes_stacks = True  # read by invariance_reports
+    return divergence

@@ -7,14 +7,14 @@ vector functional equation, the strict-convexity refutation, and the
 mean-product criterion for scalar operators).  One draw of pairs serves every
 map and divergence.  The comparison runs on stacks: each map is applied once
 to the (2N, n, n) stack of the pairs, and each divergence from
-``make_divergence`` (or a divergence function itself) is one stacked call on
-the pairs and one on each map's images, with the values of the per-pair
-calls.  ``reports[0][1]`` below is Umegaki under ``state_map``::
+``make_divergence`` is one stacked call on the pairs and one on each map's
+images, with the values of the per-pair calls.  ``reports[0][1]`` below is
+Umegaki under ``state_map``::
 
     pairs = invariance_pairs(3, n_samples=100, seed=1)
-    sandwiched = make_divergence("sandwiched", alpha=2)
-    reports = invariance_reports(pairs, [state_map], [sandwiched, umegaki],
-                                 tol=1e-9)
+    divergences = [make_divergence("sandwiched", alpha=2),
+                   make_divergence("umegaki")]
+    reports = invariance_reports(pairs, [state_map], divergences, tol=1e-9)
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def invariance_reports(pairs, maps, divergences, *, tol: float):
     Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]`` (each a
     two-argument callable).  Each map is applied once, to the (2N, n, n)
     stack of the pairs, and its images are built in one stacked construction.
-    A divergence marked ``takes_stacks`` (``umegaki``, and each callable from
+    A divergence marked ``takes_stacks`` (each callable from
     ``make_divergence``) runs once on the pairs and once on each map's
     images; any other callable runs pair by pair.  Either way the
     values, and so the reports, are those of the per-pair calls.

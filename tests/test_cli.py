@@ -127,6 +127,19 @@ def test_exit_code_missing_parameter(diag_files):
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ("umegaki", "--alpha", "2"),
+    ("fdiv", "--f", "xlogx", "--g", "power:2", "--alpha", "7"),
+    ("sandwiched", "--alpha", "2", "--f", "xlogx"),
+])
+def test_exit_code_parameter_the_tag_does_not_take(diag_files, flags):
+    a, b = diag_files
+    out = run_cli("div", flags[0], a, b, *flags[1:])
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "takes no" in out.stderr
+
+
 def test_exit_code_unknown_function(diag_files):
     a, b = diag_files
     out = run_cli("div", "fdiv", a, b, "--f", "mystery:3")

@@ -19,7 +19,7 @@ from qdiv.divergence import (
     supports_orthogonal,
     umegaki,
 )
-from qdiv.functions import DomainError, linear_fn, power_fn, xlogx_fn
+from qdiv.functions import DomainError, linear_fn, power_fn, spec_from_name, xlogx_fn
 from qdiv.maps import StateMap
 from qdiv.operators import DensityOperator, PositiveOperator, ValidationError
 from qdiv.sampling import SeededRng, haar_unitary, random_antiunitary, \
@@ -214,6 +214,25 @@ def test_fdiv_superop_self_zero():
     a = diag_density([0.25, 0.75])
     f = xlogx_fn()
     assert f_divergence_superop(a, a, f) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fname", ["power:0.5", "xlogx"])
+def test_fdiv_superop_bound_that_overflows_raises_the_typed_error(fname):
+    # ||A|| ||B^-1|| = 1e154 * 1.8e154 overflows, though every entry of
+    # L_A R_{B^-1} is finite; snapping against that inf bound zeroed the
+    # spectrum, and the route returned 0.0
+    a = 5e153 * np.array([[1.0, 1.0], [1.0, 1.0]])
+    b = np.linalg.inv(6e153 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    f = spec_from_name(fname)
+    assert float(f_divergence(a, b, f)) > 0.7
+    with pytest.raises(NonFiniteResultError):
+        f_divergence_superop(a, b, f)
+
+
+def test_fdiv_superop_product_that_overflows_raises_the_typed_error():
+    # L_A R_{B^-1} = 1e600 I overflows to inf in every diagonal entry
+    with pytest.raises(NonFiniteResultError):
+        f_divergence_superop(1e300 * np.eye(2), 1e-300 * np.eye(2), power_fn(2))
 
 
 def test_fdiv_matches_its_own_epsilon_limit():
@@ -638,6 +657,24 @@ def test_supports_orthogonal_helper():
     assert not supports_orthogonal(diag_density([0.5, 0.5]), diag_density([0.5, 0.5]))
 
 
+def test_support_verdicts_convert_their_operands():
+    assert support_contains(np.eye(2), np.eye(2))
+    assert support_contains(np.eye(2), np.diag([1.0, 0.0]))
+    assert not support_contains(np.diag([1.0, 0.0]), np.eye(2))
+    assert supports_orthogonal(np.diag([1.0, 0.0]), [[0.0, 0.0], [0.0, 2.0]])
+    assert support_contains([np.eye(2)], [np.diag([0.0, 1.0])]).tolist() == [True]
+    with pytest.raises(ValidationError):
+        support_contains(np.eye(2), -np.eye(2))
+
+
+@pytest.mark.parametrize("verdict", [support_contains, supports_orthogonal])
+def test_support_verdicts_reject_a_dimension_mismatch(verdict):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verdict(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verdict([np.eye(2), np.eye(2)], [np.eye(2), np.eye(3)])
+
+
 def test_make_divergence_unknown_tag():
     with pytest.raises(KeyError):
         make_divergence("nonsense")
@@ -645,6 +682,78 @@ def test_make_divergence_unknown_tag():
         make_divergence("renyi")
     with pytest.raises(KeyError):
         make_divergence("dfg", f=power_fn(1))
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("umegaki", {"alpha": 2}),
+    ("renyi", {"alpha": 2, "f": "xlogx"}),
+    ("sandwiched", {"alpha": 2, "g": "power:2"}),
+    ("sandwiched-core", {"alpha": 0.5, "f": power_fn(2)}),
+    ("fdiv", {"f": "xlogx", "g": "power:2"}),
+    ("fdiv", {"f": "xlogx", "alpha": 7}),
+    ("dfg", {"f": "power:0.5", "g": "power:2", "alpha": 2}),
+])
+def test_make_divergence_rejects_a_parameter_the_tag_does_not_take(tag, params):
+    with pytest.raises(KeyError, match="takes no"):
+        make_divergence(tag, **params)
+
+
+# the divergence function of each tag, by its name in the module, and the
+# parameters the tag takes
+TAG_FUNCTIONS = {
+    "umegaki": ("umegaki", {}),
+    "renyi": ("renyi_traditional", {"alpha": 2.0}),
+    "sandwiched": ("sandwiched_renyi", {"alpha": 0.5}),
+    "sandwiched-core": ("sandwiched_core", {"alpha": 3.0}),
+    "fdiv": ("f_divergence", {"f": "xlogx"}),
+    "dfg": ("d_fg", {"f": "power:0.5", "g": "power:2"}),
+}
+
+
+@pytest.mark.parametrize("tag", dv.DIVERGENCE_TAGS)
+def test_make_divergence_sees_a_later_rebinding_of_the_function(tag, monkeypatch):
+    # a tracer wraps the module's names after the callables exist; each call
+    # must go through the wrapper
+    name, params = TAG_FUNCTIONS[tag]
+    div = make_divergence(tag, **params)
+    a, b = diag_density([0.5, 0.5]), diag_density([0.25, 0.75])
+    want = div(a, b)
+    calls = []
+    original = getattr(dv, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dv, name, wrapper)
+    assert repr(div(a, b)) == repr(want)
+    assert calls == [(a, b)]
+    assert div.takes_stacks
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: f_divergence(a, b, xlogx_fn()),
+    lambda a, b: f_divergence(a, b, power_fn(-1)),
+    umegaki,
+    lambda a, b: renyi_traditional(a, b, 2.0),
+    lambda a, b: renyi_traditional(a, b, 0.5),
+])
+def test_petz_type_divergences_form_the_overlaps_once_per_call(call, monkeypatch):
+    # W = |U_A* U_B|^2 is one product of the two eigenvector matrices per pair:
+    # its support verdicts and its value read the same W
+    rng = SeededRng(97)
+    pairs = [(random_density(n, r, rng), random_density(n, s, rng))
+             for n, r, s in ((2, 1, 2), (3, 3, 2), (2, 2, 2), (3, 2, 3), (4, 1, 1))]
+    reads = []  # one entry per read of an operator's eigenvectors
+    prop = PositiveOperator.eigenvectors
+    monkeypatch.setattr(PositiveOperator, "eigenvectors", property(
+        lambda op: reads.append(op) or prop.fget(op)))
+    for x, y in pairs:
+        call(x, y)
+        assert reads == [x, y]
+        reads.clear()
+    call([x for x, _ in pairs], [y for _, y in pairs])
+    assert len(reads) == 2 * len(pairs)
 
 
 # ------------------------------------ log-domain Renyi and the finite gate
