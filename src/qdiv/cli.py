@@ -3,9 +3,10 @@
 Subcommands: ``div`` (compute a divergence between two operator files),
 ``check`` (run a named property suite), ``reconstruct`` (recover an
 implementing (anti)unitary from probe images, simulated or read from files),
-and ``sample`` (write seeded random operators).  Exit codes: 0 success, 1 suite
-or assertion failure, 2 input validation failure (including a divergence whose
-finite value a float cannot hold), 3 usage error.
+and ``sample`` (write seeded random operators).  ``div`` checks its tag and
+parameters before it reads a file.  Exit codes: 0 success, 1 suite or assertion
+failure, 2 input validation failure (including a divergence whose finite value
+a float cannot hold), 3 usage error (also a negative or non-finite --tol).
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def _load_role_checked(path):
 
 def cmd_div(args) -> int:
     started = time.perf_counter()
-    _, a = _load_role_checked(args.file_a)
-    _, b = _load_role_checked(args.file_b)
     try:
         div = make_divergence(args.tag, alpha=args.alpha,
                               f=args.f_name, g=args.g_name)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])  # str(exc) would quote the message
+    _, a = _load_role_checked(args.file_a)
+    _, b = _load_role_checked(args.file_b)
     # each divergence converts its own operands, reusing an operator of the
     # right class as it is
     value = div(a, b)
@@ -127,6 +128,8 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError("--tol must be a finite number of at least 0")
     passed, assertions = run_suite(
         args.suite, dim=args.dim, samples=args.samples, seed=args.seed,
         tol=args.tol, alpha=args.alpha,

@@ -366,7 +366,7 @@ def umegaki(a, b):
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not (alpha > 0.0) or alpha == 1.0:
+    if not (0.0 < alpha < math.inf) or alpha == 1.0:
         raise ValueError(f"alpha must lie in (0,1) or (1,inf), got {alpha}")
     return alpha
 
@@ -584,8 +584,8 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     """Resolve a divergence tag plus parameters into a two-argument callable.
 
     The callable takes a pair of operators or two stacks, as the divergence
-    functions do, and is marked ``takes_stacks``.  It looks its function up
-    by name at each call, so it sees a wrapper bound to that name later.
+    functions do.  It looks its function up by name at each call, so it sees
+    a wrapper bound to that name later.
     ``f`` and ``g`` may be ScalarFunctionSpec instances or registry names
     like ``power:2``.  Unknown tags, and missing parameters or ones the tag
     does not take, raise KeyError.
@@ -606,5 +606,4 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     def divergence(a, b):
         return globals()[name](a, b, **params)
 
-    divergence.takes_stacks = True  # read by invariance_reports
     return divergence

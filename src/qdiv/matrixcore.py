@@ -86,13 +86,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return frobenius(a - a.conj().T) <= tol * frobenius(a)
-
-
 def is_projection(p: np.ndarray) -> bool:
     """Whether P is Hermitian and idempotent within ``PROJ_IMAGE_TOL``."""
-    return (is_hermitian(p, PROJ_IMAGE_TOL)
+    return (frobenius(p - p.conj().T) <= PROJ_IMAGE_TOL * frobenius(p)
             and frobenius(p @ p - p) <= PROJ_IMAGE_TOL)
 
 
@@ -151,13 +147,12 @@ def eig_hermitian(a):
     ||A||_F^2 outside 2^(+-512), where sums of squares would under- or
     overflow, runs scaled by an exact power of two and has its eigenvalues
     scaled back; every other matrix runs unscaled.  Raises ``ValueError``
-    if a matrix has a non-finite entry or is not Hermitian within
-    ``HERM_TOL``, ``ConvergenceError`` if one misses its target in
-    ``JACOBI_MAX_SWEEPS`` sweeps.
+    if the shape is not (..., n, n), a matrix has a non-finite entry or is
+    not Hermitian within ``HERM_TOL``, ``ConvergenceError`` if one misses its
+    target in ``JACOBI_MAX_SWEEPS`` sweeps.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValueError(f"expected a square matrix or a stack, got shape {a.shape}")
+    # a copy, C-ordered: the rescale below writes to it and views its floats
+    a = np.ascontiguousarray(as_complex_matrix(a, stack=True))
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, n, n)
     sq = lambda x: np.add.reduce(x * x, axis=1)
@@ -170,7 +165,6 @@ def eig_hermitian(a):
     odd = None
     if not (norm_sq.min() >= 2.0 ** -_SAFE_EXP and norm_sq.max() <= 2.0 ** _SAFE_EXP):
         odd = ~((norm_sq >= 2.0 ** -_SAFE_EXP) & (norm_sq <= 2.0 ** _SAFE_EXP))
-        a = a.copy()
         parts = a[odd].view(np.float64)
         top = np.abs(parts).max(axis=(1, 2))
         if not np.isfinite(top).all():
@@ -179,7 +173,7 @@ def eig_hermitian(a):
         a[odd] = np.ldexp(parts, -shift[:, None, None]).view(np.complex128)
         norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
     ah = np.ascontiguousarray(a.conj().swapaxes(1, 2))
-    herm_sq = sq((a - ah).reshape(len(a), n * n).view(np.float64))  # is_hermitian's test
+    herm_sq = sq((a - ah).reshape(len(a), n * n).view(np.float64))  # ||A - A*||_F^2
     if np.count_nonzero(herm_sq <= HERM_TOL ** 2 * norm_sq) < len(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     # A member's row: W (m x m, m = n + n % 2), V (n x m), 0.  Round r rotates

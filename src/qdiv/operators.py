@@ -31,8 +31,8 @@ class PositiveOperator:
     def from_stack(cls, matrices) -> list:
         """One operator per matrix of an (N, n, n) stack, each validated as
         the constructor would, with one eigensolver call for the stack."""
-        stack = np.array(matrices, dtype=np.complex128)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        stack = mc.as_complex_matrix(matrices, stack=True)
+        if stack.ndim != 3:
             raise ValueError(f"expected a stack of square matrices, got {stack.shape}")
         return [cls.__new__(cls)._adopt(*parts) for parts in zip(*cls._validated(stack))]
 

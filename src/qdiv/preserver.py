@@ -6,10 +6,9 @@ run the scalar checks (trace similarity, order dominance, the probability
 vector functional equation, the strict-convexity refutation, and the
 mean-product criterion for scalar operators).  One draw of pairs serves every
 map and divergence.  The comparison runs on stacks: each map is applied once
-to the (2N, n, n) stack of the pairs, and each divergence from
-``make_divergence`` is one stacked call on the pairs and one on each map's
-images, with the values of the per-pair calls.  ``reports[0][1]`` below is
-Umegaki under ``state_map``::
+to the (2N, n, n) stack of the pairs, and each divergence, which takes two
+stacks and returns one value per pair, is one call on the pairs and one on
+each map's images.  ``reports[0][1]`` below is Umegaki under ``state_map``::
 
     pairs = invariance_pairs(3, n_samples=100, seed=1)
     divergences = [make_divergence("sandwiched", alpha=2),
@@ -26,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import matrixcore as mc
-from .divergence import d_fg, make_divergence
+from .divergence import _check_alpha, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
@@ -102,33 +101,39 @@ def _compare(pairs, before, after, tol: float) -> InvarianceReport:
     )
 
 
-def _values(divergence, a, b) -> list:
-    """A divergence on the pairs (a[k], b[k]): one stacked call when the
-    callable is marked ``takes_stacks``, else one call per pair."""
-    if getattr(divergence, "takes_stacks", False):
-        return divergence(a, b)
-    return [divergence(x, y) for x, y in zip(a, b)]
+def _require_tol(tol: float) -> None:
+    """NaN or +inf would pass every deviation, and a negative tol none."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
+
+
+def _evaluate(divergence, a, b) -> list:
+    """``divergence(a, b)``; ``TypeError`` unless one value per pair."""
+    values = divergence(a, b)
+    if np.ndim(values) != 1 or len(values) != len(a):
+        raise TypeError(f"a divergence must return one value per pair, got {values!r}")
+    return values
 
 
 def invariance_reports(pairs, maps, divergences, *, tol: float):
     """Compare every divergence across every map on the same pairs.
 
-    Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]`` (each a
-    two-argument callable).  Each map is applied once, to the (2N, n, n)
-    stack of the pairs, and its images are built in one stacked construction.
-    A divergence marked ``takes_stacks`` (each callable from
-    ``make_divergence``) runs once on the pairs and once on each map's
-    images; any other callable runs pair by pair.  Either way the
-    values, and so the reports, are those of the per-pair calls.
+    Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]``, each
+    divergence a callable that, like those of ``make_divergence``, takes two
+    equal-length stacks of operators and returns one value per pair.  Each
+    map is applied once, to the (2N, n, n) stack of the pairs, with its
+    images built in one stacked construction.  Each divergence runs once on
+    the pairs and once on each map's images.  ``tol`` must be finite, >= 0.
     """
+    _require_tol(tol)
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
-    before = [_values(div, a, b) for div in divergences]
+    before = [_evaluate(div, a, b) for div in divergences]
     stack = np.array([x.matrix for pair in pairs for x in pair])
     reports = []
     for state_map in maps:
         ops = DensityOperator.from_stack(state_map.apply(stack))
         reports.append([
-            _compare(pairs, values, _values(div, ops[::2], ops[1::2]), tol)
+            _compare(pairs, values, _evaluate(div, ops[::2], ops[1::2]), tol)
             for div, values in zip(divergences, before)
         ])
     return reports
@@ -139,7 +144,7 @@ def check_invariance(state_map: StateMap, divergence, *,
                      **params) -> InvarianceReport:
     """Compare a divergence across a map on sampled density pairs.
 
-    ``divergence`` is either a two-argument callable or a tag like
+    ``divergence`` is either a callable on two stacks of operators or a tag like
     ``"sandwiched"`` with its parameters passed as keyword arguments
     (``alpha=2``, ``f="power:2"``, ...).  The pairs come from
     :func:`invariance_pairs`; the comparison is :func:`invariance_reports`.
@@ -255,12 +260,13 @@ class ConjugationReport:
 def verify_conjugation(state_map: StateMap, u, kind: str, *,
                        n_samples: int = 50, seed: int = 0,
                        tol: float = 1e-8) -> ConjugationReport:
-    """Max deviation between a map and conjugation by a candidate unitary.
-
-    The map and the conjugation each run once, on the stack of sampled
-    states; the norms stay per state, so the value is the per-state loop's."""
+    """Max deviation between a map and conjugation by a candidate unitary;
+    ``tol`` must be finite and >= 0.  The map and the conjugation each run
+    once, on the stack of sampled states; the norms stay per state, so the
+    value is the per-state loop's."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    _require_tol(tol)
     u = require_unitary(u, max(tol, mc.UNITARY_TOL))
     rng = SeededRng(seed)
     n = state_map.dim
@@ -416,9 +422,7 @@ def prop1_refutation(alpha: float) -> RefutationWitness:
     with the largest |lhs - rhs|; a witness with gap above 1e-3 always exists
     for alpha != 1.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and different from 1")
+    alpha = _check_alpha(alpha)
     grid = np.geomspace(1e-3, 0.5, 64)
     e1 = 1.0 - alpha
     e2 = (1.0 - alpha) / alpha
@@ -457,9 +461,7 @@ def thm4_scalar_test(t_op, alpha: float) -> ScalarCriterionResult:
     x_k = t_k^(-2a) and y_k = t_k^(2a/(1-a)); the two agree exactly when all
     eigenvalues coincide.  Cross-checked against the direct spectral test.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and different from 1")
+    alpha = _check_alpha(alpha)
     t_op = as_positive(t_op)
     if not t_op.definite:
         raise ValueError("operator must be positive definite")

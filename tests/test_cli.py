@@ -252,6 +252,33 @@ def test_exit_code_suite_failure_and_success(tmp_path):
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_exit_code_alpha_outside_the_divergence_range(alpha, diag_files, capsys):
+    # once exit 1 for prop1, and thm4 at inf marked its expected violation [pass]
+    a, _ = diag_files
+    for argv in (["check", "prop1"], ["check", "thm4"], ["div", "sandwiched", a, a]):
+        assert main([*argv, "--alpha", alpha]) == 2
+        out = capsys.readouterr()
+        assert f"alpha must lie in (0,1) or (1,inf), got {alpha}" in out.err
+        assert "pass" not in out.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_exit_code_tol_not_finite_or_negative(tol, capsys):
+    # a NaN or +inf bound would pass every deviation
+    for suite in ("invariance", "prop1"):
+        assert main(["check", suite, "--tol", tol]) == 3
+        out = capsys.readouterr()
+        assert "usage error: --tol must be" in out.err and "pass" not in out.out
+
+
+def test_div_resolves_the_tag_before_reading_the_files(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    assert main(["div", "umegaki", str(empty), str(empty), "--alpha", "2"]) == 3
+    assert capsys.readouterr().err == "usage error: umegaki takes no --alpha\n"
+
+
 # ----------------------------------------------------------------- sample
 
 def test_sample_density_rank_one(tmp_path):

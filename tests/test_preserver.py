@@ -283,6 +283,22 @@ def test_verify_conjugation_needs_a_sample():
         verify_conjugation(m, np.eye(2), "unitary", n_samples=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_passed_tolerances_must_be_finite_and_non_negative(tol):
+    # NaN and +inf would pass every deviation, so a depolarizing channel or a
+    # wrong unitary would pass
+    rng = SeededRng(47)
+    m = StateMap.unitary_conjugation(haar_unitary(3, rng))
+    with pytest.raises(ValueError, match="tol must be"):
+        verify_conjugation(m, haar_unitary(3, rng), "unitary", seed=2, tol=tol)
+    with pytest.raises(ValueError, match="tol must be"):
+        check_invariance(depolarizing_channel(0.3, 4), "sandwiched", alpha=0.5,
+                         n_samples=30, seed=3, tol=tol)
+    pairs = invariance_pairs(2, n_samples=3, seed=0)
+    with pytest.raises(ValueError, match="tol must be"):
+        invariance_reports(pairs, [], [make_divergence("umegaki")], tol=tol)
+
+
 def test_verify_conjugation_rejects_non_unitary():
     m = StateMap.unitary_conjugation(np.eye(2))
     with pytest.raises(ValueError):
@@ -479,6 +495,15 @@ def test_prop1_witness_found(alpha):
 def test_prop1_rejects_alpha_one():
     with pytest.raises(ValueError):
         prop1_refutation(1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_scalar_criteria_reject_a_non_finite_alpha(alpha):
+    # these once passed the check: thm4 then passed diag(1, 2) on a NaN gap
+    with pytest.raises(ValueError, match="alpha must lie"):
+        prop1_refutation(alpha)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        thm4_scalar_test(np.diag([1.0, 2.0]), alpha)
 
 
 # ------------------------------------------------------- thm4 scalar test

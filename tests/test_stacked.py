@@ -16,6 +16,7 @@ from qdiv.divergence import (
     sandwiched_core,
     support_contains,
     supports_orthogonal,
+    umegaki,
 )
 from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
 from qdiv.operators import DensityOperator, PositiveOperator
@@ -188,23 +189,29 @@ def test_stacked_conjugation_check_equals_the_per_state_loop(n):
                 assert repr(rep.max_deviation) == repr(want)
 
 
-def test_a_plain_callable_runs_pair_by_pair_with_the_same_reports():
-    pairs = invariance_pairs(3, n_samples=30, seed=4)
-    maps = _maps(3, SeededRng(5))
-    stacked = make_divergence("sandwiched", alpha=2.0)
-    seen = []
+def test_invariance_reports_call_a_divergence_once_per_stack():
+    pairs = invariance_pairs(4, n_samples=30, seed=4)
+    maps = _maps(4, SeededRng(5))
+    stacks = []
 
-    def plain(a, b):
-        seen.append(isinstance(a, PositiveOperator))
-        return stacked(a, b)
+    def counted(a, b):
+        stacks.append((len(a), len(b)))
+        return umegaki(a, b)
 
-    want = invariance_reports(pairs, maps, [stacked], tol=1e-9)
-    got = invariance_reports(pairs, maps, [plain], tol=1e-9)
-    assert len(seen) == 4 * len(pairs) and all(seen)
-    for row_w, row_g in zip(want, got):
-        for w, g in zip(row_w, row_g):
-            assert repr(w.max_abs_deviation) == repr(g.max_abs_deviation)
-            assert w.infinity_mismatches == g.infinity_mismatches
-            assert (w.witness is None) == (g.witness is None)
-    rep = check_invariance(maps[2], plain, n_samples=30, seed=4)
-    assert repr(rep.max_abs_deviation) == repr(got[2][0].max_abs_deviation)
+    want = invariance_reports(pairs, maps, [make_divergence("umegaki")], tol=1e-9)
+    for div in (umegaki, counted):
+        got = invariance_reports(pairs, maps, [div], tol=1e-9)
+        assert repr(got) == repr(want)
+    assert stacks == [(len(pairs), len(pairs))] * (1 + len(maps))
+    rep = check_invariance(maps[2], umegaki, n_samples=30, seed=4)
+    assert repr(rep) == repr(want[2][0])
+
+
+@pytest.mark.parametrize("returns", [
+    lambda a, b: umegaki(a[0], b[0]),        # one value, not one per pair
+    lambda a, b: umegaki(a, b)[1:],          # one value short
+])
+def test_a_divergence_must_return_one_value_per_pair(returns):
+    pairs = invariance_pairs(3, n_samples=4, seed=4)
+    with pytest.raises(TypeError, match="one value per pair"):
+        invariance_reports(pairs, [], [returns], tol=1e-9)
