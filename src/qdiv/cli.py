@@ -18,7 +18,8 @@ import sys
 import time
 
 from . import files
-from .divergence import DIVERGENCE_TAGS, NonFiniteResultError, make_divergence
+from .divergence import DIVERGENCE_TAGS, NonFiniteResultError, _check_alpha, \
+    make_divergence
 from .extended import fmt_extended
 from .functions import DomainError
 from .maps import StateMap, require_unitary
@@ -130,6 +131,8 @@ def cmd_check(args) -> int:
         raise UsageError("--samples must be at least 1")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError("--tol must be a finite number of at least 0")
+    if not math.isfinite(args.alpha):
+        _check_alpha(args.alpha)  # raises; a report cannot hold the value
     passed, assertions = run_suite(
         args.suite, dim=args.dim, samples=args.samples, seed=args.seed,
         tol=args.tol, alpha=args.alpha,
@@ -156,13 +159,11 @@ def cmd_check(args) -> int:
 def _simulated_map(path, map_kind) -> StateMap:
     matrix, _ = _load_role_checked(path)
     u = require_unitary(matrix)
-    if map_kind == "unitary":
-        return StateMap.unitary_conjugation(u)
-    if map_kind == "antiunitary":
-        return StateMap.antiunitary_conjugation(u)
-    # Transpose after conjugation: A -> (U A U*)^T, which on Hermitian inputs
-    # equals conj(U) conj(A) conj(U)*, an antiunitary with unitary part conj(U).
-    return StateMap.antiunitary_conjugation(u.conj())
+    if map_kind == "transpose":
+        # A -> (U A U*)^T, which on Hermitian inputs equals conj(U) conj(A)
+        # conj(U)*, an antiunitary with unitary part conj(U).
+        return StateMap(kind="antiunitary", unitary=u.conj())
+    return StateMap(kind=map_kind, unitary=u)  # --map-kind spells StateMap.kind
 
 
 def _load_image_dir(path):
@@ -180,8 +181,7 @@ def cmd_reconstruct(args) -> int:
     started = time.perf_counter()
     if args.simulate:
         state_map = _simulated_map(args.simulate, args.map_kind)
-        probes = wigner_probe_projections(state_map.dim)
-        images = [state_map.apply(p) for p in probes]
+        images = state_map.apply(wigner_probe_projections(state_map.dim))
     else:
         images = _load_image_dir(args.images)
     try:

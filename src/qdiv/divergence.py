@@ -588,7 +588,8 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     a wrapper bound to that name later.
     ``f`` and ``g`` may be ScalarFunctionSpec instances or registry names
     like ``power:2``.  Unknown tags, and missing parameters or ones the tag
-    does not take, raise KeyError.
+    does not take, raise KeyError; an alpha outside (0,1) or (1,inf) raises
+    ValueError here, before any operand is read.
     """
     if tag not in _TAGS:
         raise KeyError(f"unknown divergence tag {tag!r} (have: {DIVERGENCE_TAGS})")
@@ -601,6 +602,8 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     for key, value in given.items():
         if (key in takes) != (value is not None):
             raise KeyError(f"{tag} {'needs' if key in takes else 'takes no'} --{key}")
+    if alpha is not None:
+        _check_alpha(alpha)
     params = {key: given[key] for key in takes}
 
     def divergence(a, b):

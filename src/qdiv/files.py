@@ -3,8 +3,8 @@
 Operators are stored as JSON with separate real and imaginary arrays, floats
 written with 17 significant digits so parsing recovers them bit-exactly in any
 language.  Reports are JSON with a fixed key order; +infinity is spelled as
-the string "inf" everywhere, and the wall-time field is the only
-run-dependent line.
+the string "inf" everywhere, NaN and -infinity are never written (rendering
+raises ``ValueError``), and the wall-time field is the only run-dependent line.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def validate_role(matrix: np.ndarray, role: Optional[str]):
 
 def _jsonable(x):
     if isinstance(x, float):  # also the divergences' results and np.float64
-        return "inf" if math.isinf(x) else float(x)
+        return "inf" if x == math.inf else float(x)
     if isinstance(x, np.floating):
         return float(x)
     if isinstance(x, np.integer):
@@ -139,7 +139,7 @@ def render_report(command: str, parameters: dict, results: dict,
         "witnesses": _jsonable(witnesses or []),
         "wall_time_s": round(float(wall_time_s), 6),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def parse_report(text: str) -> dict:

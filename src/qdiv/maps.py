@@ -14,10 +14,6 @@ import numpy as np
 
 from . import matrixcore as mc
 
-UNITARY = "unitary_conjugation"
-ANTIUNITARY = "antiunitary_conjugation"
-KRAUS = "kraus_channel"
-
 
 def require_unitary(u, tol: float = mc.UNITARY_TOL) -> np.ndarray:
     u = mc.as_complex_matrix(u)
@@ -30,16 +26,18 @@ def require_unitary(u, tol: float = mc.UNITARY_TOL) -> np.ndarray:
 def conjugate_by(u: np.ndarray, kind: str, a: np.ndarray) -> np.ndarray:
     """Apply U A U* (unitary kind) or U conj(A) U* (antiunitary kind), to A
     or to each matrix of a stack (..., n, n)."""
-    if kind in (UNITARY, "unitary"):
+    if kind == "unitary":
         return u @ a @ u.conj().T
-    if kind in (ANTIUNITARY, "antiunitary"):
+    if kind == "antiunitary":
         return u @ a.conj() @ u.conj().T
     raise ValueError(f"unknown conjugation kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class StateMap:
-    """A transformation on operators, tagged by how it is implemented."""
+    """A transformation on operators, tagged by how it is implemented: ``kind``
+    is ``"unitary"`` or ``"antiunitary"`` (with ``unitary`` set), the words
+    :func:`conjugate_by` takes and ``wigner_reconstruct`` returns, or ``"kraus"``."""
 
     kind: str
     unitary: Optional[np.ndarray] = None
@@ -47,11 +45,11 @@ class StateMap:
 
     @classmethod
     def unitary_conjugation(cls, u) -> "StateMap":
-        return cls(kind=UNITARY, unitary=require_unitary(u))
+        return cls(kind="unitary", unitary=require_unitary(u))
 
     @classmethod
     def antiunitary_conjugation(cls, u) -> "StateMap":
-        return cls(kind=ANTIUNITARY, unitary=require_unitary(u))
+        return cls(kind="antiunitary", unitary=require_unitary(u))
 
     @classmethod
     def kraus_channel(cls, ops) -> "StateMap":
@@ -62,7 +60,7 @@ class StateMap:
         total = sum(k.conj().T @ k for k in ops)
         if mc.frobenius(total - np.eye(n)) > mc.KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy sum K*K = I")
-        return cls(kind=KRAUS, kraus=ops)
+        return cls(kind="kraus", kraus=ops)
 
     @property
     def dim(self) -> int:
@@ -74,7 +72,7 @@ class StateMap:
         """The image of a matrix, or of each matrix of a stack (..., n, n);
         a stack member's image is bit-identical to the image of it alone."""
         a = mc.as_complex_matrix(a, stack=True)
-        if self.kind in (UNITARY, ANTIUNITARY):
+        if self.kind != "kraus":
             return conjugate_by(self.unitary, self.kind, a)
         out = np.zeros_like(a)
         for k in self.kraus:
@@ -90,10 +88,6 @@ def depolarizing_channel(p: float, n: int = 2) -> StateMap:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing strength must lie in [0, 1]")
-    ops = [np.sqrt(1.0 - p) * np.eye(n, dtype=np.complex128)]
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = np.sqrt(p / n)
-            ops.append(e)
+    units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+    ops = [np.sqrt(1.0 - p) * np.eye(n, dtype=np.complex128), *(np.sqrt(p / n) * units)]
     return StateMap.kraus_channel(ops)

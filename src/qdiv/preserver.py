@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import matrixcore as mc
-from .divergence import _check_alpha, d_fg, make_divergence
+from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
@@ -157,8 +157,9 @@ def check_invariance(state_map: StateMap, divergence, *,
     return invariance_reports(pairs, [state_map], [divergence], tol=tol)[0][0]
 
 
-def wigner_probe_projections(n: int) -> List[np.ndarray]:
-    """The 2n rank-one probes that pin down an (anti)unitary.
+def wigner_probe_projections(n: int) -> np.ndarray:
+    """The (2n, n, n) stack of the 2n rank-one probes x x* that pin down an
+    (anti)unitary, each bit-identical to ``rank_one(x, x)``.
 
     Order: the n basis projections, then the n-1 equal-weight superpositions
     of the first basis vector with each later one, then one complex-phase
@@ -166,16 +167,10 @@ def wigner_probe_projections(n: int) -> List[np.ndarray]:
     """
     if n < 2:
         raise ValueError("reconstruction needs dimension at least 2")
-    probes = []
     eye = np.eye(n, dtype=np.complex128)
-    for i in range(n):
-        probes.append(mc.rank_one(eye[:, i], eye[:, i]))
-    for j in range(1, n):
-        s = (eye[:, 0] + eye[:, j]) / math.sqrt(2.0)
-        probes.append(mc.rank_one(s, s))
-    x = (eye[:, 0] + 1j * eye[:, 1]) / math.sqrt(2.0)
-    probes.append(mc.rank_one(x, x))
-    return probes
+    x = np.vstack([eye, (eye[0] + eye[1:]) / math.sqrt(2.0),
+                   (eye[0] + 1j * eye[1]) / math.sqrt(2.0)])
+    return x[:, :, None] * x[:, None, :].conj()
 
 
 def _top_eigenvector(p: np.ndarray) -> np.ndarray:
@@ -185,10 +180,16 @@ def _top_eigenvector(p: np.ndarray) -> np.ndarray:
     return p[:, k] / np.linalg.norm(p[:, k])
 
 
-def _transition_probabilities(ops) -> np.ndarray:
-    """The matrix of tr(P_i P_j) for Hermitian P_i."""
-    flat = np.array([p.reshape(-1) for p in ops])
+def _transition_probabilities(ops: np.ndarray) -> np.ndarray:
+    """The matrix of tr(P_i P_j) for a stack of Hermitian P_i."""
+    flat = ops.reshape(len(ops), -1)
     return (flat.conj() @ flat.T).real
+
+
+def _conjugation_deviation(u, kind: str, inputs, images) -> float:
+    """max_k ||images_k - conj_U(inputs_k)||_F over two stacks, 0.0 for none."""
+    diffs = images - conjugate_by(u, kind, inputs)
+    return max(0.0, *(mc.frobenius(d) for d in diffs))
 
 
 def _fix_leading_phase(v: np.ndarray) -> np.ndarray:
@@ -218,6 +219,7 @@ def wigner_reconstruct(images):
         if (not mc.is_projection(img)
                 or abs(np.trace(img).real - 1.0) > mc.PROJ_IMAGE_TOL):
             raise WignerError(f"image {k}: image is not a rank-one projection")
+    images = np.array(images)
     # the first offending pair is reported in row-major i < j order
     want = _transition_probabilities(inputs)
     got = _transition_probabilities(images)
@@ -241,9 +243,7 @@ def wigner_reconstruct(images):
     r = np.vdot(cols[1], images[2 * n - 1] @ cols[0])
     kind = "unitary" if r.imag > 0.0 else "antiunitary"
 
-    residual = max(mc.frobenius(conjugate_by(u, kind, probe) - img)
-                   for probe, img in zip(inputs, images))
-    return u, kind, residual
+    return u, kind, _conjugation_deviation(u, kind, inputs, images)
 
 
 @dataclass
@@ -272,8 +272,7 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
     n = state_map.dim
     states = random_density_matrices(
         n, (_rank_pattern(i, n, rng) for i in range(n_samples)), rng)
-    diffs = state_map.apply(states) - conjugate_by(u, kind, states)
-    max_dev = max(0.0, *(mc.frobenius(d) for d in diffs))
+    max_dev = _conjugation_deviation(u, kind, states, state_map.apply(states))
     return ConjugationReport(samples=n_samples, max_deviation=max_dev, tol=tol)
 
 
@@ -393,24 +392,28 @@ class RefutationWitness:
         return abs(self.lhs - self.rhs)
 
 
-def prop1_evaluate(alpha: float, t: float, s: float, *, via_exp: bool = False):
+def prop1_evaluate(alpha: float, t, s, *, via_exp: bool = False):
     """The two sides of the scalar identity a sandwiched power would force.
 
     lhs = (t^(1-a) + s^(1-a))/2, rhs = ((t^((1-a)/a) + s^((1-a)/a))/2)^a.
     Strict convexity of the 1/a power makes them differ off the diagonal.
+    ``t`` and ``s`` are scalars or arrays that broadcast together; the sides
+    come back in their broadcast shape, as inf where they overflow a float.
     ``via_exp`` evaluates through exp/log as an independent arithmetic route.
     """
-    if t <= 0.0 or s <= 0.0:
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if np.any(t <= 0.0) or np.any(s <= 0.0):
         raise ValueError("arguments must be strictly positive")
 
     def powm(base, expo):
         if via_exp:
-            return math.exp(expo * math.log(base))
+            return np.exp(expo * np.log(base))
         return base**expo
 
-    lhs = 0.5 * (powm(t, 1.0 - alpha) + powm(s, 1.0 - alpha))
-    inner = 0.5 * (powm(t, (1.0 - alpha) / alpha) + powm(s, (1.0 - alpha) / alpha))
-    rhs = powm(inner, alpha)
+    with np.errstate(over="ignore"):
+        lhs = 0.5 * (powm(t, 1.0 - alpha) + powm(s, 1.0 - alpha))
+        inner = 0.5 * (powm(t, (1.0 - alpha) / alpha) + powm(s, (1.0 - alpha) / alpha))
+        rhs = powm(inner, alpha)
     return lhs, rhs
 
 
@@ -419,26 +422,24 @@ def prop1_refutation(alpha: float) -> RefutationWitness:
     an f-divergence.
 
     Scans a 64-point log-spaced grid over (1e-3, 0.5]^2 and returns the pair
-    with the largest |lhs - rhs|; a witness with gap above 1e-3 always exists
-    for alpha != 1.
+    with the largest finite |lhs - rhs|.  Raises ``NonFiniteResultError`` when
+    no finite gap exceeds 1e-3: alpha is then too close to 1 for float
+    arithmetic to tell the sides apart, or so far from it that the powers
+    leave the float range.
     """
     alpha = _check_alpha(alpha)
     grid = np.geomspace(1e-3, 0.5, 64)
-    e1 = 1.0 - alpha
-    e2 = (1.0 - alpha) / alpha
-    p1 = grid**e1
-    p2 = grid**e2
-    lhs = 0.5 * (p1[:, None] + p1[None, :])
-    rhs = (0.5 * (p2[:, None] + p2[None, :])) ** alpha
-    gaps = np.abs(lhs - rhs)
+    lhs, rhs = prop1_evaluate(alpha, grid[:, None], grid[None, :])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gaps = np.abs(lhs - rhs)
+    gaps[~np.isfinite(gaps)] = -1.0
     i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    best = RefutationWitness(
+    if gaps[i, j] <= 1e-3:
+        raise NonFiniteResultError(f"prop1: no finite gap above 1e-3 at alpha={alpha}")
+    return RefutationWitness(
         t=float(grid[i]), s=float(grid[j]),
         lhs=float(lhs[i, j]), rhs=float(rhs[i, j]),
     )
-    if best.gap <= 1e-3:
-        raise ArithmeticError("no witness above 1e-3 on the grid; alpha too close to 1?")
-    return best
 
 
 @dataclass
@@ -460,17 +461,22 @@ def thm4_scalar_test(t_op, alpha: float) -> ScalarCriterionResult:
     Over the eigenvalues t_k, compares mean(x*y) with mean(x)*mean(y) for
     x_k = t_k^(-2a) and y_k = t_k^(2a/(1-a)); the two agree exactly when all
     eigenvalues coincide.  Cross-checked against the direct spectral test.
+    Raises ``NonFiniteResultError`` when the powers leave the float range and
+    the gap is not finite.
     """
     alpha = _check_alpha(alpha)
     t_op = as_positive(t_op)
     if not t_op.definite:
         raise ValueError("operator must be positive definite")
     tv = t_op.eigenvalues
-    x = tv ** (-2.0 * alpha)
-    y = tv ** (2.0 * alpha / (1.0 - alpha))
-    mean_xy = float(np.mean(x * y))
-    mean_x_mean_y = float(np.mean(x) * np.mean(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = tv ** (-2.0 * alpha)
+        y = tv ** (2.0 * alpha / (1.0 - alpha))
+        mean_xy = float(np.mean(x * y))
+        mean_x_mean_y = float(np.mean(x) * np.mean(y))
     gap = mean_xy - mean_x_mean_y
+    if not math.isfinite(gap):
+        raise NonFiniteResultError(f"thm4: the gap at alpha={alpha} is not finite")
     is_scalar = abs(gap) <= mc.THM4_GAP_TOL * max(abs(mean_xy), abs(mean_x_mean_y))
     spread = float(tv[-1] - tv[0])
     spectral_scalar = spread <= mc.SPEC_TOL * float(tv[-1])

@@ -227,11 +227,9 @@ def suite_wigner(*, dim: int, seed: int, samples: int):
     rng = SeededRng(seed)
     assertions = []
     for kind in ("unitary", "antiunitary"):
-        u0 = haar_unitary(dim, rng)
-        state_map = (StateMap.unitary_conjugation(u0) if kind == "unitary"
-                     else StateMap.antiunitary_conjugation(u0))
-        images = [state_map.apply(p) for p in wigner_probe_projections(dim)]
-        u, got_kind, residual = wigner_reconstruct(images)
+        state_map = StateMap(kind=kind, unitary=haar_unitary(dim, rng))
+        u, got_kind, residual = wigner_reconstruct(
+            state_map.apply(wigner_probe_projections(dim)))
         rep = verify_conjugation(state_map, u, got_kind,
                                  n_samples=min(samples, 50), seed=seed + 5)
         assertions.append(_entry(

@@ -252,15 +252,35 @@ def test_exit_code_suite_failure_and_success(tmp_path):
     assert bad.returncode == 2
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
-def test_exit_code_alpha_outside_the_divergence_range(alpha, diag_files, capsys):
-    # once exit 1 for prop1, and thm4 at inf marked its expected violation [pass]
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_exit_code_alpha_outside_the_divergence_range(alpha, diag_files, tmp_path,
+                                                      capsys):
+    # once exit 1 for prop1, and thm4 at inf marked its expected violation [pass];
+    # a suite that ignores alpha wrote NaN (not JSON) or -inf as "inf" to its report
     a, _ = diag_files
-    for argv in (["check", "prop1"], ["check", "thm4"], ["div", "sandwiched", a, a]):
-        assert main([*argv, "--alpha", alpha]) == 2
+    report = tmp_path / "r.json"
+    for argv in (["check", "prop1"], ["check", "thm4"], ["div", "sandwiched", a, a],
+                 ["check", "lemmas", "--samples", "2", "--out", str(report)]):
+        assert main([*argv, f"--alpha={alpha}"]) == 2
         out = capsys.readouterr()
         assert f"alpha must lie in (0,1) or (1,inf), got {alpha}" in out.err
         assert "pass" not in out.out
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["check", "prop1", "--alpha", "400"], 0, "suite passed"),
+    (["check", "prop1", "--alpha", "1.0000001"], 2, "invalid input: prop1: no finite gap"),
+    (["check", "prop1", "--alpha", "1e5"], 2, "invalid input: prop1: no finite gap"),
+    (["check", "thm4", "--alpha", "0.999999"], 2, "invalid input: thm4: the gap"),
+])
+def test_scalar_criteria_beyond_the_float_range(argv, code, message, capsys):
+    # once RuntimeWarnings (an error under this suite's warning filter) and a
+    # failed or NaN-passed suite, or an ArithmeticError traceback
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert message in out.out + out.err
+    assert "nan" not in out.out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -277,6 +297,10 @@ def test_div_resolves_the_tag_before_reading_the_files(tmp_path, capsys):
     empty.write_text("")
     assert main(["div", "umegaki", str(empty), str(empty), "--alpha", "2"]) == 3
     assert capsys.readouterr().err == "usage error: umegaki takes no --alpha\n"
+    # alpha is checked with the tag, so it wins over a bad file
+    assert main(["div", "sandwiched", str(empty), str(empty), "--alpha", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "invalid input: alpha must lie in (0,1) or (1,inf), got 1.0\n"
 
 
 # ----------------------------------------------------------------- sample

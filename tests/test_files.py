@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,10 @@ def test_report_spells_infinity():
     text = render_report("div", {}, {"value": INF})
     assert '"inf"' in text
     assert parse_report(text)["results"]["value"] == "inf"
+    # NaN is not JSON, and -inf once came out as "inf"
+    for bad in (math.nan, -math.inf, np.float64(-np.inf)):
+        with pytest.raises(ValueError, match="JSON"):
+            render_report("check", {"alpha": bad}, {})
 
 
 def test_report_field_order_is_fixed():

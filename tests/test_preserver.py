@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qdiv.matrixcore as mc
-from qdiv.divergence import make_divergence
+import qdiv.preserver as preserver
+from qdiv.divergence import NonFiniteResultError, make_divergence
 from qdiv.functions import DomainError, linear_fn, power_fn
-from qdiv.maps import StateMap, depolarizing_channel
+from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
 from qdiv.operators import DensityOperator, PositiveOperator
 from qdiv.preserver import (
     WignerError,
@@ -30,6 +32,20 @@ from qdiv.suites import suite_invariance
 
 
 # ------------------------------------------------------------- state maps
+
+def test_map_kinds_are_the_words_of_the_conjugation():
+    u = haar_unitary(3, SeededRng(3))
+    assert StateMap.unitary_conjugation(u).kind == "unitary"
+    assert StateMap.antiunitary_conjugation(u).kind == "antiunitary"
+    assert depolarizing_channel(0.3, 3).kind == "kraus"
+    # the kinds were once spelled as the constructors are named; those go
+    for constructor in (StateMap.unitary_conjugation, StateMap.antiunitary_conjugation,
+                        StateMap.kraus_channel):
+        with pytest.raises(ValueError, match="unknown conjugation kind"):
+            conjugate_by(u, constructor.__name__, np.eye(3))
+    with pytest.raises(ValueError, match="unknown conjugation kind"):
+        conjugate_by(u, "kraus", np.eye(3))
+
 
 def test_kraus_completeness_enforced():
     with pytest.raises(ValueError):
@@ -79,7 +95,7 @@ def test_depolarizing_channel_is_caught():
     assert rep.max_abs_deviation > 1e-3
 
 
-def test_check_invariance_accepts_tag_dispatch():
+def test_check_invariance_accepts_tag_dispatch(monkeypatch):
     rng = SeededRng(9)
     rep = check_invariance(
         StateMap.unitary_conjugation(haar_unitary(2, rng)),
@@ -91,6 +107,13 @@ def test_check_invariance_accepts_tag_dispatch():
             StateMap.unitary_conjugation(np.eye(2)),
             make_divergence("umegaki"), alpha=2,
         )
+    # a bad alpha fails when the tag is resolved, before any pair is drawn
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pairs drawn before alpha was checked")
+
+    monkeypatch.setattr(preserver, "invariance_pairs", forbidden)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        check_invariance(StateMap.unitary_conjugation(np.eye(2)), "sandwiched", alpha=1)
 
 
 def test_invariance_pairs_need_a_sample():
@@ -160,11 +183,19 @@ def test_witness_invariant_of_report():
 # ------------------------------------------------------------------ wigner
 
 def test_probe_set_shape():
-    probes = wigner_probe_projections(3)
-    assert len(probes) == 6
-    for p in probes:
-        assert abs(np.trace(p) - 1.0) < 1e-12
-        assert mc.frobenius(p @ p - p) < 1e-12
+    for n in (2, 3, 5):
+        probes = wigner_probe_projections(n)
+        assert isinstance(probes, np.ndarray) and probes.shape == (2 * n, n, n)
+        for p in probes:
+            assert abs(np.trace(p) - 1.0) < 1e-12
+            assert mc.frobenius(p @ p - p) < 1e-12
+        # the documented order, built one probe at a time
+        eye = np.eye(n, dtype=np.complex128)
+        vecs = [eye[:, i] for i in range(n)]
+        vecs += [(eye[:, 0] + eye[:, j]) / math.sqrt(2.0) for j in range(1, n)]
+        vecs.append((eye[:, 0] + 1j * eye[:, 1]) / math.sqrt(2.0))
+        want = np.array([mc.rank_one(x, x) for x in vecs])
+        assert probes.tobytes() == want.tobytes()
 
 
 def test_wigner_identity_map():
@@ -483,13 +514,47 @@ def test_prop1_diagonal_degenerates():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+def _prop1_cell(alpha, t, s):
+    """|lhs - rhs| of one grid cell in plain floats; None where it overflows."""
+    try:
+        lhs = 0.5 * (t ** (1.0 - alpha) + s ** (1.0 - alpha))
+        e = (1.0 - alpha) / alpha
+        rhs = (0.5 * (t**e + s**e)) ** alpha
+    except OverflowError:
+        return None
+    gap = abs(lhs - rhs)
+    return (gap, lhs, rhs) if math.isfinite(gap) else None
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 7.0, 400.0])
 def test_prop1_witness_found(alpha):
     w = prop1_refutation(alpha)
-    assert w.gap > 1e-3
+    assert w.gap > 1e-3 and math.isfinite(w.gap)
     lhs, rhs = prop1_evaluate(alpha, w.t, w.s)
     assert lhs == pytest.approx(w.lhs, rel=1e-12)
     assert rhs == pytest.approx(w.rhs, rel=1e-12)
+    # the largest finite gap of a cell-by-cell scan of the same grid
+    grid = [float(x) for x in np.geomspace(1e-3, 0.5, 64)]
+    cells = [(c, t, s) for t in grid for s in grid
+             if (c := _prop1_cell(alpha, t, s)) is not None]
+    (gap, lhs, rhs), t, s = max(cells, key=lambda cell: cell[0][0])
+    assert (w.t, w.s) == (t, s)
+    assert (w.lhs, w.rhs) == (pytest.approx(lhs, rel=1e-12), pytest.approx(rhs, rel=1e-12))
+
+
+def test_scalar_criteria_beyond_the_float_range():
+    # once RuntimeWarnings and a NaN verdict (prop1 at 400, a [pass] for thm4
+    # at 0.999999), or an ArithmeticError (prop1 near 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prop1_refutation(400.0).gap == pytest.approx(6.889408073880821e307)
+        for via_exp in (False, True):
+            assert prop1_evaluate(400.0, 1e-3, 0.5, via_exp=via_exp) == (math.inf,) * 2
+        for alpha in (1.0000001, 1e5):
+            with pytest.raises(NonFiniteResultError, match="no finite gap"):
+                prop1_refutation(alpha)
+        with pytest.raises(NonFiniteResultError, match="not finite"):
+            thm4_scalar_test(np.diag([1.0, 2.0, 3.0]), 0.999999)
 
 
 def test_prop1_rejects_alpha_one():

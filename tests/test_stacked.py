@@ -21,11 +21,14 @@ from qdiv.divergence import (
 from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
 from qdiv.operators import DensityOperator, PositiveOperator
 from qdiv.preserver import (
+    _conjugation_deviation,
     _rank_pattern,
     check_invariance,
     invariance_pairs,
     invariance_reports,
     verify_conjugation,
+    wigner_probe_projections,
+    wigner_reconstruct,
 )
 from qdiv.functions import DomainError, power_fn
 from qdiv.sampling import SeededRng, haar_unitary, random_density, \
@@ -187,6 +190,16 @@ def test_stacked_conjugation_check_equals_the_per_state_loop(n):
                     want = max(want, mc.frobenius(state_map.apply(a)
                                                   - conjugate_by(cand, kind, a)))
                 assert repr(rep.max_deviation) == repr(want)
+                assert repr(_conjugation_deviation(
+                    cand, kind, states, state_map.apply(states))) == repr(want)
+        if state_map.kind == "kraus":
+            continue
+        # the reconstruction residual, on the probe stack mapped in one call
+        probes = wigner_probe_projections(n)
+        u_rec, kind, residual = wigner_reconstruct(state_map.apply(probes))
+        want = max(mc.frobenius(conjugate_by(u_rec, kind, p) - state_map.apply(p))
+                   for p in probes)
+        assert kind == state_map.kind and repr(residual) == repr(want)
 
 
 def test_invariance_reports_call_a_divergence_once_per_stack():
