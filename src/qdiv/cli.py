@@ -131,8 +131,7 @@ def cmd_check(args) -> int:
         raise UsageError("--samples must be at least 1")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError("--tol must be a finite number of at least 0")
-    if not math.isfinite(args.alpha):
-        _check_alpha(args.alpha)  # raises; a report cannot hold the value
+    _check_alpha(args.alpha)  # also for a suite that does not read it
     passed, assertions = run_suite(
         args.suite, dim=args.dim, samples=args.samples, seed=args.seed,
         tol=args.tol, alpha=args.alpha,
@@ -140,16 +139,15 @@ def cmd_check(args) -> int:
     for a in assertions:
         flag = "pass" if a["pass"] else "FAIL"
         print(f"[{flag}] {a['name']}: measured={a['measured']} bound={a['bound']}")
-    params = {"suite": args.suite, "dim": args.dim, "samples": args.samples,
-              "seed": args.seed, "tol": args.tol, "alpha": args.alpha}
-    witnesses = [a for a in assertions if not a["pass"]]
-    text = files.render_report(
-        "check", params,
-        {"passed": passed, "assertions": assertions},
-        witnesses=witnesses,
-        wall_time_s=time.perf_counter() - started,
-    )
     if args.out:
+        params = {"suite": args.suite, "dim": args.dim, "samples": args.samples,
+                  "seed": args.seed, "tol": args.tol, "alpha": args.alpha}
+        text = files.render_report(
+            "check", params,
+            {"passed": passed, "assertions": assertions},
+            witnesses=[a for a in assertions if not a["pass"]],
+            wall_time_s=time.perf_counter() - started,
+        )
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print("suite passed" if passed else "suite FAILED")

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .extended import INF, ExtendedReal
-from .functions import DomainError, ScalarFunctionSpec, spec_from_name
+from .functions import DomainError, ScalarFunctionSpec, _normal, spec_from_name
 from .operators import PositiveOperator, ValidationError, as_density, as_positive
 
 
@@ -285,7 +285,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
     """
     if f.gamma is None:
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
-    perspective = f.perspective or (lambda x, y: y * f(x / y))
+    perspective = f.perspective or (lambda lam, mu: mu * f(lam / mu))
 
     def value(x, y, w, overlap):
         f0 = gamma = 0.0
@@ -302,9 +302,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
         lam, mu = x.eigenvalues, y.eigenvalues
         # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
         i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
-        pvals = np.array([perspective(s, t)
-                          for s, t in zip(lam[i].tolist(), mu[j].tolist())])
-        return (np.sum(w[i, j] * pvals)
+        return (np.sum(w[i, j] * perspective(lam[i], mu[j]))
                 + f0 * np.sum(w[lam == 0.0] @ mu)
                 + gamma * np.sum(lam @ w[:, mu == 0.0]))
 
@@ -330,7 +328,9 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
             raise OverflowError
         evals, vecs = mc._snapped_psd_eig(lr, bound)
         # evals are clamped at 0, where f takes its declared limit
-        fvals = _mapped(f, evals)
+        fvals = f(evals)
+        if np.isinf(fvals).any():  # inf times the eigenvectors' entries is NaN
+            raise OverflowError
         mf = (vecs * fvals) @ vecs.conj().T
         s = mc.vec(y.sqrt())
         out = complex(np.vdot(s, mf @ s))
@@ -404,16 +404,17 @@ def renyi_traditional(a, b, alpha: float):
         return p.results()
 
 
-def _log_sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
-    """Close each open pair with ``finish(x, log_core)``, where log_core =
-    log tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), is -inf when the core
-    vanishes.
+def _sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
+    """Close each open pair with ``finish(x, top, total, scale)``, where the
+    core tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), is
+    top^alpha * total * 2^scale; top = total = 0 when the core vanishes.
 
     The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
     eigenvalues lie in [1/2, 1), so the scales of A and B cannot make it over-
-    or underflow.  With s the top eigenvalue of S, log tr S^alpha =
-    alpha log s + log sum (s_i/s)^alpha, and the scales come back as
-    tr (B^e A B^e)^alpha = 2^(alpha ka + (1-alpha) kb) tr S^alpha.
+    or underflow.  With top the top eigenvalue of S, tr S^alpha =
+    top^alpha * total for total = sum (s_i/top)^alpha, and the scales come
+    back as tr (B^e A B^e)^alpha = 2^scale tr S^alpha, scale =
+    alpha ka + (1-alpha) kb.
     """
     e = (1.0 - alpha) / (2.0 * alpha)
     idx, pa, pb = p.open()
@@ -428,14 +429,19 @@ def _log_sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
         if evals is None:
             raise OverflowError
         pos = evals[evals > 0.0]
-        if not pos.size:
-            return finish(x, -math.inf)
-        top = pos[-1]
-        log_core = alpha * math.log(top) + math.log(((pos / top) ** alpha).sum())
-        return finish(x, log_core + (alpha * ka + (1.0 - alpha) * kb) * math.log(2.0))
+        top = pos[-1] if pos.size else 0.0
+        return finish(x, top, ((pos / top) ** alpha).sum(),
+                      alpha * ka + (1.0 - alpha) * kb)
 
     for k, x, evals, a_exp, b_exp in zip(idx, pa, spectra, ka, kb):
         p.settle(k, close, x, evals, a_exp, b_exp)
+
+
+def _log_core(alpha: float, top, total, scale: float) -> float:
+    """log(top^alpha * total * 2^scale), -inf for a vanished core."""
+    if not total:
+        return -math.inf
+    return alpha * math.log(top) + math.log(total) + scale * math.log(2.0)
 
 
 def sandwiched_core(a, b, alpha: float):
@@ -445,10 +451,19 @@ def sandwiched_core(a, b, alpha: float):
     compression to supp B is built into the sandwich, which works on supp B.
     """
     alpha = _check_alpha(alpha)
+
+    def core(x, top, total, scale):
+        # 2^scale exactly, by ldexp; the logs where top^alpha is not normal
+        whole = math.floor(scale)
+        head = top**alpha * total * 2.0 ** (scale - whole)
+        if _normal(head):
+            return math.ldexp(head, whole)
+        return math.exp(_log_core(alpha, top, total, scale))
+
     with _Pairs("sandwiched_core", a, b) as p:
         if alpha > 1.0:
             _settle_on_overlaps(p, _inf_unless_inside)
-        _log_sandwiched_cores(p, alpha, lambda x, log_core: math.exp(log_core))
+        _sandwiched_cores(p, alpha, core)
         return p.results()
 
 
@@ -458,9 +473,9 @@ def sandwiched_renyi(a, b, alpha: float):
     with _Pairs("sandwiched_renyi", a, b) as p:
         _settle_on_overlaps(p, lambda x, y, w, overlap:
                             INF if _renyi_inf(x, y, overlap, alpha) else None)
-        # a vanished core gives -inf, which the gate rejects
-        _log_sandwiched_cores(
-            p, alpha, lambda x, log_core: (log_core - _log_trace(x)) / (alpha - 1.0))
+        # a vanished core gives log 0 = -inf, which the gate rejects
+        _sandwiched_cores(p, alpha, lambda x, top, total, scale: (
+            _log_core(alpha, top, total, scale) - _log_trace(x)) / (alpha - 1.0))
         return p.results()
 
 
@@ -509,7 +524,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
                 _settle_on_overlaps(p, _inf_unless_inside, singular)
         # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
         idx, pa, pb = p.open()
-        fb = {k: p.attempt(k, _mapped, f, y.eigenvalues[y.eigenvalues > 0.0])
+        fb = {k: p.attempt(k, f, y.eigenvalues[y.eigenvalues > 0.0])
               for k, y in zip(idx, pb)}
         idx, pa, pb = p.open()
         spectra = _sandwich_eigs(pa, [y.support_basis for y in pb], [fb[k] for k in idx])
@@ -518,16 +533,11 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
         return p.results()
 
 
-def _mapped(f: ScalarFunctionSpec, values) -> np.ndarray:
-    """f at each value, as an array."""
-    return np.array([f(t) for t in values])
-
-
 def _trace_of(g: ScalarFunctionSpec, evals) -> float:
     """tr g(S) from the spectrum of S; an S that overflowed (None) overflows."""
     if evals is None:
         raise OverflowError
-    return np.sum([g(v) for v in evals])
+    return g(evals).sum()
 
 
 def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
@@ -550,7 +560,7 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
 
     steps = len(schedule)
     with _Pairs("d_fg_limit_probe", [a] * steps, [b] * steps) as p:
-        fb = [p.attempt(k, _mapped, f, b.eigenvalues + eps)
+        fb = [p.attempt(k, f, b.eigenvalues + eps)
               for k, eps in enumerate(schedule)]
         idx, pa, pb = p.open()
         spectra = _sandwich_eigs(pa, [y.eigenvectors for y in pb], [fb[k] for k in idx])

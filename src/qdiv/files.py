@@ -140,14 +140,3 @@ def render_report(command: str, parameters: dict, results: dict,
         "wall_time_s": round(float(wall_time_s), 6),
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
-def strip_wall_time(text: str) -> str:
-    """Drop the wall-time line so byte comparisons ignore run duration."""
-    return "\n".join(
-        line for line in text.splitlines() if '"wall_time_s"' not in line
-    )

@@ -10,6 +10,12 @@ mu f(lam/mu) in closed form, which the f-divergence uses where the ratio
 lam/mu leaves the range of a float.  The declared monotonicity and
 injectivity flags and the perspective are spot-checked on a grid at
 construction time.
+
+A spec evaluates whole spectra: ``spec(t)`` maps a float to a float and an
+array to an array of its shape, entry by entry.  So ``fn`` must map an array
+of positive arguments to an array (a scalar result broadcasts), and
+``perspective`` two arrays of one shape to an array; the spot-check grid is
+the first call of ``fn``, so an ``fn`` that takes only floats fails there.
 """
 
 from __future__ import annotations
@@ -28,7 +34,12 @@ class DomainError(ValueError):
 
 # Spot-check grid for declared flags; strictly positive, away from overflow.
 _GRID = np.linspace(0.05, 4.0, 100)
-_NORMAL_MIN = sys.float_info.min  # not a tolerance: the smallest normal float
+
+
+def _normal(x):
+    """Whether each entry is a normal float: not 0, subnormal, inf or NaN
+    (``sys.float_info.min`` is the smallest normal float, not a tolerance)."""
+    return (sys.float_info.min <= x) & (x < math.inf)
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,7 @@ class ScalarFunctionSpec:
     name : str
         Identifier used in reports and error messages.
     fn : callable
-        Evaluates the function at strictly positive arguments.
+        Maps an array of strictly positive arguments to an array of values.
     gamma : float, optional
         Slope at infinity, lim f(t)/t, ``math.inf`` for +inf.  Declared,
         never estimated.
@@ -51,22 +62,22 @@ class ScalarFunctionSpec:
         Whether f(t) -> inf as t -> inf.  Needed to check the hypotheses of
         the singular-argument extension of the generalized divergence.
     perspective : callable, optional
-        (lam, mu) -> mu f(lam/mu) for lam, mu > 0, in a closed form that
-        stays finite wherever the value is, also when lam/mu over- or
-        underflows.
+        (lam, mu) -> mu f(lam/mu) entry by entry, for arrays of one shape
+        with lam, mu > 0, in a closed form that stays finite wherever the
+        value is, also when lam/mu over- or underflows.
     """
 
     name: str
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     gamma: Optional[float] = None
     limit_at_zero: Optional[float] = None
     strictly_increasing: bool = False
     injective: bool = False
     diverges_at_infinity: bool = False
-    perspective: Optional[Callable[[float, float], float]] = None
+    perspective: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        vals = np.array([self.fn(float(t)) for t in _GRID])
+        vals = self(_GRID)  # the first call of fn
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"{self.name}: non-finite values on the check grid")
         if self.strictly_increasing and not np.all(np.diff(vals) > 0.0):
@@ -75,20 +86,24 @@ class ScalarFunctionSpec:
             gaps = np.diff(np.sort(vals))
             if not np.all(gaps > 0.0):
                 raise DomainError(f"{self.name}: injective fails spot check")
-        if self.perspective is not None and not all(
-                math.isclose(self.perspective(mu * t, mu), mu * v, rel_tol=1e-12)
-                for t, v in zip(_GRID.tolist(), vals) for mu in (0.5, 2.0)):
-            raise DomainError(f"{self.name}: perspective fails spot check")
+        if self.perspective is not None:
+            mu = np.array([[0.5], [2.0]]) * np.ones_like(_GRID)
+            got, want = self.perspective(mu * _GRID, mu), mu * vals
+            if not np.all(np.abs(got - want) <= 1e-12 * np.maximum(abs(got), abs(want))):
+                raise DomainError(f"{self.name}: perspective fails spot check")
 
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        if t < 0.0:
-            raise DomainError(f"{self.name}: argument {t} is negative")
-        if t == 0.0:
-            if self.limit_at_zero is None or self.limit_at_zero == math.inf:
-                raise DomainError(f"{self.name}: undefined at 0")
-            return self.limit_at_zero
-        return float(self.fn(t))
+    def __call__(self, t):
+        """f at each entry of ``t``: a float for a float, else an array."""
+        t = np.asarray(t, dtype=float)
+        if (t < 0.0).any():
+            raise DomainError(f"{self.name}: argument {t.min()} is negative")
+        zero = t == 0.0
+        if zero.any() and self.limit_at_zero in (None, math.inf):
+            raise DomainError(f"{self.name}: undefined at 0")
+        # fn sees the positive entries; a 0 takes the declared limit
+        limit = self.limit_at_zero if zero.any() else 0.0
+        vals = np.where(zero, limit, self.fn(np.where(zero, 1.0, t)))
+        return float(vals) if vals.ndim == 0 else vals
 
 
 def power_fn(p: float) -> ScalarFunctionSpec:
@@ -99,16 +114,12 @@ def power_fn(p: float) -> ScalarFunctionSpec:
     gamma = math.inf if p > 1.0 else 1.0 if p == 1.0 else 0.0
 
     def perspective(lam, mu):
-        t = lam / mu
-        if _NORMAL_MIN <= t < math.inf:
-            try:
-                tp = t**p
-            except OverflowError:
-                tp = math.inf
-            if _NORMAL_MIN <= tp < math.inf:
-                return mu * tp
-        # the ratio or its power left the normal range: take the logs
-        return math.exp(p * math.log(lam) + (1.0 - p) * math.log(mu))
+        with np.errstate(all="ignore"):
+            t = np.divide(lam, mu)
+            tp = t**p
+            # where the ratio or its power left the normal range: the logs
+            return np.where(_normal(t) & _normal(tp), mu * tp,
+                            np.exp(p * np.log(lam) + (1.0 - p) * np.log(mu)))
 
     return ScalarFunctionSpec(
         name=f"power:{p:g}",
@@ -126,14 +137,14 @@ def xlogx_fn() -> ScalarFunctionSpec:
     """t -> t*log(t) with value 0 at 0; slope at infinity is +inf.  The
     perspective is lam log(lam/mu)."""
     def perspective(lam, mu):
-        t = lam / mu
-        if _NORMAL_MIN <= t < math.inf:
-            return lam * math.log(t)
-        return lam * (math.log(lam) - math.log(mu))
+        with np.errstate(all="ignore"):
+            t = np.divide(lam, mu)
+            return np.where(_normal(t), lam * np.log(t),
+                            lam * (np.log(lam) - np.log(mu)))
 
     return ScalarFunctionSpec(
         name="xlogx",
-        fn=lambda t: t * math.log(t),
+        fn=lambda t: t * np.log(t),
         gamma=math.inf,
         limit_at_zero=0.0,
         diverges_at_infinity=True,

@@ -252,10 +252,6 @@ class ConjugationReport:
     max_deviation: float
     tol: float
 
-    @property
-    def matched(self) -> bool:
-        return self.max_deviation <= self.tol
-
 
 def verify_conjugation(state_map: StateMap, u, kind: str, *,
                        n_samples: int = 50, seed: int = 0,
@@ -296,14 +292,10 @@ def trace_similarity_check(a, b, h) -> float:
     ab2a = sa @ b.matrix @ b.matrix @ sa
     # both products have norm at most ||A|| ||B||^2
     bound = float(a.eigenvalues[-1]) * float(b.eigenvalues[-1]) ** 2
-    t1, t2 = _traces_of_fn(np.array([bab, ab2a]), h, bound)
+    # snapped spectra: noise below the bound counts as 0
+    evals, _ = mc._snapped_psd_eig(np.array([bab, ab2a]), bound)
+    t1, t2 = h(evals).sum(-1).tolist()
     return abs(t1 - t2)
-
-
-def _traces_of_fn(stack: np.ndarray, h, bound: float) -> list:
-    """tr h(M) for each PSD product M of a stack of norm at most ``bound``, noise as 0."""
-    evals, _ = mc._snapped_psd_eig(stack, bound)
-    return [float(sum(h(v) for v in row)) for row in evals]
 
 
 @dataclass
@@ -335,20 +327,19 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
 
     rng = SeededRng(seed)
     n = b.dim
-    probes = []
+    x = random_unit_vector(n, rng, count=n_samples)
     if not dominated:
-        probes.append(mc.rank_one(vecs[:, 0], vecs[:, 0]) + 1e-6 * np.eye(n))
-    for v in random_unit_vector(n, rng, count=n_samples):
-        probes.append(mc.rank_one(v, v) + 1e-6 * np.eye(n))
+        x = np.vstack([vecs[:, 0], x])
+    # each probe is rank_one(x, x) + 1e-6 I
+    probes = x[:, :, None] * x[:, None, :].conj() + 1e-6 * np.eye(n)
 
     max_violation = 0.0
     counterexample = None
     # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
     bound = scale * (1.0 + 1e-6)
-    probes = np.array(probes).reshape(-1, n, n)
-    lhs_all = _traces_of_fn(b.matrix @ probes @ b.matrix, h, bound)
-    rhs_all = _traces_of_fn(c.matrix @ probes @ c.matrix, h, bound)
-    for probe, lhs, rhs in zip(probes, lhs_all, rhs_all):
+    lhs_all = h(mc._snapped_psd_eig(b.matrix @ probes @ b.matrix, bound)[0]).sum(-1)
+    rhs_all = h(mc._snapped_psd_eig(c.matrix @ probes @ c.matrix, bound)[0]).sum(-1)
+    for probe, lhs, rhs in zip(probes, lhs_all.tolist(), rhs_all.tolist()):
         gap = lhs - rhs
         if gap > max_violation:
             max_violation = gap
@@ -368,16 +359,14 @@ def functional_eq_residual(f, n: int, *, n_samples: int = 200,
     """Max |sum_k b_k f(a_k/b_k)| over random probability vector pairs.
 
     Vanishes identically exactly for f(t) = c(t-1); anything else betrays
-    itself on some sample.
+    itself on some sample.  ``f`` maps an array of ratios to an array, as a
+    ``ScalarFunctionSpec`` does.
     """
     if n < 2:
         raise ValueError("need at least two entries per probability vector")
     draws = random_simplex(n, SeededRng(seed), count=2 * n_samples)
-    worst = 0.0
-    for a, b in zip(draws[0::2], draws[1::2]):
-        res = abs(float(sum(bk * f(ak / bk) for ak, bk in zip(a, b))))
-        worst = max(worst, res)
-    return worst
+    a, b = draws[0::2], draws[1::2]
+    return float(np.max(np.abs((b * f(a / b)).sum(axis=1)), initial=0.0))
 
 
 @dataclass

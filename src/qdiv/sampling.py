@@ -228,10 +228,10 @@ def random_antiunitary(n: int, rng: SeededRng) -> StateMap:
 
 def random_unit_vector(n: int, rng: SeededRng, count: Optional[int] = None) -> np.ndarray:
     """Uniform unit vector in C^n, or a stack of ``count`` drawn one after
-    another.  Each is divided by its own ``np.linalg.norm``, whose summation
-    order a batched norm does not keep."""
-    if count is None:
-        v = _complex_normals(rng.next_u64s(2 * n))
-        return v / np.linalg.norm(v)
-    v = _complex_normals(rng.next_u64s(2 * n * count)).reshape(count, n)
-    return v / np.array([np.linalg.norm(x) for x in v]).reshape(count, 1)
+    another; the single vector is the one member of the stack of 1.  Each is
+    divided by its own ``np.linalg.norm``, whose summation order a batched
+    norm does not keep."""
+    m = 1 if count is None else count
+    v = _complex_normals(rng.next_u64s(2 * n * m)).reshape(m, n)
+    v = v / np.array([np.linalg.norm(x) for x in v]).reshape(m, 1)
+    return v[0] if count is None else v

@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 import re
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from qdiv.cli import main
-from qdiv.files import load_operator, parse_report, save_operator, strip_wall_time
+from qdiv.files import load_operator, save_operator
 from qdiv.sampling import SeededRng, haar_unitary
+from qdiv.suites import SUITES
 
 
 def run_cli(*args):
@@ -71,7 +73,7 @@ def test_div_writes_report(diag_files, tmp_path):
     report = tmp_path / "r.json"
     out = run_cli("div", "sandwiched", a, b, "--alpha", "2", "--out", str(report))
     assert out.returncode == 0
-    doc = parse_report(report.read_text())
+    doc = json.loads(report.read_text())
     assert doc["results"]["value"] == "inf"
 
 
@@ -268,6 +270,32 @@ def test_exit_code_alpha_outside_the_divergence_range(alpha, diag_files, tmp_pat
     assert not report.exists()
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_check_rejects_a_finite_alpha_outside_the_range(suite, capsys):
+    # once every suite that does not read alpha exited 0 and echoed it
+    assert main(["check", suite, "--samples", "2", "--alpha", "-3"]) == 2
+    out = capsys.readouterr()
+    assert "invalid input: alpha must lie in (0,1) or (1,inf), got -3.0" in out.err
+    assert "pass" not in out.out
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_check_renders_its_report_only_for_out(passed, monkeypatch, tmp_path, capsys):
+    # a NaN measurement is not JSON: it stops the report, not a run without one
+    def nan_suite(name, **params):
+        return passed, [{"name": "probe", "measured": math.nan, "bound": 1.0,
+                         "pass": passed}]
+
+    monkeypatch.setattr("qdiv.cli.run_suite", nan_suite)
+    assert main(["check", "lemmas"]) == (0 if passed else 1)
+    assert "measured=nan" in capsys.readouterr().out
+    report = tmp_path / "r.json"
+    assert main(["check", "lemmas", "--out", str(report)]) == 2
+    assert "invalid input: Out of range float values are not JSON compliant" \
+        in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("argv,code,message", [
     (["check", "prop1", "--alpha", "400"], 0, "suite passed"),
     (["check", "prop1", "--alpha", "1.0000001"], 2, "invalid input: prop1: no finite gap"),
@@ -363,7 +391,7 @@ def test_check_prop1_reports_witness(tmp_path):
     report = tmp_path / "r.json"
     res = run_cli("check", "prop1", "--alpha", "2", "--out", str(report))
     assert res.returncode == 0
-    doc = parse_report(report.read_text())
+    doc = json.loads(report.read_text())
     wit = doc["results"]["assertions"][0]["witness"]
     assert abs(wit["lhs"] - wit["rhs"]) > 1e-3
 
@@ -391,7 +419,9 @@ def test_check_report_is_stable_modulo_wall_time(tmp_path):
     r2 = tmp_path / "r2.json"
     run_cli("check", "thm4", "--dim", "2", "--alpha", "2", "--out", str(r1))
     run_cli("check", "thm4", "--dim", "2", "--alpha", "2", "--out", str(r2))
-    assert strip_wall_time(r1.read_text()) == strip_wall_time(r2.read_text())
+    d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
+    del d1["wall_time_s"], d2["wall_time_s"]
+    assert d1 == d2
 
 
 # -------------------------------------------------------------- reconstruct

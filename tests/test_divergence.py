@@ -19,9 +19,11 @@ from qdiv.divergence import (
     supports_orthogonal,
     umegaki,
 )
-from qdiv.functions import DomainError, linear_fn, power_fn, spec_from_name, xlogx_fn
+from qdiv.functions import DomainError, bounded_ratio_fn, linear_fn, power_fn, \
+    spec_from_name, xlogx_fn
 from qdiv.maps import StateMap
 from qdiv.operators import DensityOperator, PositiveOperator, ValidationError
+from qdiv.preserver import invariance_pairs
 from qdiv.sampling import SeededRng, haar_unitary, random_antiunitary, \
     random_density, random_positive_definite
 
@@ -918,3 +920,89 @@ def test_fdiv_is_covariant_under_a_common_scale(f):
     for k in (-1000, -300, 300, 1000):
         got = f_divergence(2.0**k * a.matrix, 2.0**k * b.matrix, f)
         assert float(got) == pytest.approx(2.0**k * base, rel=1e-12)
+
+
+def test_sandwiched_core_scales_back_without_rounding_the_log():
+    # tr (B^e A B^e)^2 = 0.25e160 + 0.5e160; exp(log core) read 7.499999999999575e159
+    got = float(sandwiched_core(HALF, TINY, 2.0))
+    assert got == 7.5e159
+    want = float(d_fg(HALF, TINY, power_fn(-0.25), power_fn(2)))
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+# ------------------------------------- whole-spectrum calls, per-element oracle
+# The f-divergence and tr g(f(B) A f(B)) written one term at a time, as sums
+# of scalar formulas over the operators' own snapped spectral data.  Each
+# returns the value and the sum of the terms' magnitudes, the scale of its
+# rounding.
+
+PER_ELEMENT = {
+    "xlogx": lambda t: t * math.log(t),
+    "power:2": lambda t: t**2.0,
+    "power:0.5": lambda t: t**0.5,
+    "power:-0.5": lambda t: t**-0.5,
+    "linear:-3": lambda t: -3.0 * (t - 1.0),
+    "ratio": lambda t: t / (1.0 + t),
+}
+
+
+def fdiv_one_term_at_a_time(a, b, f):
+    b_in_a, a_in_b = support_contains(a, b), support_contains(b, a)
+    if (not b_in_a and f.limit_at_zero == math.inf) or (not a_in_b and f.gamma == math.inf):
+        return math.inf, 0.0
+    f0 = 0.0 if b_in_a else f.limit_at_zero
+    gamma = 0.0 if a_in_b else f.gamma
+    w = (np.abs(a.eigenvectors.conj().T @ b.eigenvectors) ** 2).tolist()
+    terms = []
+    for i, lam in enumerate(a.eigenvalues.tolist()):
+        for j, mu in enumerate(b.eigenvalues.tolist()):
+            if lam > 0.0 and mu > 0.0 and w[i][j] > 0.0:
+                terms.append(w[i][j] * mu * PER_ELEMENT[f.name](lam / mu))
+            elif lam == 0.0:
+                terms.append(f0 * w[i][j] * mu)
+            elif mu == 0.0:
+                terms.append(gamma * w[i][j] * lam)
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+def dfg_one_term_at_a_time(a, b, f, g):
+    if f.limit_at_zero == math.inf and not support_contains(b, a):
+        return math.inf, 0.0
+    keep = b.eigenvalues > 0.0
+    fb = np.diag([PER_ELEMENT[f.name](mu) for mu in b.eigenvalues[keep].tolist()])
+    v = b.eigenvectors[:, keep]
+    s = fb @ v.conj().T @ a.matrix @ v @ fb
+    terms = [PER_ELEMENT[g.name](max(x, 0.0)) for x in np.linalg.eigvalsh(s).tolist()]
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+@pytest.fixture(scope="module")
+def mixed_rank_pairs():
+    pairs = invariance_pairs(4, n_samples=200, seed=16)
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def _assert_matches_the_per_element_sums(got, want):
+    for value, (ref, scale) in zip(got, want):
+        assert (value == math.inf) == (ref == math.inf)
+        if ref != math.inf:
+            assert abs(value - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["xlogx", "power:2", "power:0.5", "linear:-3", "ratio"])
+def test_fdiv_matches_the_per_element_formula(name, mixed_rank_pairs):
+    f = bounded_ratio_fn() if name == "ratio" else spec_from_name(name)
+    a, b = mixed_rank_pairs
+    want = [fdiv_one_term_at_a_time(x, y, f) for x, y in zip(a, b)]
+    _assert_matches_the_per_element_sums(f_divergence(a, b, f), want)
+
+
+@pytest.mark.parametrize("names", [("power:0.5", "power:2"), ("power:-0.5", "power:2")])
+def test_dfg_matches_the_per_element_formula(names, mixed_rank_pairs):
+    f, g = map(spec_from_name, names)
+    a, b = mixed_rank_pairs
+    want = [dfg_one_term_at_a_time(x, y, f, g) for x, y in zip(a, b)]
+    got = d_fg(a, b, f, g)
+    _assert_matches_the_per_element_sums(got, want)
+    # the mixed ranks reach the +inf branch exactly when f diverges at 0+
+    assert (math.inf in got) == (f.limit_at_zero == math.inf)

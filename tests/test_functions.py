@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qdiv.functions import DomainError, ScalarFunctionSpec, bounded_ratio_fn, \
@@ -101,3 +102,38 @@ def test_declared_perspectives_agree_with_the_direct_form():
         for lam, mu in ((0.3, 0.7), (2.0, 1e-3), (1e-5, 4.0)):
             want = mu * f(lam / mu)
             assert f.perspective(lam, mu) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+# ------------------------------------------------- whole-spectrum calls
+
+@pytest.mark.parametrize("name", ["power:2", "power:0.5", "power:0", "power:-1",
+                                  "power:-0.5", "xlogx", "linear:-3", "linear:2"])
+def test_array_call_is_the_scalar_call_entry_by_entry(name):
+    f = spec_from_name(name)
+    t = np.array([[0.0, 1e-300, 0.3], [1.0, 2.5, 1e10]])
+    if f.limit_at_zero == math.inf:
+        t[0, 0] = 0.7
+    got = f(t)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    assert got.tolist() == [[f(x) for x in row] for row in t.tolist()]
+    assert type(f(2.0)) is float and type(f(np.float64(2.0))) is float
+
+
+def test_array_call_checks_every_entry():
+    with pytest.raises(DomainError, match="negative"):
+        power_fn(2)(np.array([1.0, -2.0, 3.0]))
+    for f in (power_fn(-1), ScalarFunctionSpec(name="opaque", fn=lambda t: t + 1.0)):
+        with pytest.raises(DomainError, match="undefined at 0"):
+            f(np.array([1.0, 0.0]))
+    assert linear_fn(-3.0)(np.array([0.0, 1.0])).tolist() == [3.0, 0.0]
+
+
+def test_a_scalar_result_broadcasts():
+    const = ScalarFunctionSpec(name="one", fn=lambda t: 1.0, limit_at_zero=1.0)
+    assert const(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+    assert const(np.array([0.5, 2.0])).tolist() == [1.0, 1.0]
+
+
+def test_fn_that_takes_only_floats_fails_at_construction():
+    with pytest.raises(TypeError):
+        ScalarFunctionSpec(name="m", fn=math.log)

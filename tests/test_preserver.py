@@ -27,7 +27,7 @@ from qdiv.preserver import (
     wigner_reconstruct,
 )
 from qdiv.sampling import SeededRng, haar_unitary, random_density, \
-    random_positive_definite
+    random_positive_definite, random_simplex
 from qdiv.suites import suite_invariance
 
 
@@ -286,7 +286,7 @@ def test_verify_conjugation_exact_match():
     m = StateMap.unitary_conjugation(u0)
     rep = verify_conjugation(m, u0, "unitary", seed=2)
     assert rep.max_deviation < 1e-10
-    assert rep.matched
+    assert rep.max_deviation <= rep.tol
 
 
 def test_verify_conjugation_ignores_global_phase():
@@ -305,7 +305,7 @@ def test_verify_conjugation_flags_wrong_unitary():
     m = StateMap.unitary_conjugation(u0)
     rep = verify_conjugation(m, u1, "unitary", seed=2)
     assert rep.max_deviation > 0.1
-    assert not rep.matched
+    assert not rep.max_deviation <= rep.tol
 
 
 def test_verify_conjugation_needs_a_sample():
@@ -484,6 +484,15 @@ def test_functional_eq_perturbed_linear():
     f = lambda t: t**0.5 + 0.5 * (t - 1.0)
     res = functional_eq_residual(f, 3, n_samples=200, seed=13)
     assert res > 1e-3
+
+
+def test_functional_eq_matches_the_per_sample_loop():
+    # the residual sums each sample as one array row; the loop adds term by term
+    draws = random_simplex(3, SeededRng(13), count=400)
+    want = max(abs(math.fsum(bk * (ak / bk) ** 2 for ak, bk in zip(a, b)))
+               for a, b in zip(draws[0::2].tolist(), draws[1::2].tolist()))
+    got = functional_eq_residual(power_fn(2), 3, n_samples=200, seed=13)
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_functional_eq_needs_two_entries():
