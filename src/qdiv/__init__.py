@@ -12,8 +12,8 @@ from .functions import (
     xlogx_fn,
 )
 from .matrixcore import (
-    SpectralDecomposition,
     eig_hermitian,
+    from_spectrum,
     hs_inner,
     rank_one,
     superop_lr,

@@ -6,6 +6,8 @@ stopping tolerance and the eigenvector conventions are fixed by this module and
 reproducible run to run.  It runs a stack (..., n, n) in rounds of disjoint
 rotations (round-robin order), each member bit-identical to a call on it alone.
 Intended scale is small (n up to a few dozen), where Jacobi is accurate and fast.
+A function of a Hermitian matrix is formed by one formula, ``from_spectrum``:
+V diag(f(w)) V*, made exactly Hermitian, for one matrix or a stack.
 
 Tolerance policy.  Every threshold that decides a branch anywhere in the
 package is one of the constants below, and each is a relative factor times a
@@ -36,7 +38,6 @@ SUPP_TOL = 1e-12     # eigenvalue snapped to 0, relative to ||A||_2
 EIG_SNAP = 1e-13     # eigenvalue of a derived PSD product snapped to 0, relative
                      # to a norm bound taken from its factors' cached spectra
 SPEC_TOL = 1e-10     # eigenvalue spread counted as one value, relative to ||A||_2
-                     # (cluster_eigendata alone still floors this at 1)
 JACOBI_OFF_TOL = 1e-13   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 64
 _TINY = np.finfo(np.float64).tiny   # not a tolerance: moves only 0 and subnormals
@@ -44,7 +45,6 @@ _SAFE_EXP = 512      # not a tolerance: ||A||_F^2 outside 2^(+-512) runs rescale
 # Scale-free quantities, compared directly.
 TRACE_TOL = 1e-10           # |tr rho - 1| of a density operator
 SUPPORT_TRACE_TOL = 1e-8    # tr P_inner - <P_inner, P_outer>, and <P_a, P_b>
-PROJ_TOL = 1e-10            # idempotency / orthogonality of computed projections
 PROJ_IMAGE_TOL = 1e-8       # Hermitian (relative) and ||P^2 - P||_F of a
                             # projection read from a file or a map's image
 TRANSITION_PROB_TOL = 1e-8  # |tr(P_i P_j) - tr(Q_i Q_j)| for rank-one probes
@@ -56,7 +56,8 @@ SUPEROP_IMAG_TOL = 1e-10    # |Im <s, f(L_A R_B^-1) s>|, relative to max|f| ||s|
 DOMINANCE_TOL = 1e-10       # min eigenvalue of C^2 - B^2, relative to
                             # max(||B||, ||C||)^2
 TRACE_FN_GAP_TOL = 1e-8     # tr h(BPB) - tr h(CPC), relative to the larger one
-THM4_GAP_TOL = 1e-10        # mean(xy) - mean(x)mean(y), relative to the larger one
+THM4_GAP_TOL = 1e-12        # mean(xy) - mean(x)mean(y), relative to the larger
+                            # one: a few n ulps of roundoff at most
 ORTHOGONALITY_TOL = 1e-10   # |tr g(f(B) A f(B))| on density operators (trace 1)
 
 
@@ -102,12 +103,22 @@ def hs_inner(a, b) -> complex:
 
 
 def rank_one(x, y) -> np.ndarray:
-    """The operator x (x) y mapping z to <z, y> x; entries x_i * conj(y_j)."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if x.shape != y.shape:
+    """The operator x (x) y mapping z to <z, y> x; entries x_i * conj(y_j).
+    Stacks (..., n) of vectors broadcast to a stack (..., n, n) of operators."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    if x.shape[-1:] != y.shape[-1:]:
         raise ValueError("dimension mismatch between vectors")
-    return np.outer(x, y.conj())
+    return x[..., :, None] * y[..., None, :].conj()
+
+
+def from_spectrum(vals, vecs) -> np.ndarray:
+    """V diag(vals) V*, made exactly Hermitian: the one functional-calculus
+    formula.  V (n x k) may have fewer columns than rows; ones on them give the
+    projection onto their span.  A stack (..., n, k) with ``vals`` (..., k)
+    runs member by member, each bit-identical to the call on it alone."""
+    vals = np.asarray(vals)
+    return hermitian_part((vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,72 +255,21 @@ class SpectralCluster:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered eigenvalues with orthogonal spectral projections."""
+def cluster_eigendata(evals, vecs) -> tuple:
+    """Group an ascending eigensystem into a tuple of ``SpectralCluster``s.
 
-    clusters: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.clusters[0].projection.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([c.eigenvalue for c in self.clusters])
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for c in self.clusters:
-            out += c.eigenvalue * c.projection
-        return out
-
-    def validate(self, tol: float = PROJ_TOL) -> None:
-        """Check idempotency, mutual orthogonality and resolution of identity."""
-        n = self.dim
-        total = np.zeros((n, n), dtype=np.complex128)
-        for i, c in enumerate(self.clusters):
-            p = c.projection
-            if frobenius(p @ p - p) > tol:
-                raise ValueError(f"cluster {i}: projection is not idempotent")
-            if frobenius(p - p.conj().T) > tol:
-                raise ValueError(f"cluster {i}: projection is not Hermitian")
-            for j, d in enumerate(self.clusters[i + 1 :], start=i + 1):
-                if frobenius(p @ d.projection) > tol:
-                    raise ValueError(f"clusters {i},{j}: projections not orthogonal")
-            total += p
-        if frobenius(total - np.eye(n)) > tol:
-            raise ValueError("projections do not resolve the identity")
-        if sum(c.multiplicity for c in self.clusters) != n:
-            raise ValueError("multiplicities do not sum to the dimension")
-
-
-def cluster_eigendata(evals, vecs, tau_spec: float = SPEC_TOL) -> SpectralDecomposition:
-    """Group an ascending eigensystem into clusters of nearby eigenvalues.
-
-    Adjacent eigenvalues whose gap is at most ``tau_spec * max(1, ||A||_2)``
-    land in one cluster; the cluster projection is the sum of outer products
-    of its eigenvectors.
+    Adjacent eigenvalues whose gap is at most ``SPEC_TOL * ||A||_2`` land in
+    one cluster, so c*A has the clusters of A for every c > 0; the cluster
+    projection is ``from_spectrum`` of ones on its eigenvectors.
     """
     evals = np.asarray(evals, dtype=float)
-    n = evals.shape[0]
-    scale = max(1.0, float(np.max(np.abs(evals)))) if n else 1.0
-    gap = tau_spec * scale
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or evals[i] - evals[i - 1] > gap:
-            block = vecs[:, start:i]
-            proj = hermitian_part(block @ block.conj().T)
-            clusters.append(
-                SpectralCluster(
-                    eigenvalue=float(np.mean(evals[start:i])),
-                    projection=proj,
-                    multiplicity=i - start,
-                )
-            )
-            start = i
-    return SpectralDecomposition(clusters=tuple(clusters))
+    cuts = np.flatnonzero(np.diff(evals) > SPEC_TOL * np.abs(evals).max()) + 1
+    bounds = [0, *cuts.tolist(), len(evals)]
+    return tuple(
+        SpectralCluster(eigenvalue=float(np.mean(evals[i:j])),
+                        projection=from_spectrum(np.ones(j - i), vecs[:, i:j]),
+                        multiplicity=j - i)
+        for i, j in zip(bounds, bounds[1:]))
 
 
 def vec(t: np.ndarray) -> np.ndarray:

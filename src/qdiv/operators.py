@@ -93,9 +93,10 @@ class PositiveOperator:
         return self.rank == self.dim
 
     @property
-    def clusters(self) -> mc.SpectralDecomposition:
-        """Eigenvalue clusters; no divergence uses them, the benchmark tracer
-        (``perfbench/tracing.py``) wraps this property by name."""
+    def clusters(self) -> tuple:
+        """The tuple of ``SpectralCluster``s of ``cluster_eigendata``; no
+        divergence uses them, the benchmark tracer (``perfbench/tracing.py``)
+        wraps this property by name."""
         if self._clusters is None:
             self._clusters = mc.cluster_eigendata(self._evals, self._vecs)
         return self._clusters
@@ -109,7 +110,7 @@ class PositiveOperator:
     def support_projection(self) -> np.ndarray:
         if self._support is None:
             b = self.support_basis
-            p = mc.hermitian_part(b @ b.conj().T)
+            p = mc.from_spectrum(np.ones(b.shape[1]), b)
             p.flags.writeable = False
             self._support = p
         return self._support
@@ -118,7 +119,7 @@ class PositiveOperator:
         """Power taken on the support: zero eigenvalues map to zero."""
         vals = np.where(self._evals > 0.0, self._evals, 1.0) ** p
         vals[self._evals == 0.0] = 0.0
-        return mc.hermitian_part((self._vecs * vals) @ self._vecs.conj().T)
+        return mc.from_spectrum(vals, self._vecs)
 
     def sqrt(self) -> np.ndarray:
         return self.pseudo_power(0.5)

@@ -62,11 +62,16 @@ def _rank_pattern(i: int, n: int, rng: SeededRng) -> int:
     return rng.integer(2, n - 1)
 
 
+def _require_samples(n_samples: int) -> None:
+    """An empty search would read as a pass."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+
+
 def invariance_pairs(n: int, *, n_samples: int, seed: int):
     """Seeded density pairs ``[(A, B)]`` on C^n, independent of any map; the
     ranks cycle full, one, intermediate so the +inf branches get exercised."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _require_samples(n_samples)
     rng = SeededRng(seed)
 
     def ranks():
@@ -158,8 +163,8 @@ def check_invariance(state_map: StateMap, divergence, *,
 
 
 def wigner_probe_projections(n: int) -> np.ndarray:
-    """The (2n, n, n) stack of the 2n rank-one probes x x* that pin down an
-    (anti)unitary, each bit-identical to ``rank_one(x, x)``.
+    """The (2n, n, n) stack of the 2n rank-one probes ``rank_one(x, x)`` that
+    pin down an (anti)unitary.
 
     Order: the n basis projections, then the n-1 equal-weight superpositions
     of the first basis vector with each later one, then one complex-phase
@@ -170,7 +175,7 @@ def wigner_probe_projections(n: int) -> np.ndarray:
     eye = np.eye(n, dtype=np.complex128)
     x = np.vstack([eye, (eye[0] + eye[1:]) / math.sqrt(2.0),
                    (eye[0] + 1j * eye[1]) / math.sqrt(2.0)])
-    return x[:, :, None] * x[:, None, :].conj()
+    return mc.rank_one(x, x)
 
 
 def _top_eigenvector(p: np.ndarray) -> np.ndarray:
@@ -260,8 +265,7 @@ def verify_conjugation(state_map: StateMap, u, kind: str, *,
     ``tol`` must be finite and >= 0.  The map and the conjugation each run
     once, on the stack of sampled states; the norms stay per state, so the
     value is the per-state loop's."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _require_samples(n_samples)
     _require_tol(tol)
     u = require_unitary(u, max(tol, mc.UNITARY_TOL))
     rng = SeededRng(seed)
@@ -310,35 +314,47 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
                          seed: int = 0) -> OrderDominanceResult:
     """Probe the equivalence of B^2 <= C^2 with tr h(BAB) <= tr h(CAC).
 
-    The dominance side is decided spectrally from C^2 - B^2.  The converse is
-    a randomized search over near-rank-one positive definite probes
-    (x (x) x + 1e-6 I); when nothing is found for a spectrally non-dominated
-    pair, the verdict is ``inconclusive`` rather than a confirmation.
+    The dominance side is decided spectrally from C^2 - B^2, on B and C
+    scaled by the power of two that brings the larger top eigenvalue into
+    [1/2, 1): exact, so no square under- or overflows and the verdict on
+    (cB, cC) is the verdict on (B, C) for every c > 0.  The converse is a
+    randomized search over near-rank-one positive definite probes
+    (x (x) x + 1e-6 I) on the unscaled operands, as h is nonlinear;
+    ``NonFiniteResultError`` if a probe product overflows.  When nothing is
+    found for a spectrally non-dominated pair, the verdict is
+    ``inconclusive`` rather than a confirmation.
     """
     if not h.strictly_increasing or h(0.0) != 0.0:
         raise DomainError("h must be strictly increasing with h(0) = 0")
+    _require_samples(n_samples)
     b = as_positive(b)
     c = as_positive(c)
-    diff = c.matrix @ c.matrix - b.matrix @ b.matrix
-    evals, vecs = mc.eig_hermitian(mc.hermitian_part(diff))
+    top = max(float(b.eigenvalues[-1]), float(c.eigenvalues[-1]))
+    k = math.frexp(top)[1]
+    bs, cs = (np.ldexp(op.matrix.view(np.float64), -k).view(np.complex128)
+              for op in (b, c))
+    evals, vecs = mc.eig_hermitian(mc.hermitian_part(cs @ cs - bs @ bs))
     # -B^2 <= C^2 - B^2 <= C^2 bounds the difference by max(||B||, ||C||)^2
-    scale = max(float(b.eigenvalues[-1]), float(c.eigenvalues[-1])) ** 2
-    dominated = bool(evals[0] >= -mc.DOMINANCE_TOL * scale)
+    s = math.ldexp(top, -k)
+    dominated = bool(evals[0] >= -mc.DOMINANCE_TOL * (s * s))
 
     rng = SeededRng(seed)
     n = b.dim
     x = random_unit_vector(n, rng, count=n_samples)
     if not dominated:
         x = np.vstack([vecs[:, 0], x])
-    # each probe is rank_one(x, x) + 1e-6 I
-    probes = x[:, :, None] * x[:, None, :].conj() + 1e-6 * np.eye(n)
+    probes = mc.rank_one(x, x) + 1e-6 * np.eye(n)
 
     max_violation = 0.0
     counterexample = None
-    # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
-    bound = scale * (1.0 + 1e-6)
-    lhs_all = h(mc._snapped_psd_eig(b.matrix @ probes @ b.matrix, bound)[0]).sum(-1)
-    rhs_all = h(mc._snapped_psd_eig(c.matrix @ probes @ c.matrix, bound)[0]).sum(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
+        bound = np.float64(top) ** 2 * (1.0 + 1e-6)
+        products = [op.matrix @ probes @ op.matrix for op in (b, c)]
+    if not (np.isfinite(bound) and all(np.isfinite(p).all() for p in products)):
+        raise NonFiniteResultError("order dominance: the probe products leave "
+                                   "the float range")
+    lhs_all, rhs_all = (h(mc._snapped_psd_eig(p, bound)[0]).sum(-1) for p in products)
     for probe, lhs, rhs in zip(probes, lhs_all.tolist(), rhs_all.tolist()):
         gap = lhs - rhs
         if gap > max_violation:
@@ -364,9 +380,10 @@ def functional_eq_residual(f, n: int, *, n_samples: int = 200,
     """
     if n < 2:
         raise ValueError("need at least two entries per probability vector")
+    _require_samples(n_samples)
     draws = random_simplex(n, SeededRng(seed), count=2 * n_samples)
     a, b = draws[0::2], draws[1::2]
-    return float(np.max(np.abs((b * f(a / b)).sum(axis=1)), initial=0.0))
+    return float(np.max(np.abs((b * f(a / b)).sum(axis=1))))
 
 
 @dataclass
@@ -451,7 +468,9 @@ def thm4_scalar_test(t_op, alpha: float) -> ScalarCriterionResult:
     x_k = t_k^(-2a) and y_k = t_k^(2a/(1-a)); the two agree exactly when all
     eigenvalues coincide.  Cross-checked against the direct spectral test.
     Raises ``NonFiniteResultError`` when the powers leave the float range and
-    the gap is not finite.
+    the gap is not finite, and when they cannot resolve a spread spectrum:
+    alpha so close to 0 that x and y round to near constants, or t so large
+    or small that the powers underflow.
     """
     alpha = _check_alpha(alpha)
     t_op = as_positive(t_op)
@@ -466,11 +485,18 @@ def thm4_scalar_test(t_op, alpha: float) -> ScalarCriterionResult:
     gap = mean_xy - mean_x_mean_y
     if not math.isfinite(gap):
         raise NonFiniteResultError(f"thm4: the gap at alpha={alpha} is not finite")
-    is_scalar = abs(gap) <= mc.THM4_GAP_TOL * max(abs(mean_xy), abs(mean_x_mean_y))
-    spread = float(tv[-1] - tv[0])
-    spectral_scalar = spread <= mc.SPEC_TOL * float(tv[-1])
+    floor = mc.THM4_GAP_TOL * max(abs(mean_xy), abs(mean_x_mean_y))
+    spectral_scalar = float(tv[-1] - tv[0]) <= mc.SPEC_TOL * float(tv[-1])
+    # x and y are monotone in t, so a spread spectrum has a gap of at least
+    # (max x - min x)(max y - min y)/n^2 in exact arithmetic; this bound must
+    # clear the floor with room for the gap's own roundoff, far below it
+    least = float(np.ptp(x)) * float(np.ptp(y)) / len(tv) ** 2
+    if not (spectral_scalar or least > 2.0 * floor):
+        raise NonFiniteResultError(
+            f"thm4: the powers at alpha={alpha} do not resolve the spectrum: "
+            f"a gap of at least {least:.3e} is within roundoff")
     return ScalarCriterionResult(
-        is_scalar=is_scalar,
+        is_scalar=abs(gap) <= floor,
         gap=gap,
         mean_xy=mean_xy,
         mean_x_mean_y=mean_x_mean_y,

@@ -189,12 +189,7 @@ def random_density_matrices(n: int, ranks: Iterable[int], rng: SeededRng) -> np.
         sel = rs == rank
         evals[sel, :rank] = _normalized(_exponentials(u[sel, :rank]))
     gauss = u[np.arange(len(rs))[:, None], rs[:, None] + np.arange(2 * n * n)]
-    return _conjugated(haar_unitary(n, _Drawn(gauss), len(rs)), evals)
-
-
-def _conjugated(u: np.ndarray, evals: np.ndarray) -> np.ndarray:
-    """U diag(evals) U*, made exactly Hermitian; stacks member by member."""
-    return mc.hermitian_part((u * evals[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    return mc.from_spectrum(evals, haar_unitary(n, _Drawn(gauss), len(rs)))
 
 
 def random_density_matrix(n: int, rank: int, rng: SeededRng) -> np.ndarray:
@@ -218,7 +213,7 @@ def random_positive_definite(n: int, kappa: float, rng: SeededRng) -> PositiveOp
         raise ValueError("condition cap must be at least 1")
     half = 0.5 * math.log(kappa)
     evals = _elementwise(math.exp, -half + _uniform(rng.next_u64s(n)) * 2.0 * half)
-    return PositiveOperator(_conjugated(haar_unitary(n, rng), evals))
+    return PositiveOperator(mc.from_spectrum(evals, haar_unitary(n, rng)))
 
 
 def random_antiunitary(n: int, rng: SeededRng) -> StateMap:

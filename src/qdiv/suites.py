@@ -209,16 +209,18 @@ def suite_thm4(*, dim: int, alpha: float):
     if dim < 2:
         raise ValueError("thm4 needs dimension at least 2: diag(1..n) is scalar at n = 1")
     assertions = []
+    # the verdict's threshold: THM4_GAP_TOL relative to the larger mean
+    bound = lambda r: mc.THM4_GAP_TOL * max(abs(r.mean_xy), abs(r.mean_x_mean_y))
     scalar = thm4_scalar_test(3.0 * np.eye(dim), alpha)
     assertions.append(_entry(
-        "cI is recognized as scalar", abs(scalar.gap), 1e-10,
+        "cI is recognized as scalar", abs(scalar.gap), bound(scalar),
         scalar.is_scalar and scalar.spectral_scalar,
     ))
     spread = as_positive(np.diag(np.arange(1.0, dim + 1.0)))
     violating = thm4_scalar_test(spread, alpha)
     assertions.append(_entry(
-        "diag(1..n) violates the mean-product identity", abs(violating.gap), 1e-10,
-        (not violating.is_scalar) and (not violating.spectral_scalar),
+        "diag(1..n) violates the mean-product identity", abs(violating.gap),
+        bound(violating), (not violating.is_scalar) and (not violating.spectral_scalar),
     ))
     return all(a["pass"] for a in assertions), assertions
 

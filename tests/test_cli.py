@@ -301,6 +301,9 @@ def test_check_renders_its_report_only_for_out(passed, monkeypatch, tmp_path, ca
     (["check", "prop1", "--alpha", "1.0000001"], 2, "invalid input: prop1: no finite gap"),
     (["check", "prop1", "--alpha", "1e5"], 2, "invalid input: prop1: no finite gap"),
     (["check", "thm4", "--alpha", "0.999999"], 2, "invalid input: thm4: the gap"),
+    (["check", "thm4", "--dim", "3", "--alpha", "1e-5"], 0, "suite passed"),
+    (["check", "thm4", "--dim", "3", "--alpha", "1e-300"], 2,
+     "invalid input: thm4: the powers at alpha=1e-300 do not resolve"),
 ])
 def test_scalar_criteria_beyond_the_float_range(argv, code, message, capsys):
     # once RuntimeWarnings (an error under this suite's warning filter) and a

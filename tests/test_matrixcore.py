@@ -70,7 +70,7 @@ def test_eig_against_numpy_oracle(n, seed):
     a = random_hermitian(n, seed)
     w, v = mc.eig_hermitian(a)
     assert np.max(np.abs(w - np.linalg.eigvalsh(a))) < 1e-11 * max(1, np.abs(w).max())
-    assert mc.frobenius(v.conj().T @ v - np.eye(n)) <= mc.PROJ_TOL
+    assert mc.frobenius(v.conj().T @ v - np.eye(n)) <= 1e-10
     recon = (v * w) @ v.conj().T
     assert mc.frobenius(recon - a) <= 1e-10 * mc.frobenius(a)
 
@@ -131,7 +131,7 @@ def test_eig_stack_degenerate_and_rank_deficient_match_oracle(n):
     w, v = mc.eig_hermitian(stack)
     for a, wi, vi in zip(stack, w, v):
         assert np.max(np.abs(wi - np.linalg.eigvalsh(a))) < 1e-11 * max(1, np.abs(wi).max())
-        assert mc.frobenius(vi.conj().T @ vi - np.eye(n)) <= mc.PROJ_TOL
+        assert mc.frobenius(vi.conj().T @ vi - np.eye(n)) <= 1e-10
         assert mc.frobenius((vi * wi) @ vi.conj().T - a) <= 1e-10 * max(1, mc.frobenius(a))
 
 
@@ -193,35 +193,58 @@ def test_from_stack_matches_the_constructor():
 
 # ------------------------------------------------------- cluster_eigendata
 
-def clustered(a, **kwargs):
-    return mc.cluster_eigendata(*mc.eig_hermitian(a), **kwargs)
+def clustered(a):
+    return mc.cluster_eigendata(*mc.eig_hermitian(a))
+
+
+def assert_resolves(clusters, a, tol):
+    """Projections that pass ``is_projection``, are pairwise orthogonal and
+    sum to I, with multiplicities summing to n and sum(lambda P) = A."""
+    n = a.shape[0]
+    ps = [c.projection for c in clusters]
+    assert all(mc.is_projection(p) for p in ps)
+    for i, p in enumerate(ps):
+        for q in ps[i + 1:]:
+            assert mc.frobenius(p @ q) <= 1e-10
+    assert mc.frobenius(sum(ps) - np.eye(n)) <= 1e-10
+    assert sum(c.multiplicity for c in clusters) == n
+    assert mc.frobenius(sum(c.eigenvalue * c.projection for c in clusters) - a) <= tol
 
 
 def test_cluster_degenerate_diagonal():
-    dec = clustered(np.diag([0.5, 0.5, 0.25]))
-    assert len(dec.clusters) == 2
-    by_val = {round(c.eigenvalue, 6): c.multiplicity for c in dec.clusters}
+    a = np.diag([0.5, 0.5, 0.25])
+    clusters = clustered(a)
+    assert len(clusters) == 2
+    by_val = {round(c.eigenvalue, 6): c.multiplicity for c in clusters}
     assert by_val == {0.5: 2, 0.25: 1}
-    dec.validate()
+    assert_resolves(clusters, a, 1e-10)
 
 
 def test_cluster_identity_single_cluster():
-    dec = PositiveOperator(np.eye(4)).clusters
-    assert len(dec.clusters) == 1
-    assert dec.clusters[0].multiplicity == 4
+    clusters = PositiveOperator(np.eye(4)).clusters
+    assert len(clusters) == 1
+    assert clusters[0].multiplicity == 4
 
 
 def test_cluster_merges_tiny_gap():
-    dec = clustered(np.diag([1.0, 1.0 + 1e-15]), tau_spec=1e-12)
-    assert len(dec.clusters) == 1
-    assert dec.clusters[0].multiplicity == 2
+    clusters = clustered(np.diag([1.0, 1.0 + 1e-15]))
+    assert len(clusters) == 1
+    assert clusters[0].multiplicity == 2
 
 
 def test_cluster_projections_validate_on_random_input():
     a = random_hermitian(6, 9)
-    dec = clustered(a)
-    dec.validate()
-    assert mc.frobenius(dec.reconstruct() - a) <= 1e-10 * mc.frobenius(a)
+    assert_resolves(clustered(a), a, 1e-10 * mc.frobenius(a))
+
+
+@pytest.mark.parametrize("c", [1e-11, 1.0, 1e11])
+def test_clusters_are_scale_free(c):
+    # the merge threshold is SPEC_TOL ||A||_2 with no floor at 1: the two
+    # eigenvalues of 1e-11 diag(1, 2) once merged into one cluster
+    a = c * np.diag([1.0, 2.0])
+    clusters = PositiveOperator(a).clusters
+    assert [k.multiplicity for k in clusters] == [1, 1]
+    assert_resolves(clusters, a, 1e-10 * mc.frobenius(a))
 
 
 # ----------------------------- functional calculus: PositiveOperator powers
@@ -347,6 +370,43 @@ def test_rank_one_dimension_mismatch():
         mc.rank_one(np.ones(2), np.ones(3))
 
 
+def test_rank_one_broadcasts_over_stacks():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    y = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    got = mc.rank_one(x, y)
+    assert got.shape == (5, 3, 3)
+    for k in range(5):
+        assert np.array_equal(got[k], np.outer(x[k], y[k].conj()))
+        assert np.array_equal(got[k], mc.rank_one(x[k], y[k]))
+
+
+# ------------------------------------------------------------ from_spectrum
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_from_spectrum_stack_matches_members_and_the_inline_formulas(n):
+    rng = SeededRng(31 + n)
+    u = haar_unitary(n, rng, count=4)
+    w = np.random.default_rng(n).normal(size=(4, n))
+    stack = mc.from_spectrum(w, u)
+    # the stack formula of the sampler, then one member as pseudo_power wrote it
+    herm = mc.hermitian_part
+    assert np.array_equal(stack, herm((u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)))
+    for k in range(4):
+        one = mc.from_spectrum(w[k], u[k])
+        assert np.array_equal(stack[k], one)
+        assert np.array_equal(one, herm((u[k] * w[k]) @ u[k].conj().T))
+    # ones on columns: a column slice as clusters took it, and a masked copy
+    # as support_projection took it
+    for j in range(n + 1):
+        block = u[0][:, j:]
+        assert np.array_equal(mc.from_spectrum(np.ones(n - j), block),
+                              herm(block @ block.conj().T))
+        cols = u[0][:, np.arange(n) % 2 == j % 2]
+        assert np.array_equal(mc.from_spectrum(np.ones(cols.shape[1]), cols),
+                              herm(cols @ cols.conj().T))
+
+
 # ------------------------------------------------------------ superoperator
 
 def apply_superop(s, t):
@@ -397,7 +457,7 @@ def test_superop_commutation():
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     left = mc.superop_lr(a, np.eye(2))
     right = mc.superop_lr(np.eye(2), b)
-    assert mc.frobenius(left @ right - right @ left) <= mc.PROJ_TOL
+    assert mc.frobenius(left @ right - right @ left) <= 1e-10
 
 
 # --------------------------------------------------- trace similarity lemma

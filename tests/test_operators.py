@@ -52,8 +52,13 @@ def test_support_projection_reproduces_operator():
 def test_clusters_validate():
     rng = SeededRng(29)
     d = random_density(4, 3, rng)
-    d.clusters.validate()
-    assert mc.frobenius(d.clusters.reconstruct() - d.matrix) <= 1e-9
+    ps = [c.projection for c in d.clusters]
+    assert all(mc.is_projection(p) for p in ps)
+    assert all(mc.frobenius(p @ q) <= 1e-10 for i, p in enumerate(ps) for q in ps[i + 1:])
+    assert mc.frobenius(sum(ps) - np.eye(4)) <= 1e-10
+    assert sum(c.multiplicity for c in d.clusters) == 4
+    recon = sum(c.eigenvalue * c.projection for c in d.clusters)
+    assert mc.frobenius(recon - d.matrix) <= 1e-9
 
 
 def test_pseudo_power_inverts_on_support():

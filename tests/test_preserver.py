@@ -456,6 +456,33 @@ def test_order_dominance_requires_increasing_h():
         order_dominance_test(np.eye(2), np.eye(2), power_fn(-1))
 
 
+def test_order_dominance_is_decided_independently_of_scale():
+    # once the squares underflowed to 0 at 1e-200 ("consistent"), and
+    # overflowed at 1e160 (numpy's ValueError after RuntimeWarnings)
+    b, c = np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0])
+    one = order_dominance_test(b, c, power_fn(1), n_samples=20, seed=3)
+    assert one.verdict == "counterexample" and not one.dominated_spectrally
+    tiny = order_dominance_test(1e-200 * b, 1e-200 * c, power_fn(1), n_samples=20, seed=3)
+    # the h-traces underflow on the unscaled operands, so nothing is found
+    assert tiny.verdict == "inconclusive" and not tiny.dominated_spectrally
+    assert order_dominance_test(1e-200 * b, 1e-200 * b, power_fn(1), n_samples=20,
+                                seed=3).dominated_spectrally
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResultError, match="float range"):
+            order_dominance_test(1e160 * b, 1e160 * c, power_fn(1), n_samples=20, seed=3)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_scalar_criteria_need_a_sample(n_samples):
+    # an empty search once read as a vanishing residual (0.0), or raised
+    # numpy's zero-size reduction error
+    with pytest.raises(ValueError, match="need at least one sample"):
+        functional_eq_residual(linear_fn(2), 3, n_samples=n_samples)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        order_dominance_test(np.eye(2), 2.0 * np.eye(2), power_fn(1), n_samples=n_samples)
+
+
 # ------------------------------------------------- functional equation
 
 def test_functional_eq_linear_families_vanish():
@@ -618,6 +645,22 @@ def test_thm4_agrees_with_spectral_test():
 def test_thm4_rejects_singular():
     with pytest.raises(ValueError):
         thm4_scalar_test(np.diag([1.0, 0.0]), 2.0)
+
+
+def test_thm4_never_reads_a_spread_spectrum_as_scalar():
+    # these read as scalar once: gap 8.2e-11 under the old 1e-10 bound at
+    # alpha = 1e-5, roundoff or 0.0 at alpha = 1e-8 and 1e-300, and t^(-2a)
+    # underflowing to 0 for 1e160 diag(1, 2, 3)
+    t = np.diag([1.0, 2.0, 3.0])
+    res = thm4_scalar_test(t, 1e-5)
+    assert not res.is_scalar and not res.spectral_scalar
+    assert res.gap == pytest.approx(-8.23e-11, rel=1e-3)
+    for op, alpha in ((t, 1e-8), (t, 1e-300), (1e160 * t, 2.0)):
+        with pytest.raises(NonFiniteResultError, match="do not resolve"):
+            thm4_scalar_test(op, alpha)
+    # a scalar operator has no spread to resolve
+    for alpha in (1e-5, 1e-300):
+        assert thm4_scalar_test(3.0 * np.eye(3), alpha).is_scalar
 
 
 def test_stacked_draws_make_one_sampler_call(monkeypatch):
