@@ -129,6 +129,8 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.dim < 1:
+        raise UsageError("--dim must be at least 1")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError("--tol must be a finite number of at least 0")
     _check_alpha(args.alpha)  # also for a suite that does not read it

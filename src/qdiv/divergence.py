@@ -11,11 +11,14 @@ Each quantity is computed from snapped spectral data, so support conditions
 +inf verdict is one comparison on the trace overlap <P_A, P_B> of the two
 support projections, against ``SUPPORT_TRACE_TOL``: supp B lies inside supp A
 when rank B - <P_A, P_B> is at most it, and the supports are orthogonal when
-<P_A, P_B> is; such a branch returns ``INF``.  Every other branch returns a
-float through one per-pair gate, ``_gated``, which raises
-``NonFiniteResultError`` when that float is inf or NaN or when an overflow
-stopped its computation.  In a stack, the first pair in order that fails
-raises its error, as a loop over the pairs would.  The Renyi traces are
+<P_A, P_B> is; such a branch returns ``INF``.  One driver, ``_per_pair``,
+runs every divergence: it converts the operands and runs the divergence's
+kernel once on all pairs.  A kernel returns ``INF`` or a float per pair and
+raises where it fails; every float passes one per-pair gate, ``_gated``,
+which raises ``NonFiniteResultError`` when it is inf or NaN, and an overflow
+that stops a kernel raises the same error.  When a stack raises, the driver
+runs its pairs one at a time, in order, so the first pair that fails on its
+own raises its error, as a loop over the pairs would.  The Renyi traces are
 computed as logs, the sandwiched ones on operands scaled by exact powers of
 two, so a divergence whose value a float can hold does not overflow on the way
 to it.
@@ -89,72 +92,44 @@ def _operands(a, b, as_op=as_positive):
     return a, b
 
 
-class _Pairs:
-    """The operand pairs of one divergence call, and their outcomes.
-
-    ``a`` and ``b`` are one pair of operators, the N = 1 call, or two
-    equal-length stacks; each operand is converted by ``as_op`` on its own.
-    ``out[k]`` is ``None`` while pair k is open, then ``INF``, its finite
-    value, or the exception it raises.  The exceptions wait in ``out`` so
-    that ``results`` raises the one of the first pair in order.  numpy's
-    overflow, invalid and log-of-zero warnings are silenced inside the
-    ``with`` block, since the inf or NaN they leave is caught by the gate.
-    """
-
-    def __init__(self, name: str, a, b, as_op=as_positive):
-        self.name = name
-        self.single = not _is_stack(a)
-        if _is_stack(b) == self.single:
-            raise ValueError("expected two operators or two stacks of them")
-        if self.single:
-            a, b = [a], [b]
-        elif len(a) != len(b):
-            raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
-        self.a, self.b, self.out = [None] * len(a), [None] * len(a), [None] * len(a)
-        for k, (x, y) in enumerate(zip(a, b)):
-            try:
-                self.a[k], self.b[k] = _operands(x, y, as_op)
-            except Exception as exc:
-                self.out[k] = exc
-
-    def __enter__(self):
-        self._quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-        self._quiet.__enter__()
-        return self
-
-    def __exit__(self, *exc_info):
-        return self._quiet.__exit__(*exc_info)
-
-    def open(self):
-        """Positions of the open pairs, and their operands as two lists."""
-        idx = [k for k, out in enumerate(self.out) if out is None]
-        return idx, [self.a[k] for k in idx], [self.b[k] for k in idx]
-
-    def attempt(self, k: int, fn, *args):
-        """``fn(*args)`` for pair k.  If it raises, the exception (an overflow
-        as ``NonFiniteResultError``) closes the pair and None is returned."""
+def _evaluated(name: str, a, b, kernel, as_op) -> list:
+    """The gated values of ``kernel`` on two equal-length lists of operands,
+    each converted by ``as_op``.  numpy's overflow, invalid and log-of-zero
+    warnings are silenced in the kernel, since the inf or NaN they leave is
+    caught by the gate; a bool, a support verdict, is not gated."""
+    pairs = [_operands(x, y, as_op) for x, y in zip(a, b)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            return fn(*args)
+            values = kernel([x for x, _ in pairs], [y for _, y in pairs])
         except OverflowError:
-            self.out[k] = NonFiniteResultError(f"{self.name}: the value overflows a float")
-        except Exception as exc:
-            self.out[k] = exc
-        return None
+            raise NonFiniteResultError(f"{name}: the value overflows a float") from None
+    return [v if isinstance(v, bool) else _gated(name, v) for v in values]
 
-    def settle(self, k: int, fn, *args) -> None:
-        """Close pair k with ``fn(*args)``, or with the exception it raises."""
-        value = self.attempt(k, fn, *args)
-        if self.out[k] is None:
-            self.out[k] = value
 
-    def results(self):
-        """The gated value of each pair (of the pair, for the N = 1 call)."""
-        values = []
-        for out in self.out:
-            if isinstance(out, Exception):
-                raise out
-            values.append(_gated(self.name, out))
-        return values[0] if self.single else values
+def _per_pair(name: str, a, b, kernel, as_op=as_positive):
+    """``kernel(As, Bs)``, one value per pair of operators, on a pair (the
+    N = 1 call; its value) or on two equal-length stacks (a list).
+
+    The kernel runs once on the whole stack.  If the stack raises, each pair
+    runs alone, in order, so the first pair that fails on its own raises its
+    error, as a loop over the pairs would; the stack's error is raised when
+    no pair fails alone.
+    """
+    single = not _is_stack(a)
+    if _is_stack(b) == single:
+        raise ValueError("expected two operators or two stacks of them")
+    if single:
+        a, b = [a], [b]
+    elif len(a) != len(b):
+        raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
+    try:
+        values = _evaluated(name, a, b, kernel, as_op)
+    except Exception:
+        if len(a) > 1:
+            for x, y in zip(a, b):
+                _evaluated(name, [x], [y], kernel, as_op)
+        raise
+    return values[0] if single else values
 
 
 def _overlaps(a, b) -> list:
@@ -184,46 +159,33 @@ def _inside(x: PositiveOperator, overlap: float) -> bool:
     return x.rank - overlap <= mc.SUPPORT_TRACE_TOL
 
 
-def _settle_on_overlaps(p: _Pairs, value, idx=None) -> None:
-    """Close each open pair k of ``p`` (each of ``idx`` when given) with
-    ``value(A, B, W, <P_A, P_B>)``, all from one ``_overlaps`` call; a pair
-    whose value is None stays open."""
-    if idx is None:
-        idx = p.open()[0]
-    pa, pb = [p.a[k] for k in idx], [p.b[k] for k in idx]
-    for k, x, y, (w, overlap) in zip(idx, pa, pb, _overlaps(pa, pb)):
-        p.settle(k, value, x, y, w, overlap)
-
-
-def _inf_unless_inside(x, y, w, overlap):
-    """``INF`` when supp A is not inside supp B, else None."""
-    return None if _inside(x, overlap) else INF
+def _on_overlaps(value):
+    """The kernel that gives each pair ``value(A, B, W, <P_A, P_B>)``, all
+    from one ``_overlaps`` call."""
+    return lambda pa, pb: [value(x, y, w, overlap) for x, y, (w, overlap)
+                           in zip(pa, pb, _overlaps(pa, pb))]
 
 
 def _verdicts(a, b, test):
-    """``test(A, B, <P_A, P_B>)`` on a pair of operators (a bool) or on each
-    pair of two equal-length stacks (a bool array), with the operands
+    """``test(A, B, W, <P_A, P_B>)``, a bool, on a pair of operators or on
+    each pair of two equal-length stacks (a bool array), with the operands
     converted as the divergences convert theirs."""
-    p = _Pairs("support", a, b)
-    for exc in filter(None, p.out):
-        raise exc
-    verdicts = np.array([test(x, y, overlap) for x, y, (_w, overlap)
-                         in zip(p.a, p.b, _overlaps(p.a, p.b))], dtype=bool)
-    return bool(verdicts[0]) if p.single else verdicts
+    verdicts = _per_pair("support", a, b, _on_overlaps(test))
+    return verdicts if isinstance(verdicts, bool) else np.array(verdicts, dtype=bool)
 
 
 def support_contains(outer, inner):
     """Whether supp(inner) is contained in supp(outer): whether
     tr P_inner - <P_inner, P_outer> = rank(inner) - <P_inner, P_outer> is at
     most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict per pair."""
-    return _verdicts(outer, inner, lambda o, i, overlap: _inside(i, overlap))
+    return _verdicts(outer, inner, lambda o, i, w, overlap: _inside(i, overlap))
 
 
 def supports_orthogonal(a, b):
     """Whether the supports of a and b are orthogonal subspaces: whether
     <P_a, P_b> is at most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict
     per pair."""
-    return _verdicts(a, b, lambda x, y, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
+    return _verdicts(a, b, lambda x, y, w, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
 
 
 def _log_trace(a: PositiveOperator) -> float:
@@ -306,9 +268,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
                 + f0 * np.sum(w[lam == 0.0] @ mu)
                 + gamma * np.sum(lam @ w[:, mu == 0.0]))
 
-    with _Pairs("f_divergence", a, b) as p:
-        _settle_on_overlaps(p, value)
-        return p.results()
+    return _per_pair("f_divergence", a, b, _on_overlaps(value))
 
 
 def f_divergence_superop(a, b, f: ScalarFunctionSpec):
@@ -340,10 +300,8 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
             raise ArithmeticError("superoperator value has a large imaginary part")
         return out.real
 
-    with _Pairs("f_divergence_superop", a, b) as p:
-        for k, x, y in zip(*p.open()):
-            p.settle(k, value, x, y)
-        return p.results()
+    return _per_pair("f_divergence_superop", a, b,
+                     lambda pa, pb: [value(x, y) for x, y in zip(pa, pb)])
 
 
 def umegaki(a, b):
@@ -359,9 +317,7 @@ def umegaki(a, b):
         term_b = float(np.log(mu[mu > 0.0]) @ weights)
         return term_a - term_b
 
-    with _Pairs("umegaki", a, b, as_density) as p:
-        _settle_on_overlaps(p, value)
-        return p.results()
+    return _per_pair("umegaki", a, b, _on_overlaps(value), as_density)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -399,14 +355,19 @@ def renyi_traditional(a, b, alpha: float):
         log_trace_ab = top + math.log(np.exp(terms - top).sum())
         return (log_trace_ab - _log_trace(x)) / (alpha - 1.0)
 
-    with _Pairs("renyi_traditional", a, b) as p:
-        _settle_on_overlaps(p, value)
-        return p.results()
+    return _per_pair("renyi_traditional", a, b, _on_overlaps(value))
 
 
-def _sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
-    """Close each open pair with ``finish(x, top, total, scale)``, where the
-    core tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), is
+def _open(inf, pa, pb):
+    """The positions of the pairs that ``inf`` does not mark +inf, and their
+    operands as two lists."""
+    idx = [k for k, skip in enumerate(inf) if not skip]
+    return idx, [pa[k] for k in idx], [pb[k] for k in idx]
+
+
+def _sandwiched_cores(pa, pb, inf, alpha: float, finish) -> list:
+    """``INF`` for each pair that ``inf`` marks, else ``finish(x, top, total,
+    scale)``, where the core tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), is
     top^alpha * total * 2^scale; top = total = 0 when the core vanishes.
 
     The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
@@ -417,24 +378,22 @@ def _sandwiched_cores(p: _Pairs, alpha: float, finish) -> None:
     alpha ka + (1-alpha) kb.
     """
     e = (1.0 - alpha) / (2.0 * alpha)
-    idx, pa, pb = p.open()
+    idx, pa, pb = _open(inf, pa, pb)
     ka = [math.frexp(x.eigenvalues[-1])[1] for x in pa]
     kb = [math.frexp(y.eigenvalues[-1])[1] for y in pb]
     fvals = [np.ldexp(y.eigenvalues[y.eigenvalues > 0.0], -k) ** e
              for y, k in zip(pb, kb)]
     spectra = _sandwich_eigs(pa, [y.support_basis for y in pb], fvals,
                              [-k for k in ka])
-
-    def close(x, evals, ka, kb):
+    out = [INF] * len(inf)
+    for k, x, evals, a_exp, b_exp in zip(idx, pa, spectra, ka, kb):
         if evals is None:
             raise OverflowError
         pos = evals[evals > 0.0]
         top = pos[-1] if pos.size else 0.0
-        return finish(x, top, ((pos / top) ** alpha).sum(),
-                      alpha * ka + (1.0 - alpha) * kb)
-
-    for k, x, evals, a_exp, b_exp in zip(idx, pa, spectra, ka, kb):
-        p.settle(k, close, x, evals, a_exp, b_exp)
+        out[k] = finish(x, top, ((pos / top) ** alpha).sum(),
+                        alpha * a_exp + (1.0 - alpha) * b_exp)
+    return out
 
 
 def _log_core(alpha: float, top, total, scale: float) -> float:
@@ -460,23 +419,26 @@ def sandwiched_core(a, b, alpha: float):
             return math.ldexp(head, whole)
         return math.exp(_log_core(alpha, top, total, scale))
 
-    with _Pairs("sandwiched_core", a, b) as p:
-        if alpha > 1.0:
-            _settle_on_overlaps(p, _inf_unless_inside)
-        _sandwiched_cores(p, alpha, core)
-        return p.results()
+    def kernel(pa, pb):
+        inf = ([not _inside(x, overlap) for x, (_w, overlap) in zip(pa, _overlaps(pa, pb))]
+               if alpha > 1.0 else [False] * len(pa))
+        return _sandwiched_cores(pa, pb, inf, alpha, core)
+
+    return _per_pair("sandwiched_core", a, b, kernel)
 
 
 def sandwiched_renyi(a, b, alpha: float):
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
-    with _Pairs("sandwiched_renyi", a, b) as p:
-        _settle_on_overlaps(p, lambda x, y, w, overlap:
-                            INF if _renyi_inf(x, y, overlap, alpha) else None)
+
+    def kernel(pa, pb):
+        inf = [_renyi_inf(x, y, overlap, alpha)
+               for x, y, (_w, overlap) in zip(pa, pb, _overlaps(pa, pb))]
         # a vanished core gives log 0 = -inf, which the gate rejects
-        _sandwiched_cores(p, alpha, lambda x, top, total, scale: (
+        return _sandwiched_cores(pa, pb, inf, alpha, lambda x, top, total, scale: (
             _log_core(alpha, top, total, scale) - _log_trace(x)) / (alpha - 1.0))
-        return p.results()
+
+    return _per_pair("sandwiched_renyi", a, b, kernel)
 
 
 def _require_g(g: ScalarFunctionSpec) -> None:
@@ -510,34 +472,30 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
     supp A <= supp B and +inf otherwise.
     """
     _require_g(g)
-    with _Pairs("d_fg", a, b) as p:
-        idx, pa, pb = p.open()
-        singular = [k for k, y in zip(idx, pb) if not y.definite]
-        if singular:
-            try:
-                diverging = _singular_extension(f, g)
-            except DomainError as exc:
-                for k in singular:
-                    p.out[k] = exc
-                diverging = False
-            if diverging:
-                _settle_on_overlaps(p, _inf_unless_inside, singular)
+    return _per_pair("d_fg", a, b, _dfg_kernel(f, g))
+
+
+def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
+    """The kernel of ``d_fg``: ``INF`` where B is singular, the extension
+    diverges and supp A is not inside supp B, else tr g(S) from the spectrum
+    of S = f(B0) A0 f(B0) on supp B; an S that overflows overflows."""
+    def kernel(pa, pb):
+        inf = [False] * len(pa)
+        if not all(y.definite for y in pb) and _singular_extension(f, g):
+            inf = [not (y.definite or _inside(x, overlap))
+                   for x, y, (_w, overlap) in zip(pa, pb, _overlaps(pa, pb))]
         # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
-        idx, pa, pb = p.open()
-        fb = {k: p.attempt(k, f, y.eigenvalues[y.eigenvalues > 0.0])
-              for k, y in zip(idx, pb)}
-        idx, pa, pb = p.open()
-        spectra = _sandwich_eigs(pa, [y.support_basis for y in pb], [fb[k] for k in idx])
+        idx, pa, pb = _open(inf, pa, pb)
+        spectra = _sandwich_eigs(pa, [y.support_basis for y in pb],
+                                 [f(y.eigenvalues[y.eigenvalues > 0.0]) for y in pb])
+        out = [INF] * len(inf)
         for k, evals in zip(idx, spectra):
-            p.settle(k, _trace_of, g, evals)
-        return p.results()
+            if evals is None:
+                raise OverflowError
+            out[k] = g(evals).sum()
+        return out
 
-
-def _trace_of(g: ScalarFunctionSpec, evals) -> float:
-    """tr g(S) from the spectrum of S; an S that overflowed (None) overflows."""
-    if evals is None:
-        raise OverflowError
-    return g(evals).sum()
+    return kernel
 
 
 def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
@@ -547,8 +505,9 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     Returns ``(values, estimate)`` where the estimate is the last value, or
     +inf when the values cross 1e12 and keep growing from that point on.
     The probe is a diagnostic for the rank-based extension, not its definition.
-    The steps are evaluated as one stack, under the divergences' per-pair
-    gate, so a value that overflows raises ``NonFiniteResultError``.
+    The steps are one stack of pairs (A, B + eps I), B + eps I kept on the
+    eigenvectors of B, evaluated by the kernel and per-pair gate of ``d_fg``,
+    so a value that overflows raises ``NonFiniteResultError``.
     """
     a, b = _operands(a, b)
     _require_g(g)
@@ -558,15 +517,12 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     if any(y >= x for x, y in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 
-    steps = len(schedule)
-    with _Pairs("d_fg_limit_probe", [a] * steps, [b] * steps) as p:
-        fb = [p.attempt(k, f, b.eigenvalues + eps)
-              for k, eps in enumerate(schedule)]
-        idx, pa, pb = p.open()
-        spectra = _sandwich_eigs(pa, [y.eigenvectors for y in pb], [fb[k] for k in idx])
-        for k, evals in zip(idx, spectra):
-            p.settle(k, _trace_of, g, evals)
-        values = [float(v) for v in p.results()]
+    with np.errstate(over="ignore"):  # B + eps I, on the eigenvectors of B
+        shifted = [PositiveOperator.__new__(PositiveOperator)._adopt(
+            b.matrix + eps * np.eye(b.dim), b.eigenvalues + eps, b.eigenvectors)
+            for eps in schedule]
+    values = [float(v) for v in _per_pair("d_fg_limit_probe", [a] * len(schedule),
+                                          shifted, _dfg_kernel(f, g))]
 
     crossing = next((i for i, v in enumerate(values) if v > 1e12), None)
     diverged = crossing is not None and all(

@@ -159,8 +159,9 @@ def eig_hermitian(a):
     overflow, runs scaled by an exact power of two and has its eigenvalues
     scaled back; every other matrix runs unscaled.  Raises ``ValueError``
     if the shape is not (..., n, n), a matrix has a non-finite entry or is
-    not Hermitian within ``HERM_TOL``, ``ConvergenceError`` if one misses its
-    target in ``JACOBI_MAX_SWEEPS`` sweeps.
+    not Hermitian within ``HERM_TOL``, or an eigenvalue scaled back overflows
+    a float, ``ConvergenceError`` if one misses its target in
+    ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     # a copy, C-ordered: the rescale below writes to it and views its floats
     a = np.ascontiguousarray(as_complex_matrix(a, stack=True))
@@ -232,7 +233,10 @@ def eig_hermitian(a):
     vecs = work[:, m * m:size].reshape(-1, n, m).swapaxes(1, 2)[pick].swapaxes(1, 2)
     w = w[pick]
     if odd is not None:
-        w[odd] = np.ldexp(w[odd], shift[:, None])
+        with np.errstate(over="ignore"):
+            w[odd] = np.ldexp(w[odd], shift[:, None])
+        if not np.isfinite(w[odd]).all():
+            raise ValueError("an eigenvalue overflows a float")
     return w.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 

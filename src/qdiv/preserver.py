@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
-from .functions import DomainError, ScalarFunctionSpec
+from .functions import DomainError, ScalarFunctionSpec, _normal
 from .maps import StateMap, conjugate_by, require_unitary
 from .operators import DensityOperator, as_density, as_positive
 from .sampling import SeededRng, random_density_matrices, random_simplex, \
@@ -320,7 +320,9 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     (cB, cC) is the verdict on (B, C) for every c > 0.  The converse is a
     randomized search over near-rank-one positive definite probes
     (x (x) x + 1e-6 I) on the unscaled operands, as h is nonlinear;
-    ``NonFiniteResultError`` if a probe product overflows.  When nothing is
+    ``NonFiniteResultError`` if a probe product overflows, or if their norm
+    bound is not a normal float, where the probe traces sink below roundoff
+    and a search would be blind.  When nothing is
     found for a spectrally non-dominated pair, the verdict is
     ``inconclusive`` rather than a confirmation.
     """
@@ -351,7 +353,7 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
         # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
         bound = np.float64(top) ** 2 * (1.0 + 1e-6)
         products = [op.matrix @ probes @ op.matrix for op in (b, c)]
-    if not (np.isfinite(bound) and all(np.isfinite(p).all() for p in products)):
+    if not (_normal(bound) and all(np.isfinite(p).all() for p in products)):
         raise NonFiniteResultError("order dominance: the probe products leave "
                                    "the float range")
     lhs_all, rhs_all = (h(mc._snapped_psd_eig(p, bound)[0]).sum(-1) for p in products)

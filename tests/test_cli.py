@@ -205,6 +205,22 @@ def test_div_unrepresentable_value_exits_two_without_a_traceback(tmp_path):
     assert out.stdout.strip() == "368.178613064424"
 
 
+def test_div_operands_beyond_a_float_exit_two_with_a_clean_stderr(tmp_path):
+    # 1e308 I has the trace 2e308: numpy's overflow warning once came first on
+    # stderr.  [[1e308, 1e308], [1e308, 1e308]] has the eigenvalue 2e308: it
+    # was once snapped to rank 0, so dfg printed 0 and sandwiched-core inf.
+    big, huge = tmp_path / "big.json", tmp_path / "huge.json"
+    save_operator(big, 1e308 * np.eye(2), role="positive")
+    save_operator(huge, np.full((2, 2), 1e308), role="positive")
+    for argv in (["umegaki", big, big],
+                 ["dfg", big, huge, "--f", "power:0.5", "--g", "power:2"],
+                 ["sandwiched-core", big, huge, "--alpha", "3"]):
+        out = run_cli("div", *map(str, argv))
+        assert out.returncode == 2, argv
+        assert out.stderr.startswith("invalid input:"), out.stderr
+        assert out.stdout == ""
+
+
 def test_div_fdiv_xlogx_with_a_ratio_beyond_a_float(tmp_path):
     one, tiny = tmp_path / "one.json", tmp_path / "tiny.json"
     save_operator(one, np.array([[1.0]]), role="positive")
@@ -277,6 +293,16 @@ def test_check_rejects_a_finite_alpha_outside_the_range(suite, capsys):
     out = capsys.readouterr()
     assert "invalid input: alpha must lie in (0,1) or (1,inf), got -3.0" in out.err
     assert "pass" not in out.out
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_check_rejects_a_dimension_below_one(suite, capsys):
+    # once exit 2 or 0 by suite: prop1 passed and reported "dim": -2
+    for dim in ("0", "-2"):
+        assert main(["check", suite, "--samples", "2", "--dim", dim]) == 3
+        out = capsys.readouterr()
+        assert "usage error: --dim must be at least 1" in out.err
+        assert "pass" not in out.out
 
 
 @pytest.mark.parametrize("passed", [True, False])

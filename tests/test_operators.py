@@ -78,3 +78,24 @@ def test_matrices_are_frozen():
     d = DensityOperator(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError):
         d.matrix[0, 0] = 9.0
+
+
+def test_an_eigenvalue_beyond_a_float_is_rejected_not_snapped():
+    # finite entries, true spectrum {0, 2e308}: the scaled-back top eigenvalue
+    # was inf, and the support snap at SUPP_TOL * inf then zeroed both (rank 0)
+    huge = np.full((2, 2), 1e308)
+    with pytest.raises(ValidationError, match="eigenvalue overflows a float"):
+        PositiveOperator(huge)
+    with pytest.raises(ValidationError, match="eigenvalue overflows a float"):
+        PositiveOperator.from_stack(np.array([np.eye(2), huge]))
+    # the same scale with eigenvalues a float holds stays exact
+    big = PositiveOperator(np.diag([1e308, 0.5e308]))
+    assert big.eigenvalues.tolist() == [0.5e308, 1e308] and big.rank == 2
+
+
+def test_a_density_trace_beyond_a_float_fails_validation_without_a_warning():
+    # the trace 2e308 overflows; the pytest configuration turns warnings into errors
+    with pytest.raises(ValidationError, match="trace inf is not 1"):
+        DensityOperator(1e308 * np.eye(2))
+    with pytest.raises(ValidationError, match="trace inf is not 1"):
+        DensityOperator.from_stack(np.array([np.diag([0.5, 0.5]), 1e308 * np.eye(2)]))

@@ -462,15 +462,19 @@ def test_order_dominance_is_decided_independently_of_scale():
     b, c = np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0])
     one = order_dominance_test(b, c, power_fn(1), n_samples=20, seed=3)
     assert one.verdict == "counterexample" and not one.dominated_spectrally
-    tiny = order_dominance_test(1e-200 * b, 1e-200 * c, power_fn(1), n_samples=20, seed=3)
-    # the h-traces underflow on the unscaled operands, so nothing is found
-    assert tiny.verdict == "inconclusive" and not tiny.dominated_spectrally
-    assert order_dominance_test(1e-200 * b, 1e-200 * b, power_fn(1), n_samples=20,
+    small = order_dominance_test(1e-150 * b, 1e-150 * c, power_fn(1), n_samples=20, seed=3)
+    assert small.verdict == "counterexample" and not small.dominated_spectrally
+    assert order_dominance_test(1e-150 * b, 1e-150 * b, power_fn(1), n_samples=20,
                                 seed=3).dominated_spectrally
+    # at 1e-160 the probe bound is subnormal and the h-traces sink below
+    # roundoff; at 1e-170 and 1e-200 the blind search once came back
+    # "inconclusive", with a max_violation of 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteResultError, match="float range"):
-            order_dominance_test(1e160 * b, 1e160 * c, power_fn(1), n_samples=20, seed=3)
+        for scale in (1e-160, 1e-170, 1e-200, 1e160):
+            with pytest.raises(NonFiniteResultError, match="float range"):
+                order_dominance_test(scale * b, scale * c, power_fn(1), n_samples=20,
+                                     seed=3)
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])

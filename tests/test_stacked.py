@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import qdiv.divergence as dv
 import qdiv.matrixcore as mc
 from qdiv.divergence import (
     DIVERGENCE_TAGS,
@@ -19,7 +20,7 @@ from qdiv.divergence import (
     umegaki,
 )
 from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
-from qdiv.operators import DensityOperator, PositiveOperator
+from qdiv.operators import DensityOperator, PositiveOperator, ValidationError
 from qdiv.preserver import (
     _conjugation_deviation,
     _rank_pattern,
@@ -142,13 +143,65 @@ def test_a_stack_raises_the_first_failing_pair_error():
         d_fg([one, big, half], [one, one, singular], flat, power_fn(2))
 
 
+@pytest.mark.parametrize("div", [
+    lambda a, b: sandwiched_core(a, b, 2.0),
+    lambda a, b: d_fg(a, b, power_fn(0.5), power_fn(2)),
+])
+def test_a_stack_raises_the_error_of_the_first_failing_pair_whatever_its_stage(div):
+    # the value of (big, half) overflows in the kernel or its gate; -I fails
+    # conversion, which runs for every pair before the kernel runs
+    big, minus, half, one = 1e308 * np.eye(2), -np.eye(2), 0.5 * np.eye(2), np.eye(2)
+    with pytest.raises(NonFiniteResultError) as single:
+        div(big, half)
+    with pytest.raises(NonFiniteResultError) as stacked:
+        div([big, minus], [half, one])
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValidationError, match="not PSD"):
+        div([minus, big], [one, half])
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    inner = getattr(dv, name)
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return inner(*args)
+
+    monkeypatch.setattr(dv, name, counted)
+    return calls
+
+
+def test_a_stack_that_does_not_fail_runs_each_kernel_once(monkeypatch):
+    pairs = _pairs(3)
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    for name, div in (("_sandwich_eigs", lambda: dv.sandwiched_renyi(a, b, 2.0)),
+                      ("_sandwich_eigs", lambda: d_fg(a, b, power_fn(-0.5), power_fn(2))),
+                      ("_overlaps", lambda: d_fg(a, b, power_fn(-0.5), power_fn(2))),
+                      ("_overlaps", lambda: umegaki(a, b))):
+        calls = _counted(monkeypatch, name)
+        values = div()
+        assert len(calls) == 1 and len(values) == len(pairs), name
+        monkeypatch.undo()
+    # a failing stack runs once more, a pair at a time, up to the first failure
+    big, half = PositiveOperator(1e308 * np.eye(2)), PositiveOperator(0.5 * np.eye(2))
+    calls = _counted(monkeypatch, "_sandwich_eigs")
+    with pytest.raises(NonFiniteResultError):
+        sandwiched_core([half, big, half], [half, half, half], 2.0)
+    assert calls == [3, 1, 1]
+
+
 def test_stacks_must_come_in_equal_length_pairs():
     one = PositiveOperator(np.eye(2))
     with pytest.raises(ValueError, match="two operators or two stacks"):
         sandwiched_core(one, [one], 2.0)
     with pytest.raises(ValueError, match="stacks of 2 and 1"):
         sandwiched_core([one, one], [one], 2.0)
-    assert sandwiched_core([], [], 2.0) == []
+    for tag, plist in PARAMS.items():
+        for params in plist:
+            assert make_divergence(tag, **params)([], []) == [], (tag, params)
+    assert dv.f_divergence_superop([], [], power_fn(2)) == []
+    assert umegaki(np.zeros((0, 2, 2)), []) == []
 
 
 def _maps(n, rng):
