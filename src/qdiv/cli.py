@@ -6,7 +6,8 @@ implementing (anti)unitary from probe images, simulated or read from files),
 and ``sample`` (write seeded random operators).  ``div`` checks its tag and
 parameters before it reads a file.  Exit codes: 0 success, 1 suite or assertion
 failure, 2 input validation failure (including a divergence whose finite value
-a float cannot hold), 3 usage error (also a negative or non-finite --tol).
+a float cannot hold, and a path that cannot be read or written), 3 usage
+error (also a negative or non-finite --tol).
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ import sys
 import time
 
 from . import files
-from .divergence import DIVERGENCE_TAGS, NonFiniteResultError, _check_alpha, \
-    make_divergence
+from .divergence import DIVERGENCE_TAGS, _check_alpha, make_divergence
 from .extended import fmt_extended
-from .functions import DomainError
 from .maps import StateMap, require_unitary
-from .operators import ValidationError
 from .preserver import WignerError, wigner_probe_projections, wigner_reconstruct
 from .sampling import SeededRng, haar_unitary, random_density_matrix, \
     random_positive_definite
@@ -92,18 +90,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_role_checked(path):
     """Load an operator file and check its role; returns the matrix and what
     ``files.validate_role`` returned (the operator it built, or the matrix)."""
-    try:
-        matrix, role = files.load_operator(path)
-    except OSError as exc:
-        raise files.OperatorFileError(f"cannot read {path}: {exc}")
+    matrix, role = files.load_operator(path)
     return matrix, files.validate_role(matrix, role)
+
+
+def _write_report(path, command, params, results, started, witnesses=None):
+    """Render a run report, then write it to ``path``: a report that does not
+    render (a NaN is not JSON) leaves no file."""
+    text = files.render_report(command, params, results, witnesses=witnesses,
+                               wall_time_s=time.perf_counter() - started)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_div(args) -> int:
     started = time.perf_counter()
+    settings = {"alpha": args.alpha, "f": args.f_name, "g": args.g_name}
     try:
-        div = make_divergence(args.tag, alpha=args.alpha,
-                              f=args.f_name, g=args.g_name)
+        div = make_divergence(args.tag, **settings)
     except KeyError as exc:
         raise UsageError(exc.args[0])  # str(exc) would quote the message
     _, a = _load_role_checked(args.file_a)
@@ -113,15 +117,9 @@ def cmd_div(args) -> int:
     value = div(a, b)
     print(fmt_extended(value))
     if args.out:
-        params = {"tag": args.tag, "alpha": args.alpha,
-                  "f": args.f_name, "g": args.g_name,
+        params = {"tag": args.tag, **settings,
                   "file_a": args.file_a, "file_b": args.file_b}
-        text = files.render_report(
-            "div", params, {"value": value},
-            wall_time_s=time.perf_counter() - started,
-        )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_report(args.out, "div", params, {"value": value}, started)
     return EXIT_OK
 
 
@@ -134,24 +132,16 @@ def cmd_check(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError("--tol must be a finite number of at least 0")
     _check_alpha(args.alpha)  # also for a suite that does not read it
-    passed, assertions = run_suite(
-        args.suite, dim=args.dim, samples=args.samples, seed=args.seed,
-        tol=args.tol, alpha=args.alpha,
-    )
+    settings = {"dim": args.dim, "samples": args.samples, "seed": args.seed,
+                "tol": args.tol, "alpha": args.alpha}
+    passed, assertions = run_suite(args.suite, **settings)
     for a in assertions:
         flag = "pass" if a["pass"] else "FAIL"
         print(f"[{flag}] {a['name']}: measured={a['measured']} bound={a['bound']}")
     if args.out:
-        params = {"suite": args.suite, "dim": args.dim, "samples": args.samples,
-                  "seed": args.seed, "tol": args.tol, "alpha": args.alpha}
-        text = files.render_report(
-            "check", params,
-            {"passed": passed, "assertions": assertions},
-            witnesses=[a for a in assertions if not a["pass"]],
-            wall_time_s=time.perf_counter() - started,
-        )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_report(args.out, "check", {"suite": args.suite, **settings},
+                      {"passed": passed, "assertions": assertions}, started,
+                      witnesses=[a for a in assertions if not a["pass"]])
     print("suite passed" if passed else "suite FAILED")
     return EXIT_OK if passed else EXIT_FAIL
 
@@ -194,15 +184,10 @@ def cmd_reconstruct(args) -> int:
     if args.out:
         files.save_operator(args.out, u, role="unitary")
     if args.report:
-        text = files.render_report(
-            "reconstruct",
-            {"simulate": args.simulate, "images": args.images,
-             "map_kind": args.map_kind},
-            {"kind": kind, "residual": residual},
-            wall_time_s=time.perf_counter() - started,
-        )
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_report(args.report, "reconstruct",
+                      {"simulate": args.simulate, "images": args.images,
+                       "map_kind": args.map_kind},
+                      {"kind": kind, "residual": residual}, started)
     return EXIT_OK
 
 
@@ -214,40 +199,33 @@ def cmd_sample(args) -> int:
         rank = args.rank if args.rank is not None else args.dim
         if not 1 <= rank <= args.dim:
             raise UsageError(f"--rank must lie in [1, {args.dim}]")
-        m = random_density_matrix(args.dim, rank, rng)
-        files.save_operator(args.out, m, role="density")
+        m, role = random_density_matrix(args.dim, rank, rng), "density"
     elif args.kind == "pd":
         if not (math.isfinite(args.kappa) and args.kappa >= 1.0):
             raise UsageError("--kappa must be a finite number of at least 1")
-        op = random_positive_definite(args.dim, args.kappa, rng)
-        files.save_operator(args.out, op.matrix, role="positive")
+        m, role = random_positive_definite(args.dim, args.kappa, rng).matrix, "positive"
     else:
-        u = haar_unitary(args.dim, rng)
-        files.save_operator(args.out, u, role="unitary")
+        m, role = haar_unitary(args.dim, rng), "unitary"
+    files.save_operator(args.out, m, role=role)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    # the subparsers are required, so argparse only admits these names
+    commands = {"div": cmd_div, "check": cmd_check,
+                "reconstruct": cmd_reconstruct, "sample": cmd_sample}
     try:
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        # the subparsers are required, so argparse only admits these names
-        commands = {"div": cmd_div, "check": cmd_check,
-                    "reconstruct": cmd_reconstruct, "sample": cmd_sample}
-        try:
-            return commands[args.command](args)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (files.OperatorFileError, ValidationError, DomainError,
-                NonFiniteResultError, ValueError) as exc:
-            print(f"invalid input: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        args = build_parser().parse_args(argv)
+        return commands[args.command](args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        # every package error subclasses ValueError; an OSError is a path
+        # that cannot be read or written
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except KeyboardInterrupt:
         return EXIT_FAIL
 

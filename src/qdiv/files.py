@@ -72,7 +72,7 @@ def parse_operator_text(text: str) -> Tuple[np.ndarray, Optional[str]]:
         if key not in doc:
             raise OperatorFileError(f"operator file is missing key {key!r}")
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:  # a bool is an int
         raise OperatorFileError("dim must be a positive integer")
     role = doc.get("role")
     if role is not None and role not in ROLES:

@@ -322,9 +322,9 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     (x (x) x + 1e-6 I) on the unscaled operands, as h is nonlinear;
     ``NonFiniteResultError`` if a probe product overflows, or if their norm
     bound is not a normal float, where the probe traces sink below roundoff
-    and a search would be blind.  When nothing is
-    found for a spectrally non-dominated pair, the verdict is
-    ``inconclusive`` rather than a confirmation.
+    and a search would be blind.  B = C = 0 is consistent with no search.
+    When nothing is found for a spectrally non-dominated pair, the verdict
+    is ``inconclusive`` rather than a confirmation.
     """
     if not h.strictly_increasing or h(0.0) != 0.0:
         raise DomainError("h must be strictly increasing with h(0) = 0")
@@ -332,6 +332,8 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     b = as_positive(b)
     c = as_positive(c)
     top = max(float(b.eigenvalues[-1]), float(c.eigenvalues[-1]))
+    if top == 0.0:  # B = C = 0: every trace is h(0) = 0
+        return OrderDominanceResult("consistent", True, None, 0.0)
     k = math.frexp(top)[1]
     bs, cs = (np.ldexp(op.matrix.view(np.float64), -k).view(np.complex128)
               for op in (b, c))

@@ -1,8 +1,10 @@
 """Named property suites behind the ``check`` subcommand.
 
-Each suite returns ``(passed, assertions)`` where assertions is a list of
-dicts with a name, a measured number, a bound, and a pass flag; failing
-entries carry whatever witness data the underlying check produced.
+Each suite returns its assertions: a list of dicts with a name, a measured
+number, a bound, and a pass flag; failing entries carry whatever witness data
+the underlying check produced.  ``run_suite`` rejects ``samples < 1``, runs a
+suite by name and returns ``(passed, assertions)``: a suite passes when every
+assertion does.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .functions import bounded_ratio_fn, linear_fn, power_fn
 from .maps import StateMap
 from .operators import PositiveOperator, as_positive
 from .preserver import (
+    _require_samples,
     functional_eq_residual,
     invariance_pairs,
     invariance_reports,
@@ -42,19 +45,22 @@ def _entry(name, measured, bound, ok, **extra):
 
 def run_suite(tag: str, *, dim: int = 3, samples: int = 100, seed: int = 0,
               tol: float = 1e-8, alpha: float = 2.0):
+    _require_samples(samples)  # also for a suite that does not read it
     if tag == "invariance":
-        return suite_invariance(dim=dim, samples=samples, seed=seed, tol=tol)
-    if tag == "lemmas":
-        return suite_lemmas(dim=dim, samples=samples, seed=seed)
-    if tag == "prop1":
-        return suite_prop1(alpha=alpha)
-    if tag == "prop2-limits":
-        return suite_prop2_limits(dim=dim, samples=samples, seed=seed)
-    if tag == "thm4":
-        return suite_thm4(dim=dim, alpha=alpha)
-    if tag == "wigner":
-        return suite_wigner(dim=dim, seed=seed, samples=samples)
-    raise KeyError(f"unknown suite {tag!r} (have: {SUITES})")
+        assertions = suite_invariance(dim=dim, samples=samples, seed=seed, tol=tol)
+    elif tag == "lemmas":
+        assertions = suite_lemmas(dim=dim, samples=samples, seed=seed)
+    elif tag == "prop1":
+        assertions = suite_prop1(alpha=alpha)
+    elif tag == "prop2-limits":
+        assertions = suite_prop2_limits(dim=dim, samples=samples, seed=seed)
+    elif tag == "thm4":
+        assertions = suite_thm4(dim=dim, alpha=alpha)
+    elif tag == "wigner":
+        assertions = suite_wigner(dim=dim, seed=seed, samples=samples)
+    else:
+        raise KeyError(f"unknown suite {tag!r} (have: {SUITES})")
+    return all(a["pass"] for a in assertions), assertions
 
 
 def suite_invariance(*, dim: int, samples: int, seed: int, tol: float):
@@ -83,27 +89,21 @@ def suite_invariance(*, dim: int, samples: int, seed: int, tol: float):
                 extra["witness"] = {"before": before, "after": after}
             assertions.append(_entry(
                 f"{div_name} under {map_name} conjugation",
-                rep.max_abs_deviation, tol,
-                rep.passed and rep.infinity_mismatches == 0,
+                rep.max_abs_deviation, tol, rep.passed,
                 infinity_mismatches=rep.infinity_mismatches, **extra,
             ))
-    return all(a["pass"] for a in assertions), assertions
+    return assertions
 
 
 def suite_lemmas(*, dim: int, samples: int, seed: int):
     rng = SeededRng(seed)
     assertions = []
-    h_fns = [power_fn(0.5), power_fn(2), bounded_ratio_fn()]
-    worst = {h.name: 0.0 for h in h_fns}
-    for _ in range(samples):
-        a = random_positive_definite(dim, 10.0, rng)
-        b = random_density(dim, dim, rng)
-        for h in h_fns:
-            worst[h.name] = max(worst[h.name], trace_similarity_check(a, b, h))
-    for h in h_fns:
+    draws = [(random_positive_definite(dim, 10.0, rng), random_density(dim, dim, rng))
+             for _ in range(samples)]
+    for h in (power_fn(0.5), power_fn(2), bounded_ratio_fn()):
+        worst = max(trace_similarity_check(a, b, h) for a, b in draws)
         assertions.append(_entry(
-            f"trace similarity, h={h.name}", worst[h.name], 1e-9,
-            worst[h.name] <= 1e-9,
+            f"trace similarity, h={h.name}", worst, 1e-9, worst <= 1e-9,
         ))
 
     for c in (-3.0, 0.5, 10.0):
@@ -135,7 +135,7 @@ def suite_lemmas(*, dim: int, samples: int, seed: int):
         incomparable.max_violation, 0.0,
         incomparable.verdict == "counterexample",
     ))
-    return all(a["pass"] for a in assertions), assertions
+    return assertions
 
 
 def suite_prop1(*, alpha: float):
@@ -146,7 +146,7 @@ def suite_prop1(*, alpha: float):
         witness={"t": witness.t, "s": witness.s,
                  "lhs": witness.lhs, "rhs": witness.rhs},
     )]
-    return all(a["pass"] for a in assertions), assertions
+    return assertions
 
 
 def _singular_pair(dim: int, rng: SeededRng, contained: bool):
@@ -170,39 +170,33 @@ def suite_prop2_limits(*, dim: int, samples: int, seed: int):
     if dim < 2:
         raise ValueError("prop2-limits needs dimension at least 2")
     rng = SeededRng(seed)
-    assertions = []
     schedule = list(np.geomspace(1e-1, 1e-8, 8))
 
-    f1, g1 = power_fn(1), power_fn(2)
-    worst = 0.0
-    for _ in range(samples):
-        a, b = _singular_pair(dim, rng, contained=rng.uniform() < 0.5)
-        closed = d_fg(a, b, f1, g1)
-        _, estimate = d_fg_limit_probe(a, b, f1, g1, schedule)
-        worst = max(worst, abs(estimate - closed))
-    assertions.append(_entry(
+    def case(f, g):
+        """The drawn stacks A and B, the closed value of each pair (one stacked
+        call), and its probe estimate."""
+        pairs = [_singular_pair(dim, rng, contained=rng.uniform() < 0.5)
+                 for _ in range(samples)]
+        a, b = map(list, zip(*pairs))
+        estimates = [d_fg_limit_probe(x, y, f, g, schedule)[1] for x, y in pairs]
+        return a, b, d_fg(a, b, f, g), estimates
+
+    _, _, closed, estimates = case(power_fn(1), power_fn(2))
+    worst = max(abs(e - c) for e, c in zip(estimates, closed))
+    assertions = [_entry(
         "vanishing-limit case: probe converges to the compressed value",
         worst, 1e-6, worst <= 1e-6,
-    ))
+    )]
 
-    f2, g2 = power_fn(-0.5), power_fn(2)
-    agree = 0
-    total = 0
-    for _ in range(samples):
-        contained = rng.uniform() < 0.5
-        a, b = _singular_pair(dim, rng, contained=contained)
-        expected_inf = not support_contains(b, a)
-        _, estimate = d_fg_limit_probe(a, b, f2, g2, schedule)
-        closed = d_fg(a, b, f2, g2)
-        total += 1
-        if ((estimate == math.inf) == expected_inf
-                and (closed == math.inf) == expected_inf):
-            agree += 1
+    a, b, closed, estimates = case(power_fn(-0.5), power_fn(2))
+    expected_inf = [not inside for inside in support_contains(b, a)]
+    agree = sum((e == math.inf) == x and (c == math.inf) == x
+                for e, c, x in zip(estimates, closed, expected_inf))
     assertions.append(_entry(
         "diverging-limit case: probe flag matches the rank decision",
-        agree, total, agree == total,
+        agree, samples, agree == samples,
     ))
-    return all(a["pass"] for a in assertions), assertions
+    return assertions
 
 
 def suite_thm4(*, dim: int, alpha: float):
@@ -222,7 +216,7 @@ def suite_thm4(*, dim: int, alpha: float):
         "diag(1..n) violates the mean-product identity", abs(violating.gap),
         bound(violating), (not violating.is_scalar) and (not violating.spectral_scalar),
     ))
-    return all(a["pass"] for a in assertions), assertions
+    return assertions
 
 
 def suite_wigner(*, dim: int, seed: int, samples: int):
@@ -245,4 +239,4 @@ def suite_wigner(*, dim: int, seed: int, samples: int):
             f"{kind} round trip: kind recovered", got_kind, kind,
             got_kind == kind,
         ))
-    return all(a["pass"] for a in assertions), assertions
+    return assertions

@@ -11,7 +11,7 @@ import pytest
 from qdiv.cli import main
 from qdiv.files import load_operator, save_operator
 from qdiv.sampling import SeededRng, haar_unitary
-from qdiv.suites import SUITES
+from qdiv.suites import SUITES, run_suite
 
 
 def run_cli(*args):
@@ -287,6 +287,14 @@ def test_exit_code_alpha_outside_the_divergence_range(alpha, diag_files, tmp_pat
 
 
 @pytest.mark.parametrize("suite", SUITES)
+def test_run_suite_rejects_an_empty_sample(suite):
+    # prop2-limits once passed with 0 of 0 probe flags in agreement, and prop1
+    # and thm4, which draw nothing, passed too
+    with pytest.raises(ValueError, match="need at least one sample"):
+        run_suite(suite, samples=0)
+
+
+@pytest.mark.parametrize("suite", SUITES)
 def test_check_rejects_a_finite_alpha_outside_the_range(suite, capsys):
     # once every suite that does not read alpha exited 0 and echoed it
     assert main(["check", suite, "--samples", "2", "--alpha", "-3"]) == 2
@@ -358,6 +366,26 @@ def test_div_resolves_the_tag_before_reading_the_files(tmp_path, capsys):
     assert main(["div", "sandwiched", str(empty), str(empty), "--alpha", "1"]) == 2
     assert capsys.readouterr().err == \
         "invalid input: alpha must lie in (0,1) or (1,inf), got 1.0\n"
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["sample", "density", "--dim", "2", "--out", "missing/x.json"], "missing/x.json"),
+    (["check", "prop1", "--out", "missing/r.json"], "missing/r.json"),
+    (["div", "umegaki", "a.json", "a.json", "--out", "outdir"], "outdir"),
+    (["reconstruct", "--images", "missing"], "missing"),
+    (["reconstruct", "--simulate", "u.json", "--report", "missing/r.json"],
+     "missing/r.json"),
+])
+def test_a_path_that_cannot_be_read_or_written_is_invalid_input(argv, path, tmp_path,
+                                                               monkeypatch, capsys):
+    # each once raised out of main: a traceback and exit 1, the code of a failed suite
+    monkeypatch.chdir(tmp_path)
+    save_operator("a.json", np.diag([0.5, 0.5]), role="density")
+    save_operator("u.json", haar_unitary(2, SeededRng(1)), role="unitary")
+    (tmp_path / "outdir").mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f"'{path}'" in err
 
 
 # ----------------------------------------------------------------- sample

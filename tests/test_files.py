@@ -53,6 +53,9 @@ def test_parse_rejects_bad_shapes():
         parse_operator_text("not json")
     with pytest.raises(OperatorFileError):
         parse_operator_text('{"dim": 0, "re": [], "im": []}')
+    # a JSON true is a Python bool, which is an int; once read as dim 1
+    with pytest.raises(OperatorFileError, match="dim must be a positive integer"):
+        parse_operator_text('{"dim": true, "re": [[1]], "im": [[0]]}')
 
 
 def test_validate_role_density():

@@ -33,7 +33,8 @@ def _witness(before, after):
 
 def current_reports():
     """The pinned reports, computed by the tree under test."""
-    passed, assertions = suite_invariance(dim=4, samples=100, seed=3, tol=1e-8)
+    assertions = suite_invariance(dim=4, samples=100, seed=3, tol=1e-8)
+    passed = all(a["pass"] for a in assertions)
     suite = [{
         "name": a["name"],
         "max_abs_deviation": repr(a["measured"]),
