@@ -23,14 +23,19 @@ def require_unitary(u, tol: float = mc.UNITARY_TOL) -> np.ndarray:
     return u
 
 
+def require_conjugation_kind(kind: str) -> str:
+    """``kind`` if it is ``"unitary"`` or ``"antiunitary"``, else ``ValueError``."""
+    if kind not in ("unitary", "antiunitary"):
+        raise ValueError(f"unknown conjugation kind {kind!r}")
+    return kind
+
+
 def conjugate_by(u: np.ndarray, kind: str, a: np.ndarray) -> np.ndarray:
     """Apply U A U* (unitary kind) or U conj(A) U* (antiunitary kind), to A
     or to each matrix of a stack (..., n, n)."""
-    if kind == "unitary":
-        return u @ a @ u.conj().T
-    if kind == "antiunitary":
-        return u @ a.conj() @ u.conj().T
-    raise ValueError(f"unknown conjugation kind {kind!r}")
+    if require_conjugation_kind(kind) == "antiunitary":
+        a = a.conj()
+    return u @ a @ u.conj().T
 
 
 @dataclass(frozen=True)

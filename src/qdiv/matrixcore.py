@@ -87,10 +87,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def is_projection(p: np.ndarray) -> bool:
-    """Whether P is Hermitian and idempotent within ``PROJ_IMAGE_TOL``."""
-    return (frobenius(p - p.conj().T) <= PROJ_IMAGE_TOL * frobenius(p)
-            and frobenius(p @ p - p) <= PROJ_IMAGE_TOL)
+def is_projection(p: np.ndarray):
+    """Whether P is Hermitian and idempotent within ``PROJ_IMAGE_TOL``: a bool
+    for one matrix, an array of one bool per member for a stack (..., n, n)."""
+    def fro(a):
+        return np.linalg.norm(a, axis=(-2, -1))
+    ok = ((fro(p - p.conj().swapaxes(-1, -2)) <= PROJ_IMAGE_TOL * fro(p))
+          & (fro(p @ p - p) <= PROJ_IMAGE_TOL))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def hs_inner(a, b) -> complex:

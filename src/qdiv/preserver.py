@@ -4,7 +4,10 @@ The harness side: sample state pairs, compare divergences before and after
 maps, reconstruct the implementing (anti)unitary from rank-one image data, and
 run the scalar checks (trace similarity, order dominance, the probability
 vector functional equation, the strict-convexity refutation, and the
-mean-product criterion for scalar operators).  One draw of pairs serves every
+mean-product criterion for scalar operators).  A reconstructed conjugation is
+checked on Haar-random pure states: map and conjugation are real-linear, so
+the deviation between them is convex in the state and largest at a pure state
+(see :func:`verify_conjugation`).  One draw of pairs serves every
 map and divergence.  The comparison runs on stacks: each map is applied once
 to the (2N, n, n) stack of the pairs, and each divergence, which takes two
 stacks and returns one value per pair, is one call on the pairs and one on
@@ -19,6 +22,7 @@ each map's images.  ``reports[0][1]`` below is Umegaki under ``state_map``::
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,7 +31,7 @@ import numpy as np
 from . import matrixcore as mc
 from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec, _normal
-from .maps import StateMap, conjugate_by, require_unitary
+from .maps import StateMap, conjugate_by, require_conjugation_kind, require_unitary
 from .operators import DensityOperator, as_density, as_positive
 from .sampling import SeededRng, random_density_matrices, random_simplex, \
     random_unit_vector
@@ -63,7 +67,10 @@ def _rank_pattern(i: int, n: int, rng: SeededRng) -> int:
 
 
 def _require_samples(n_samples: int) -> None:
-    """An empty search would read as a pass."""
+    """An integer of at least 1: an empty search would read as a pass, and a
+    bool or a float is not a count."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"the sample count must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
 
@@ -221,10 +228,12 @@ def wigner_reconstruct(images):
     for k, img in enumerate(images):
         if img.shape[0] != n:
             raise ValueError(f"image {k} has dimension {img.shape[0]}, expected {n}")
-        if (not mc.is_projection(img)
-                or abs(np.trace(img).real - 1.0) > mc.PROJ_IMAGE_TOL):
-            raise WignerError(f"image {k}: image is not a rank-one projection")
     images = np.array(images)
+    traces = np.trace(images, axis1=-2, axis2=-1).real
+    bad = np.flatnonzero(~mc.is_projection(images)
+                         | ~(np.abs(traces - 1.0) <= mc.PROJ_IMAGE_TOL))
+    if bad.size:
+        raise WignerError(f"image {bad[0]}: image is not a rank-one projection")
     # the first offending pair is reported in row-major i < j order
     want = _transition_probabilities(inputs)
     got = _transition_probabilities(images)
@@ -261,17 +270,27 @@ class ConjugationReport:
 def verify_conjugation(state_map: StateMap, u, kind: str, *,
                        n_samples: int = 50, seed: int = 0,
                        tol: float = 1e-8) -> ConjugationReport:
-    """Max deviation between a map and conjugation by a candidate unitary;
-    ``tol`` must be finite and >= 0.  The map and the conjugation each run
-    once, on the stack of sampled states; the norms stay per state, so the
+    """Max deviation ||phi(rho) - conj_U(rho)||_F between a map and
+    conjugation by a candidate unitary, over ``n_samples`` seeded Haar-random
+    pure states rho = x x* (one ``random_unit_vector`` stack).
+
+    Pure states lose nothing: every map kind and both conjugations are
+    real-linear, so rho -> ||phi(rho) - conj_U(rho)||_F is convex, and its
+    maximum over the density operators is reached at an extreme point, a
+    pure state.  ``tol`` must be finite and >= 0; the kind and the order of
+    ``u`` are checked before anything is drawn.  The map and the conjugation
+    each run once, on the stack of states; the norms stay per state, so the
     value is the per-state loop's."""
     _require_samples(n_samples)
     _require_tol(tol)
+    require_conjugation_kind(kind)
     u = require_unitary(u, max(tol, mc.UNITARY_TOL))
-    rng = SeededRng(seed)
     n = state_map.dim
-    states = random_density_matrices(
-        n, (_rank_pattern(i, n, rng) for i in range(n_samples)), rng)
+    if u.shape[0] != n:
+        raise ValueError(f"the candidate unitary has order {u.shape[0]}, "
+                         f"but the map acts on dimension {n}")
+    x = random_unit_vector(n, SeededRng(seed), count=n_samples)
+    states = mc.rank_one(x, x)
     max_dev = _conjugation_deviation(u, kind, states, state_map.apply(states))
     return ConjugationReport(samples=n_samples, max_deviation=max_dev, tol=tol)
 

@@ -73,13 +73,14 @@ class SeededRng:
     def next_u64s(self, count: int) -> np.ndarray:
         """The next ``count`` outputs as a ``uint64`` array."""
         out = _splitmix64([self._state], count)[0]
-        self._state = (self._state + count * _GOLDEN) & _MASK
+        self._skip(count)
         return out
 
     def _skip(self, count: int) -> int:
-        """Pass over the next ``count`` outputs; return the state they follow."""
+        """Pass over the next ``count`` outputs; return the state they follow.
+        A numpy integer ``count`` is made a Python int, which cannot overflow."""
         start = self._state
-        self._state = (start + count * _GOLDEN) & _MASK
+        self._state = (start + int(count) * _GOLDEN) & _MASK
         return start
 
     def next_u64(self) -> int:

@@ -193,6 +193,18 @@ def test_from_stack_matches_the_constructor():
 
 # ------------------------------------------------------- cluster_eigendata
 
+def test_is_projection_takes_a_stack_one_bool_per_member():
+    p = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    stack = np.array([p, 0.5 * p, p + 1e-3j * np.triu(np.ones((3, 3)), 1),
+                      np.zeros((3, 3)), np.eye(3)])
+    got = mc.is_projection(stack)
+    assert got.shape == (5,) and got.dtype == bool
+    assert got.tolist() == [True, False, False, True, True]
+    assert got.tolist() == [mc.is_projection(m) for m in stack]
+    assert mc.is_projection(p) is True and mc.is_projection(0.5 * p) is False
+    assert mc.is_projection(stack.reshape(5, 1, 3, 3)).shape == (5, 1)
+
+
 def clustered(a):
     return mc.cluster_eigendata(*mc.eig_hermitian(a))
 

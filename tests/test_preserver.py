@@ -28,7 +28,7 @@ from qdiv.preserver import (
 )
 from qdiv.sampling import SeededRng, haar_unitary, random_density, \
     random_positive_definite, random_simplex
-from qdiv.suites import suite_invariance
+from qdiv.suites import run_suite, suite_invariance
 
 
 # ------------------------------------------------------------- state maps
@@ -278,6 +278,22 @@ def test_wigner_rejects_non_projection():
         wigner_reconstruct(images)
 
 
+def test_wigner_names_the_first_image_that_is_not_a_rank_one_projection():
+    # the images are checked as one stack; the message names the first one
+    n = 4
+    m = StateMap.unitary_conjugation(haar_unitary(n, SeededRng(61)))
+    good = m.apply(wigner_probe_projections(n))
+    rank_two = good[0] + good[1]              # a projection of trace 2
+    not_hermitian = good[2] + 0.1 * np.triu(np.ones((n, n)), 1)
+    for bad in ((1, rank_two), (3, not_hermitian), (5, np.full((n, n), np.nan))):
+        for later in ((), ((7, rank_two),)):
+            images = list(good)
+            for k, img in (bad, *later):
+                images[k] = img
+            with pytest.raises(WignerError, match=f"^image {bad[0]}: "):
+                wigner_reconstruct(images)
+
+
 # ------------------------------------------------------- verify_conjugation
 
 def test_verify_conjugation_exact_match():
@@ -334,6 +350,73 @@ def test_verify_conjugation_rejects_non_unitary():
     m = StateMap.unitary_conjugation(np.eye(2))
     with pytest.raises(ValueError):
         verify_conjugation(m, np.diag([1.0, 2.0]), "unitary")
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+@pytest.mark.parametrize("p", [1e-8, 1e-3, 0.3])
+def test_verify_conjugation_depolarizing_closed_form(n, p):
+    # phi(rho) - rho = p (I/n - rho), and ||I/n - rho||_F^2 = 1 - 1/n for every
+    # pure rho, the supremum over density operators: each probe reaches it.
+    # The map's own image (1 - p) rho rounds by a few ulps of ||rho||_F = 1,
+    # so the difference carries about eps/p relative error; that bound
+    # replaces 1e-12 only where it is the larger, at p = 1e-8.
+    want = p * math.sqrt(1.0 - 1.0 / n)
+    rel = max(1e-12, 8.0 * np.finfo(float).eps / p)
+    state_map = depolarizing_channel(p, n)
+    for seed in (0, 1, 7, 2**64 - 1):
+        for n_samples in (1, 20):
+            rep = verify_conjugation(state_map, np.eye(n), "unitary",
+                                     n_samples=n_samples, seed=seed)
+            assert abs(rep.max_deviation - want) <= rel * want
+
+
+def test_verify_conjugation_fails_a_wrong_unitary_and_a_wrong_kind():
+    rng = SeededRng(53)
+    u0, u1 = haar_unitary(16, rng), haar_unitary(16, rng)
+    # ||U x x* U* - V x x* V*||_F^2 = 2 - 2 |<U x, V x>|^2, near 2 for Haar U, V
+    rep = verify_conjugation(StateMap.unitary_conjugation(u0), u1, "unitary", seed=4)
+    assert rep.max_deviation > 1.0
+    # U conj(rho) U* - U rho U* has the norm of 2 Im(rho), nonzero for a
+    # generic pure state
+    for n in (2, 16):
+        u = haar_unitary(n, rng)
+        rep = verify_conjugation(StateMap.antiunitary_conjugation(u), u, "unitary",
+                                 seed=4)
+        assert rep.max_deviation > 0.1
+        assert not rep.max_deviation <= rep.tol
+
+
+def test_verify_conjugation_checks_order_and_kind_before_drawing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("states drawn before the candidate was checked")
+
+    monkeypatch.setattr(preserver, "random_unit_vector", forbidden)
+    m = StateMap.unitary_conjugation(haar_unitary(3, SeededRng(59)))
+    with pytest.raises(ValueError, match="order 2, but the map acts on dimension 3"):
+        verify_conjugation(m, np.eye(2), "unitary")
+    with pytest.raises(ValueError, match="order 4, but the map acts on dimension 3"):
+        verify_conjugation(m, np.eye(4), "antiunitary")
+    with pytest.raises(ValueError, match="unknown conjugation kind 'kraus'"):
+        verify_conjugation(m, np.eye(3), "kraus")
+
+
+@pytest.mark.parametrize("n_samples", [True, False, 2.5, 3.0, "3", None])
+def test_sample_counts_must_be_integers(n_samples):
+    # True once ran as one sample and reported samples=True; 2.5 raised a bare
+    # TypeError from range
+    m = StateMap.unitary_conjugation(np.eye(2))
+    calls = [
+        lambda: verify_conjugation(m, np.eye(2), "unitary", n_samples=n_samples),
+        lambda: invariance_pairs(2, n_samples=n_samples, seed=0),
+        lambda: check_invariance(m, "umegaki", n_samples=n_samples),
+        lambda: run_suite("wigner", dim=2, samples=n_samples),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            call()
+    # a numpy integer is a count
+    rep = verify_conjugation(m, np.eye(2), "unitary", n_samples=np.int64(3))
+    assert rep.samples == 3
 
 
 # --------------------------------------------------- orthogonality indicator
@@ -670,8 +753,9 @@ def test_thm4_never_reads_a_spread_spectrum_as_scalar():
 
 
 def test_stacked_draws_make_one_sampler_call(monkeypatch):
-    # invariance_pairs and verify_conjugation lay out their draws first and
-    # fill every matrix with one Ginibre stack and one Haar stack
+    # invariance_pairs lays out its draws first and fills every matrix with
+    # one Ginibre stack and one Haar stack; verify_conjugation draws all its
+    # pure states as one stack of unit vectors
     import qdiv.sampling as sampling
     calls = []
     for name in ("ginibre", "haar_unitary"):
@@ -679,6 +763,11 @@ def test_stacked_draws_make_one_sampler_call(monkeypatch):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(sampling, name, counting)
+    unit_draws = []
+    def unit_vectors(*args, _fn=preserver.random_unit_vector, **kwargs):
+        unit_draws.append(kwargs.get("count"))
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(preserver, "random_unit_vector", unit_vectors)
     for n_samples in (1, 30):
         calls.clear()
         invariance_pairs(3, n_samples=n_samples, seed=4)
@@ -686,6 +775,7 @@ def test_stacked_draws_make_one_sampler_call(monkeypatch):
         calls.clear()
         u = haar_unitary(4, SeededRng(5))
         calls.clear()
+        unit_draws.clear()
         verify_conjugation(StateMap.unitary_conjugation(u), u, "unitary",
                            n_samples=n_samples, seed=6)
-        assert sorted(calls) == ["ginibre", "haar_unitary"]
+        assert calls == [] and unit_draws == [n_samples]

@@ -111,11 +111,12 @@ def _ref_invariance_matrices(n, n_samples, seed):
 
 
 def _ref_max_deviation(state_map, u, kind, n_samples, seed):
+    # pure states x x*, one unit vector after another
     rng = _RefRng(seed)
-    n = state_map.dim
     max_dev = 0.0
-    for i in range(n_samples):
-        a = _ref_density(n, preserver._rank_pattern(i, n, rng), rng)
+    for _ in range(n_samples):
+        x = _ref_unit_vector(state_map.dim, rng)
+        a = np.outer(x, x.conj())
         max_dev = max(max_dev, frobenius(state_map.apply(a) - conjugate_by(u, kind, a)))
     return max_dev
 

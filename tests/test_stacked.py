@@ -23,7 +23,6 @@ from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
 from qdiv.operators import DensityOperator, PositiveOperator, ValidationError
 from qdiv.preserver import (
     _conjugation_deviation,
-    _rank_pattern,
     check_invariance,
     invariance_pairs,
     invariance_reports,
@@ -33,7 +32,7 @@ from qdiv.preserver import (
 )
 from qdiv.functions import DomainError, power_fn
 from qdiv.sampling import SeededRng, haar_unitary, random_density, \
-    random_density_matrices
+    random_density_matrices, random_unit_vector
 from qdiv.suites import _singular_pair
 
 # at least one parameter set per tag; the dfg pairs take both limits of f at 0+
@@ -234,10 +233,13 @@ def test_stacked_conjugation_check_equals_the_per_state_loop(n):
         for kind in ("unitary", "antiunitary"):
             for cand in (u, other):
                 rep = verify_conjugation(state_map, cand, kind, n_samples=50, seed=n)
-                # the per-state loop as it ran before stacking
+                # the per-state loop over the same pure states, one at a time
                 draw = SeededRng(n)
-                states = random_density_matrices(
-                    n, (_rank_pattern(i, n, draw) for i in range(50)), draw)
+                states = []
+                for _ in range(50):
+                    x = random_unit_vector(n, draw)
+                    states.append(np.outer(x, x.conj()))
+                states = np.array(states)
                 want = 0.0
                 for a in states:
                     want = max(want, mc.frobenius(state_map.apply(a)
