@@ -18,7 +18,7 @@ from .matrixcore import (
     rank_one,
     superop_lr,
 )
-from .operators import DensityOperator, PositiveOperator, ValidationError
+from .operators import DensityOperator, OperatorStack, PositiveOperator, ValidationError
 from .divergence import (
     NonFiniteResultError,
     d_fg,

@@ -1,41 +1,30 @@
 """Distinguishability functionals on positive operators, evaluated on stacks.
 
 Every divergence takes a pair of operators, or two equal-length stacks of
-them (lists or tuples of operators or matrices, or (N, n, n) arrays), and
-then returns one value per pair.  There is one implementation per
-divergence: a pair is the stack of one, and each member of a stack gets, bit
-for bit, the value that the call on its pair alone gets.
+them (``OperatorStack``s, (N, n, n) arrays, or lists or tuples of operators
+or matrices), and returns one value per pair.  There is one implementation
+per divergence: a pair is the stack of one, and each member of a stack gets,
+bit for bit, the value that the call on its pair alone gets.  Every +inf
+branch is a support verdict, decided by ranks of the snapped spectra and the
+trace overlap <P_A, P_B> against ``SUPPORT_TRACE_TOL``, never by overflow.
 
-Each quantity is computed from snapped spectral data, so support conditions
-(the +inf branches) are decided by ranks, never by numeric overflow.  Every
-+inf verdict is one comparison on the trace overlap <P_A, P_B> of the two
-support projections, against ``SUPPORT_TRACE_TOL``: supp B lies inside supp A
-when rank B - <P_A, P_B> is at most it, and the supports are orthogonal when
-<P_A, P_B> is; such a branch returns ``INF``.  One driver, ``_per_pair``,
-runs every divergence: it converts the operands and runs the divergence's
-kernel once on all pairs.  A kernel returns ``INF`` or a float per pair and
-raises where it fails; every float passes one per-pair gate, ``_gated``,
-which raises ``NonFiniteResultError`` when it is inf or NaN, and an overflow
-that stops a kernel raises the same error.  When a stack raises, the driver
-runs its pairs one at a time, in order, so the first pair that fails on its
-own raises its error, as a loop over the pairs would.  The Renyi traces are
-computed as logs, the sandwiched ones on operands scaled by exact powers of
-two, so a divergence whose value a float can hold does not overflow on the way
-to it.
+One driver, ``_per_pair``, splits the pairs by order n, once, converts each
+side of each order once into an ``OperatorStack`` (``operators.as_stack``),
+and runs the divergence's kernel on the two stacks' arrays.  A kernel returns
+``INF`` or a float per pair and raises where it fails; each float passes one
+gate, ``_gated``, which raises ``NonFiniteResultError`` for inf or NaN, as
+does an overflow that stops a kernel.  When a stack raises, its pairs run one
+at a time, in order, so the first pair that fails alone raises its error.
 
-The finite values come from two stacked kernels.  ``_sandwich_eigs`` gives the
-spectrum of F A F* with F diagonal in a given set of eigenvectors of B; the
-generalized quantity tr g(f(B) A f(B)), its limit probe and the sandwiched
-Renyi core tr (B^e A B^e)^alpha (f = t^e, g = t^alpha) are traces of it.  It
-groups the members by (n, rank of B), and makes one stacked product and one
-eigensolver call per group.  ``_overlaps`` gives W_ij = |<u_i, v_j>|^2 for the
-eigenvectors u_i of A and v_j of B, and <P_A, P_B> as a sum over W, with one
-stacked product per order n, once per call; the f-divergence, Umegaki and
-traditional Renyi (Petz-type traces) are sums over that same W.  The cheap
-final reductions (log-sum-exp, the sums over W) stay per pair, where stacking
-them would change the bits.  The superoperator form of the f-divergence uses
-neither kernel and is kept as an independent route, so the two can
-cross-check each other.
+Two kernels give the finite values: ``_overlaps`` (W = |U_A* U_B|^2, whose
+sums are the f-divergence, Umegaki and traditional Renyi) and
+``_sandwich_eigs`` (the spectrum of f(B) A f(B) on supp B, whose traces are
+tr g(f(B) A f(B)), its limit probe and the sandwiched core).  The final
+reductions stay per pair, on rows of the same arrays, where stacking them
+would change the bits.  Renyi traces are taken as logs, the sandwiched ones
+on operands scaled by exact powers of two, so a value that a float holds does
+not overflow.  The superoperator form of the f-divergence uses neither
+kernel: it is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -48,7 +37,8 @@ import numpy as np
 from . import matrixcore as mc
 from .extended import INF, ExtendedReal
 from .functions import DomainError, ScalarFunctionSpec, _normal, spec_from_name
-from .operators import PositiveOperator, ValidationError, as_density, as_positive
+from .operators import DensityOperator, OperatorStack, PositiveOperator, \
+    ValidationError, as_stack
 
 
 class NonFiniteResultError(ValueError):
@@ -67,54 +57,48 @@ def _gated(name: str, value):
 
 
 def _is_stack(x) -> bool:
-    """A list or tuple of operators or matrices, or an (N, n, n) array, as
-    against one operator or one (nested-list) matrix."""
-    if isinstance(x, np.ndarray):
-        return x.ndim == 3
+    """A stack of operators, as against one operator or one matrix."""
+    if isinstance(x, (OperatorStack, np.ndarray)):
+        return isinstance(x, OperatorStack) or x.ndim == 3
     return isinstance(x, (list, tuple)) and (
         not x or isinstance(x[0], PositiveOperator) or np.ndim(x[0]) == 2)
 
 
-def _grouped(keys):
-    """Positions grouped by key, in order of first appearance."""
+def _orders(side) -> list:
+    """The order of each member of a stack: (n,), or () for a non-matrix."""
+    rows = side.matrices if isinstance(side, OperatorStack) else side
+    return [np.shape(x.matrix if isinstance(x, PositiveOperator) else x)[-1:] for x in rows]
+
+
+def _evaluated(name: str, a, b, kernel, cls) -> list:
+    """The gated values (bools pass) of ``kernel`` on two equal-length
+    stacks, each side of each order converted once into an ``OperatorStack``
+    of ``cls``; numpy's warnings are silenced, as the gate catches inf and NaN."""
     groups = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-    return groups.values()
+    for k, (p, q) in enumerate(zip(_orders(a), _orders(b))):
+        if p != q:
+            raise ValueError("dimension mismatch between the two operators")
+        groups.setdefault(p, []).append(k)
+    values = [None] * len(a)
+    for idx in groups.values():
+        # a stack or an array has one order, so only two lists are split
+        x, y = (a, b) if len(groups) == 1 else ([a[k] for k in idx], [b[k] for k in idx])
+        x, y = as_stack(x, cls), as_stack(y, cls)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                out = kernel(x, y)
+            except OverflowError:
+                raise NonFiniteResultError(f"{name}: the value overflows a float") from None
+        for k, v in zip(idx, out):
+            values[k] = v if isinstance(v, bool) else _gated(name, v)
+    return values
 
 
-def _operands(a, b, as_op=as_positive):
-    """Both arguments converted by ``as_op``; raises on a dimension mismatch."""
-    a = as_op(a)
-    b = as_op(b)
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch between the two operators")
-    return a, b
-
-
-def _evaluated(name: str, a, b, kernel, as_op) -> list:
-    """The gated values of ``kernel`` on two equal-length lists of operands,
-    each converted by ``as_op``.  numpy's overflow, invalid and log-of-zero
-    warnings are silenced in the kernel, since the inf or NaN they leave is
-    caught by the gate; a bool, a support verdict, is not gated."""
-    pairs = [_operands(x, y, as_op) for x, y in zip(a, b)]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            values = kernel([x for x, _ in pairs], [y for _, y in pairs])
-        except OverflowError:
-            raise NonFiniteResultError(f"{name}: the value overflows a float") from None
-    return [v if isinstance(v, bool) else _gated(name, v) for v in values]
-
-
-def _per_pair(name: str, a, b, kernel, as_op=as_positive):
-    """``kernel(As, Bs)``, one value per pair of operators, on a pair (the
-    N = 1 call; its value) or on two equal-length stacks (a list).
-
-    The kernel runs once on the whole stack.  If the stack raises, each pair
-    runs alone, in order, so the first pair that fails on its own raises its
-    error, as a loop over the pairs would; the stack's error is raised when
-    no pair fails alone.
-    """
+def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
+    """``kernel(x, y)`` on ``OperatorStack``s of ``cls``, one value per pair,
+    on a pair (its value) or on two equal-length stacks (a list).  If the
+    stack raises, each pair runs alone, in order, so the first pair that fails
+    alone raises its error; else the stack's error is raised."""
     single = not _is_stack(a)
     if _is_stack(b) == single:
         raise ValueError("expected two operators or two stacks of them")
@@ -123,54 +107,42 @@ def _per_pair(name: str, a, b, kernel, as_op=as_positive):
     elif len(a) != len(b):
         raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
     try:
-        values = _evaluated(name, a, b, kernel, as_op)
+        values = _evaluated(name, a, b, kernel, cls)
     except Exception:
-        if len(a) > 1:
-            for x, y in zip(a, b):
-                _evaluated(name, [x], [y], kernel, as_op)
+        for k in range(len(a) if len(a) > 1 else 0):
+            _evaluated(name, a[k:k + 1], b[k:k + 1], kernel, cls)
         raise
     return values[0] if single else values
 
 
-def _overlaps(a, b) -> list:
-    """(W, <P_A, P_B>) for each pair of two equal-length lists of operators.
-
-    W_ij = |<u_i, v_j>|^2 for the eigenvectors u_i of A and v_j of B, and
-    <P_A, P_B> = tr P_A P_B is the sum of W_ij over l_i, m_j > 0, the one
-    number every support verdict reads.  One stacked product per order n.
-    """
-    out = [None] * len(a)
-    for idx in _grouped(x.dim for x in a):
-        u = np.array([a[k].eigenvectors for k in idx])
-        v = np.array([b[k].eigenvectors for k in idx])
-        w = np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
-        ma = np.array([a[k].eigenvalues > 0.0 for k in idx])
-        mb = np.array([b[k].eigenvalues > 0.0 for k in idx])
-        overlap = (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
-        for k, wk, ok in zip(idx, w, overlap.tolist()):
-            out[k] = wk, ok
-    return out
+def _overlaps(x: OperatorStack, y: OperatorStack):
+    """W_ij = |<u_i, v_j>|^2 (N, n, n) from one product, and <P_A, P_B> (N,),
+    the sum of W_ij over l_i, m_j > 0 that every support verdict reads."""
+    w = np.abs(x.eigenvectors.conj().swapaxes(1, 2) @ y.eigenvectors) ** 2
+    ma, mb = x.eigenvalues > 0.0, y.eigenvalues > 0.0
+    return w, (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
 
 
-def _inside(x: PositiveOperator, overlap: float) -> bool:
-    """Whether supp x lies inside the other support of a pair with
-    <P_A, P_B> = ``overlap``: whether tr P_x - <P_A, P_B> is at most
-    ``SUPPORT_TRACE_TOL``."""
-    return x.rank - overlap <= mc.SUPPORT_TRACE_TOL
+def _inside(x: OperatorStack, overlap):
+    """Per pair, whether the support of its member of ``x`` lies inside the
+    other one: tr P_x - <P_A, P_B> at most ``SUPPORT_TRACE_TOL`` (bool array)."""
+    return x.ranks - overlap <= mc.SUPPORT_TRACE_TOL
 
 
 def _on_overlaps(value):
-    """The kernel that gives each pair ``value(A, B, W, <P_A, P_B>)``, all
-    from one ``_overlaps`` call."""
-    return lambda pa, pb: [value(x, y, w, overlap) for x, y, (w, overlap)
-                           in zip(pa, pb, _overlaps(pa, pb))]
+    """The kernel that gives each pair ``value(lam, mu, W, a_in, b_in)``, from
+    the spectra, W and whether supp A (supp B) lies inside the other support."""
+    def kernel(x, y):
+        w, overlap = _overlaps(x, y)
+        return list(map(value, x.eigenvalues, y.eigenvalues, w,
+                        _inside(x, overlap), _inside(y, overlap)))
+    return kernel
 
 
 def _verdicts(a, b, test):
-    """``test(A, B, W, <P_A, P_B>)``, a bool, on a pair of operators or on
-    each pair of two equal-length stacks (a bool array), with the operands
-    converted as the divergences convert theirs."""
-    verdicts = _per_pair("support", a, b, _on_overlaps(test))
+    """``test(x, y, <P_A, P_B>)`` on a pair (a bool) or two stacks (a bool array)."""
+    verdicts = _per_pair("support", a, b,
+                         lambda x, y: test(x, y, _overlaps(x, y)[1]).tolist())
     return verdicts if isinstance(verdicts, bool) else np.array(verdicts, dtype=bool)
 
 
@@ -178,57 +150,47 @@ def support_contains(outer, inner):
     """Whether supp(inner) is contained in supp(outer): whether
     tr P_inner - <P_inner, P_outer> = rank(inner) - <P_inner, P_outer> is at
     most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict per pair."""
-    return _verdicts(outer, inner, lambda o, i, w, overlap: _inside(i, overlap))
+    return _verdicts(outer, inner, lambda o, i, overlap: _inside(i, overlap))
 
 
 def supports_orthogonal(a, b):
     """Whether the supports of a and b are orthogonal subspaces: whether
     <P_a, P_b> is at most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict
     per pair."""
-    return _verdicts(a, b, lambda x, y, w, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
+    return _verdicts(a, b, lambda x, y, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
 
 
-def _log_trace(a: PositiveOperator) -> float:
-    """log tr A from the snapped spectrum, without overflow; A must be nonzero."""
-    top = float(a.eigenvalues[-1])
-    return math.log(top) + math.log((a.eigenvalues / top).sum())
+def _log_trace(lam) -> float:
+    """log tr A from its snapped spectrum, without overflow; A must be nonzero."""
+    top = float(lam[-1])
+    return math.log(top) + math.log((lam / top).sum())
 
 
-def _sandwich_eigs(ops, vecs, fvals, shifts=None) -> list:
-    """Snapped eigenvalues of diag(f) (V* A' V) diag(f), A' = 2^shift A, for
-    each member: A = ``ops[k]``, V = ``vecs[k]``, f = ``fvals[k]`` and shift =
-    ``shifts[k]`` (0 when ``shifts`` is None).
-
-    With orthonormal columns V and F = V diag(f) V*, these are the eigenvalues
-    of F A' F* on the span of V; F A' F* is zero on its complement.  Empty
-    when V has no columns, None when an entry of the product or its norm
-    bound overflowed.
-    Members are grouped by the shape of V: one stacked product and one
-    eigensolver call per group, and each member comes out bit-identical to
-    a group of one.
-    """
-    out = [np.zeros(0)] * len(ops)
-    for idx in _grouped(v.shape for v in vecs):
-        if not vecs[idx[0]].shape[1]:
-            continue
-        m = np.array([ops[k].matrix for k in idx])
-        top = np.array([ops[k].eigenvalues[-1] for k in idx])
+def _sandwich_eigs(x: OperatorStack, y: OperatorStack, inf, fvals, shifts=None) -> list:
+    """``INF`` where the bool array ``inf`` marks a pair, else the snapped
+    spectrum of F A' F* (F = V diag(f) V*, A' = 2^shift A) on the span of V,
+    as that of diag(f) (V* A' V) diag(f): V the last r = rank B eigenvectors
+    of B, f the last r entries of the pair's row of ``fvals`` (empty for
+    r = 0), shift its entry of ``shifts`` (0 for None).  ``OverflowError``
+    when a product or its norm bound overflows.  One product and one
+    eigensolver call per rank, each member bit-identical to a stack of one."""
+    out = [INF if skip else np.zeros(0) for skip in inf.tolist()]
+    for r in sorted(set(y.ranks[~inf].tolist()) - {0}):
+        idx = np.flatnonzero(~inf & (y.ranks == r))
+        m, top = x.matrices[idx], x.eigenvalues[idx, -1]
         if shifts is not None:  # exact while the entries stay normal floats
-            shift = np.array([shifts[k] for k in idx])
-            m = np.ldexp(m.view(np.float64), shift[:, None, None]).view(np.complex128)
-            top = np.ldexp(top, shift)
-        v = np.array([vecs[k] for k in idx])
-        f = np.array([fvals[k] for k in idx])
+            m = np.ldexp(m.view(np.float64), shifts[idx, None, None]).view(np.complex128)
+            top = np.ldexp(top, shifts[idx])
+        v = np.ascontiguousarray(y.eigenvectors[idx, :, -r:])
+        f = fvals[idx, -r:]
         s0 = (f[:, :, None] * (v.conj().swapaxes(1, 2) @ m @ v)) * f[:, None, :]
         # ||F A' F*|| <= max|f|^2 ||A'||, squared last so that max|f|^2 alone
         # cannot overflow; a bound that overflows is an overflow of the member
         bound = (np.max(np.abs(f), axis=1) * np.sqrt(top)) ** 2
-        finite = np.isfinite(s0.view(np.float64)).all(axis=(1, 2)) & np.isfinite(bound)
-        if not finite.all():
-            s0, bound = s0[finite], bound[finite]
-        evals = iter(mc._snapped_psd_eig(s0, bound)[0] if len(s0) else ())
-        for k, ok in zip(idx, finite):
-            out[k] = next(evals) if ok else None
+        if not (np.isfinite(s0.view(np.float64)).all() and np.isfinite(bound).all()):
+            raise OverflowError
+        for k, evals in zip(idx, mc._snapped_psd_eig(s0, bound)[0]):
+            out[k] = evals
     return out
 
 
@@ -249,19 +211,18 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
     perspective = f.perspective or (lambda lam, mu: mu * f(lam / mu))
 
-    def value(x, y, w, overlap):
+    def value(lam, mu, w, a_in, b_in):
         f0 = gamma = 0.0
-        if not _inside(y, overlap):
+        if not b_in:
             if f.limit_at_zero is None:
                 raise DomainError(f"{f.name}: undefined at the required ratio 0")
             if f.limit_at_zero == math.inf:
                 return INF
             f0 = f.limit_at_zero
-        if not _inside(x, overlap):
+        if not a_in:
             if f.gamma == math.inf:
                 return INF
             gamma = f.gamma
-        lam, mu = x.eigenvalues, y.eigenvalues
         # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
         i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
         return (np.sum(w[i, j] * perspective(lam[i], mu[j]))
@@ -301,23 +262,21 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
         return out.real
 
     return _per_pair("f_divergence_superop", a, b,
-                     lambda pa, pb: [value(x, y) for x, y in zip(pa, pb)])
+                     lambda x, y: [value(p, q) for p, q in zip(x, y)])
 
 
 def umegaki(a, b):
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
-    def value(x, y, w, overlap):
-        if not _inside(x, overlap):
+    def value(ev, mu, w, a_in, b_in):
+        if not a_in:
             return INF
-        ev = x.eigenvalues
         term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
-        mu = y.eigenvalues
         # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B with mu_j > 0
         weights = (ev @ w)[mu > 0.0]
         term_b = float(np.log(mu[mu > 0.0]) @ weights)
         return term_a - term_b
 
-    return _per_pair("umegaki", a, b, _on_overlaps(value), as_density)
+    return _per_pair("umegaki", a, b, _on_overlaps(value), DensityOperator)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -327,25 +286,22 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _renyi_inf(x, y, overlap: float, alpha: float) -> bool:
-    """The Renyi support split of a pair: +inf for orthogonal supports when
-    alpha < 1, and for supp A not inside supp B when alpha > 1;
-    ``ValidationError`` when an operator is zero."""
-    if x.eigenvalues[-1] == 0.0 or y.eigenvalues[-1] == 0.0:  # top of ascending
+def _renyi_inf(x: OperatorStack, y: OperatorStack, overlap, alpha: float):
+    """The Renyi support split of each pair (a bool array): +inf for
+    orthogonal supports when alpha < 1, and for supp A not inside supp B when
+    alpha > 1; ``ValidationError`` when an operator is zero."""
+    if not (x.ranks.all() and y.ranks.all()):
         raise ValidationError("operators must be nonzero")
     if alpha < 1.0:
         return overlap <= mc.SUPPORT_TRACE_TOL  # orthogonal supports
-    return not _inside(x, overlap)
+    return ~_inside(x, overlap)
 
 
 def renyi_traditional(a, b, alpha: float):
     """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
 
-    def value(x, y, w, overlap):
-        if _renyi_inf(x, y, overlap, alpha):
-            return INF
-        lam, mu = x.eigenvalues, y.eigenvalues
+    def value(lam, mu, w):
         pa, pb = lam > 0.0, mu > 0.0
         # logs of the terms l_i^alpha W_ij m_j^(1-alpha) of the trace over
         # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp
@@ -353,47 +309,39 @@ def renyi_traditional(a, b, alpha: float):
                  + alpha * np.log(lam[pa])[:, None] + (1.0 - alpha) * np.log(mu[pb]))
         top = terms.max()
         log_trace_ab = top + math.log(np.exp(terms - top).sum())
-        return (log_trace_ab - _log_trace(x)) / (alpha - 1.0)
+        return (log_trace_ab - _log_trace(lam)) / (alpha - 1.0)
 
-    return _per_pair("renyi_traditional", a, b, _on_overlaps(value))
+    def kernel(x, y):
+        w, overlap = _overlaps(x, y)
+        return [INF if inf else value(lam, mu, wk) for inf, lam, mu, wk in zip(
+            _renyi_inf(x, y, overlap, alpha), x.eigenvalues, y.eigenvalues, w)]
 
-
-def _open(inf, pa, pb):
-    """The positions of the pairs that ``inf`` does not mark +inf, and their
-    operands as two lists."""
-    idx = [k for k, skip in enumerate(inf) if not skip]
-    return idx, [pa[k] for k in idx], [pb[k] for k in idx]
+    return _per_pair("renyi_traditional", a, b, kernel)
 
 
-def _sandwiched_cores(pa, pb, inf, alpha: float, finish) -> list:
-    """``INF`` for each pair that ``inf`` marks, else ``finish(x, top, total,
-    scale)``, where the core tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), is
+def _sandwiched_cores(x, y, inf, alpha: float, finish) -> list:
+    """``INF`` for each pair that the bool array ``inf`` marks, else
+    ``finish(lam, top, total, scale)``, with lam the spectrum of A and the
+    core tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), equal to
     top^alpha * total * 2^scale; top = total = 0 when the core vanishes.
 
     The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
-    eigenvalues lie in [1/2, 1), so the scales of A and B cannot make it over-
-    or underflow.  With top the top eigenvalue of S, tr S^alpha =
-    top^alpha * total for total = sum (s_i/top)^alpha, and the scales come
-    back as tr (B^e A B^e)^alpha = 2^scale tr S^alpha, scale =
-    alpha ka + (1-alpha) kb.
-    """
-    e = (1.0 - alpha) / (2.0 * alpha)
-    idx, pa, pb = _open(inf, pa, pb)
-    ka = [math.frexp(x.eigenvalues[-1])[1] for x in pa]
-    kb = [math.frexp(y.eigenvalues[-1])[1] for y in pb]
-    fvals = [np.ldexp(y.eigenvalues[y.eigenvalues > 0.0], -k) ** e
-             for y, k in zip(pb, kb)]
-    spectra = _sandwich_eigs(pa, [y.support_basis for y in pb], fvals,
-                             [-k for k in ka])
-    out = [INF] * len(inf)
-    for k, x, evals, a_exp, b_exp in zip(idx, pa, spectra, ka, kb):
-        if evals is None:
-            raise OverflowError
+    eigenvalues lie in [1/2, 1), so no scale makes it over- or underflow;
+    top is its top eigenvalue, total = sum (s_i/top)^alpha and
+    scale = alpha ka + (1-alpha) kb."""
+    ka = np.frexp(x.eigenvalues[:, -1])[1]
+    kb = np.frexp(y.eigenvalues[:, -1])[1]
+    # f = t^e on B' (an inf at its zero eigenvalues is never read)
+    fvals = np.ldexp(y.eigenvalues, -kb[:, None]) ** ((1.0 - alpha) / (2.0 * alpha))
+
+    def core(lam, evals, scale):
         pos = evals[evals > 0.0]
         top = pos[-1] if pos.size else 0.0
-        out[k] = finish(x, top, ((pos / top) ** alpha).sum(),
-                        alpha * a_exp + (1.0 - alpha) * b_exp)
-    return out
+        return finish(lam, top, ((pos / top) ** alpha).sum(), scale)
+
+    return [s if s is INF else core(lam, s, scale) for lam, s, scale in zip(
+        x.eigenvalues, _sandwich_eigs(x, y, inf, fvals, -ka),
+        (alpha * ka + (1.0 - alpha) * kb).tolist())]
 
 
 def _log_core(alpha: float, top, total, scale: float) -> float:
@@ -411,7 +359,7 @@ def sandwiched_core(a, b, alpha: float):
     """
     alpha = _check_alpha(alpha)
 
-    def core(x, top, total, scale):
+    def core(lam, top, total, scale):
         # 2^scale exactly, by ldexp; the logs where top^alpha is not normal
         whole = math.floor(scale)
         head = top**alpha * total * 2.0 ** (scale - whole)
@@ -419,10 +367,10 @@ def sandwiched_core(a, b, alpha: float):
             return math.ldexp(head, whole)
         return math.exp(_log_core(alpha, top, total, scale))
 
-    def kernel(pa, pb):
-        inf = ([not _inside(x, overlap) for x, (_w, overlap) in zip(pa, _overlaps(pa, pb))]
-               if alpha > 1.0 else [False] * len(pa))
-        return _sandwiched_cores(pa, pb, inf, alpha, core)
+    def kernel(x, y):
+        inf = (~_inside(x, _overlaps(x, y)[1]) if alpha > 1.0
+               else np.zeros(len(x), dtype=bool))
+        return _sandwiched_cores(x, y, inf, alpha, core)
 
     return _per_pair("sandwiched_core", a, b, kernel)
 
@@ -431,12 +379,11 @@ def sandwiched_renyi(a, b, alpha: float):
     """The quantum Renyi divergence with (tr A)^-1 normalization."""
     alpha = _check_alpha(alpha)
 
-    def kernel(pa, pb):
-        inf = [_renyi_inf(x, y, overlap, alpha)
-               for x, y, (_w, overlap) in zip(pa, pb, _overlaps(pa, pb))]
+    def kernel(x, y):
+        inf = _renyi_inf(x, y, _overlaps(x, y)[1], alpha)
         # a vanished core gives log 0 = -inf, which the gate rejects
-        return _sandwiched_cores(pa, pb, inf, alpha, lambda x, top, total, scale: (
-            _log_core(alpha, top, total, scale) - _log_trace(x)) / (alpha - 1.0))
+        return _sandwiched_cores(x, y, inf, alpha, lambda lam, top, total, scale: (
+            _log_core(alpha, top, total, scale) - _log_trace(lam)) / (alpha - 1.0))
 
     return _per_pair("sandwiched_renyi", a, b, kernel)
 
@@ -479,21 +426,15 @@ def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
     """The kernel of ``d_fg``: ``INF`` where B is singular, the extension
     diverges and supp A is not inside supp B, else tr g(S) from the spectrum
     of S = f(B0) A0 f(B0) on supp B; an S that overflows overflows."""
-    def kernel(pa, pb):
-        inf = [False] * len(pa)
-        if not all(y.definite for y in pb) and _singular_extension(f, g):
-            inf = [not (y.definite or _inside(x, overlap))
-                   for x, y, (_w, overlap) in zip(pa, pb, _overlaps(pa, pb))]
-        # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A
-        idx, pa, pb = _open(inf, pa, pb)
-        spectra = _sandwich_eigs(pa, [y.support_basis for y in pb],
-                                 [f(y.eigenvalues[y.eigenvalues > 0.0]) for y in pb])
-        out = [INF] * len(inf)
-        for k, evals in zip(idx, spectra):
-            if evals is None:
-                raise OverflowError
-            out[k] = g(evals).sum()
-        return out
+    def kernel(x, y):
+        singular = y.ranks < y.dim
+        inf = np.zeros(len(x), dtype=bool)
+        if singular.any() and _singular_extension(f, g):
+            inf = singular & ~_inside(x, _overlaps(x, y)[1])
+        # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A; f is
+        # read on the support only, so 1 stands in for a zero eigenvalue
+        fvals = f(np.where(y.eigenvalues > 0.0, y.eigenvalues, 1.0))
+        return [s if s is INF else g(s).sum() for s in _sandwich_eigs(x, y, inf, fvals)]
 
     return kernel
 
@@ -509,20 +450,24 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     eigenvectors of B, evaluated by the kernel and per-pair gate of ``d_fg``,
     so a value that overflows raises ``NonFiniteResultError``.
     """
-    a, b = _operands(a, b)
+    x, y = as_stack([a]), as_stack([b])
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch between the two operators")
     _require_g(g)
     schedule = [float(e) for e in eps_schedule]
     if not schedule or any(e <= 0.0 for e in schedule):
         raise ValueError("schedule must be a nonempty list of positive numbers")
-    if any(y >= x for x, y in zip(schedule, schedule[1:])):
+    if any(t >= s for s, t in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 
+    eps, steps = np.array(schedule), np.zeros(len(schedule), dtype=int)
+    x, y = x[steps], y[steps]
     with np.errstate(over="ignore"):  # B + eps I, on the eigenvectors of B
-        shifted = [PositiveOperator.__new__(PositiveOperator)._adopt(
-            b.matrix + eps * np.eye(b.dim), b.eigenvalues + eps, b.eigenvectors)
-            for eps in schedule]
-    values = [float(v) for v in _per_pair("d_fg_limit_probe", [a] * len(schedule),
-                                          shifted, _dfg_kernel(f, g))]
+        shifted = OperatorStack(PositiveOperator,
+                                y.matrices + eps[:, None, None] * np.eye(y.dim),
+                                y.eigenvalues + eps[:, None], y.eigenvectors)
+    values = [float(v) for v in _per_pair("d_fg_limit_probe", x, shifted,
+                                          _dfg_kernel(f, g))]
 
     crossing = next((i for i, v in enumerate(values) if v > 1e12), None)
     diverged = crossing is not None and all(

@@ -77,12 +77,20 @@ def parse_operator_text(text: str) -> Tuple[np.ndarray, Optional[str]]:
     role = doc.get("role")
     if role is not None and role not in ROLES:
         raise OperatorFileError(f"unknown role {role!r}")
-    re = np.array(doc["re"], dtype=float)
-    im = np.array(doc["im"], dtype=float)
-    for name, part in (("re", re), ("im", im)):
-        if part.shape != (n, n):
-            raise OperatorFileError(f"{name} array is not {n}x{n}")
-    return re + 1j * im, role
+    return _entries(doc, "re", n) + 1j * _entries(doc, "im", n), role
+
+
+def _entries(doc: dict, key: str, n: int) -> np.ndarray:
+    """The n x n array of JSON numbers under ``key`` (a bool is not one)."""
+    rows = doc[key]
+    if not (isinstance(rows, list) and len(rows) == n and all(
+            isinstance(row, list) and len(row) == n
+            and all(type(v) in (int, float) for v in row) for row in rows)):
+        raise OperatorFileError(f"{key} is not a {n}x{n} array of JSON numbers")
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise OperatorFileError(f"{key} has an entry beyond the float range") from None
 
 
 def load_operator(path) -> Tuple[np.ndarray, Optional[str]]:

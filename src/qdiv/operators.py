@@ -1,14 +1,16 @@
-"""Validated positive-semidefinite and density operator wrappers.
+"""Validated positive-semidefinite and density operators, alone or stacked.
 
 Construction eigendecomposes once and caches the spectral data; eigenvalues
 inside the PSD noise band are clamped to zero and eigenvalues below the
 support threshold are snapped to exact zero.  Support decisions made from the
 snapped spectrum are therefore deterministic, and every infinite branch
-downstream is decided by ranks rather than by numeric blow-up.  ``from_stack``
-builds many operators with one eigensolver call, by the constructor's checks.
+downstream is decided by ranks rather than by numeric blow-up.  An
+``OperatorStack`` holds N of them as arrays: the divergence kernels' operand.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -28,13 +30,13 @@ class PositiveOperator:
         self._adopt(*self._validated(mc.as_complex_matrix(matrix)))
 
     @classmethod
-    def from_stack(cls, matrices) -> list:
-        """One operator per matrix of an (N, n, n) stack, each validated as
-        the constructor would, with one eigensolver call for the stack."""
+    def from_stack(cls, matrices) -> OperatorStack:
+        """An (N, n, n) array as an ``OperatorStack``, validated as the
+        constructor would, with one eigensolver call for the stack."""
         stack = mc.as_complex_matrix(matrices, stack=True)
         if stack.ndim != 3:
             raise ValueError(f"expected a stack of square matrices, got {stack.shape}")
-        return [cls.__new__(cls)._adopt(*parts) for parts in zip(*cls._validated(stack))]
+        return OperatorStack(cls, *cls._validated(stack))
 
     @classmethod
     def _validated(cls, m):
@@ -49,13 +51,18 @@ class PositiveOperator:
             raise ValidationError(f"operator is not PSD: min eigenvalue {low[0]:.3e}")
         m, evals = mc.hermitian_part(m), np.clip(evals, 0.0, None)
         evals[evals <= mc.SUPP_TOL * evals[..., -1:]] = 0.0
+        cls._check_trace(m)
+        return m, evals, vecs
+
+    @classmethod
+    def _check_trace(cls, m):
+        """``ValidationError`` unless each matrix of ``m`` has ``cls``'s trace."""
         if cls._unit_trace:
             with np.errstate(over="ignore"):  # an inf trace fails the check below
                 traces = np.ravel(np.trace(m, axis1=-2, axis2=-1).real)
             off = traces[np.abs(traces - 1.0) > mc.TRACE_TOL]
             if off.size:
                 raise ValidationError(f"trace {float(off[0])!r} is not 1 within tolerance")
-        return m, evals, vecs
 
     def _adopt(self, matrix, evals, vecs):
         for arr in (matrix, evals, vecs):
@@ -135,13 +142,59 @@ class DensityOperator(PositiveOperator):
     _unit_trace = True
 
 
+class OperatorStack:
+    """N validated operators of one order n as read-only arrays (``matrices``,
+    snapped ascending ``eigenvalues``, ``eigenvectors``, ``ranks``), with no
+    per-member objects: ``stack[k]`` is a ``kind`` view, a slice another stack."""
+
+    def __init__(self, kind, matrices, eigenvalues, eigenvectors):
+        self.kind = kind
+        self.matrices, self.eigenvalues, self.eigenvectors = (
+            np.ascontiguousarray(arr) for arr in (matrices, eigenvalues, eigenvectors))
+        for arr in (self.matrices, self.eigenvalues, self.eigenvectors):
+            arr.flags.writeable = False
+        self.ranks = np.count_nonzero(self.eigenvalues > 0.0, axis=-1)
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, key):
+        rows = (self.matrices[key], self.eigenvalues[key], self.eigenvectors[key])
+        if isinstance(key, numbers.Integral):
+            return self.kind.__new__(self.kind)._adopt(*rows)
+        return OperatorStack(self.kind, *rows)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def as_stack(items, cls=PositiveOperator) -> OperatorStack:
+    """``items`` of one order as a stack of ``cls``: an (N, n, n) array by
+    ``cls.from_stack``, a stack of ``cls`` as it is; another stack, or a list
+    stacked from its operators' cached arrays (a matrix in it converted by
+    the constructor), with ``cls``'s trace check on those arrays."""
+    if isinstance(items, np.ndarray):
+        return cls.from_stack(items)
+    if isinstance(items, OperatorStack):
+        if issubclass(items.kind, cls):
+            return items
+        parts = items.matrices, items.eigenvalues, items.eigenvectors
+    else:
+        ops = [x if isinstance(x, PositiveOperator) else cls(x) for x in items]
+        parts = (np.array([getattr(x, name) for x in ops])
+                 for name in ("matrix", "eigenvalues", "eigenvectors"))
+    stack = OperatorStack(cls, *parts)
+    cls._check_trace(stack.matrices)
+    return stack
+
+
 def as_positive(x) -> PositiveOperator:
     return x if isinstance(x, PositiveOperator) else PositiveOperator(x)
 
 
 def as_density(x) -> DensityOperator:
-    if isinstance(x, DensityOperator):
-        return x
-    if isinstance(x, PositiveOperator):
-        return DensityOperator(x.matrix)
-    return DensityOperator(x)
+    return x if isinstance(x, DensityOperator) else as_stack([x], DensityOperator)[0]

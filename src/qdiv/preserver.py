@@ -32,7 +32,7 @@ from . import matrixcore as mc
 from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec, _normal
 from .maps import StateMap, conjugate_by, require_conjugation_kind, require_unitary
-from .operators import DensityOperator, as_density, as_positive
+from .operators import DensityOperator, as_density, as_positive, as_stack
 from .sampling import SeededRng, random_density_matrices, random_simplex, \
     random_unit_vector
 
@@ -91,21 +91,22 @@ def invariance_pairs(n: int, *, n_samples: int, seed: int):
     return list(zip(ops[::2], ops[1::2]))
 
 
-def _compare(pairs, before, after, tol: float) -> InvarianceReport:
-    """One report from the values of a divergence before and after a map."""
+def _compare(ops, before, after, tol: float) -> InvarianceReport:
+    """One report from a divergence's values before and after a map on the
+    pairs (ops[2k], ops[2k + 1])."""
     max_dev = 0.0
     mismatches = 0
     witness = None
-    for (a, b), x, y in zip(pairs, before, after):
+    for k, (x, y) in enumerate(zip(before, after)):
         # +inf outcomes compare by category: a mismatch, or no deviation
         mismatch = (x == math.inf) != (y == math.inf)
         dev = 0.0 if math.inf in (x, y) else abs(x - y)
         mismatches += mismatch
         max_dev = max(max_dev, dev)
         if (mismatch or dev > tol) and witness is None:
-            witness = (a.matrix, b.matrix, x, y)
+            witness = (ops.matrices[2 * k], ops.matrices[2 * k + 1], x, y)
     return InvarianceReport(
-        samples=len(pairs),
+        samples=len(before),
         max_abs_deviation=max_dev,
         infinity_mismatches=mismatches,
         witness=witness,
@@ -132,20 +133,21 @@ def invariance_reports(pairs, maps, divergences, *, tol: float):
 
     Returns ``reports[i][j]`` for ``maps[i]`` and ``divergences[j]``, each
     divergence a callable that, like those of ``make_divergence``, takes two
-    equal-length stacks of operators and returns one value per pair.  Each
-    map is applied once, to the (2N, n, n) stack of the pairs, with its
-    images built in one stacked construction.  Each divergence runs once on
-    the pairs and once on each map's images.  ``tol`` must be finite, >= 0.
+    equal-length stacks of operators and returns one value per pair.  The
+    pairs are stacked once; each map is applied once to that (2N, n, n)
+    stack, its images validated as one ``OperatorStack``, and each divergence
+    runs once on the pairs and once on each map's images.  ``pairs`` must not
+    be empty, and ``tol`` must be finite and >= 0.
     """
     _require_tol(tol)
-    a, b = [x for x, _ in pairs], [y for _, y in pairs]
-    before = [_evaluate(div, a, b) for div in divergences]
-    stack = np.array([x.matrix for pair in pairs for x in pair])
+    _require_samples(len(pairs))
+    ops = as_stack([x for pair in pairs for x in pair])
+    before = [_evaluate(div, ops[::2], ops[1::2]) for div in divergences]
     reports = []
     for state_map in maps:
-        ops = DensityOperator.from_stack(state_map.apply(stack))
+        images = DensityOperator.from_stack(state_map.apply(ops.matrices))
         reports.append([
-            _compare(pairs, values, _evaluate(div, ops[::2], ops[1::2]), tol)
+            _compare(ops, values, _evaluate(div, images[::2], images[1::2]), tol)
             for div, values in zip(divergences, before)
         ])
     return reports

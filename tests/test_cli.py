@@ -221,6 +221,20 @@ def test_div_operands_beyond_a_float_exit_two_with_a_clean_stderr(tmp_path):
         assert out.stdout == ""
 
 
+@pytest.mark.parametrize("entry", ['"1"', "true", "null", '{"a": 1}'])
+def test_div_on_a_non_numeric_operator_entry_is_invalid_input(tmp_path, entry):
+    # "1" and true were once read as 1.0 and exited 0; {"a": 1} ended in a
+    # traceback and exit 1
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"dim": 1, "re": [[1]], "im": [[0]]}\n')
+    bad.write_text(f'{{"dim": 1, "re": [[{entry}]], "im": [[0]]}}\n')
+    out = run_cli("div", "umegaki", str(bad), str(good))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "invalid input: re is not a 1x1 array of JSON numbers\n"
+    assert out.stdout == ""
+    assert run_cli("div", "umegaki", str(good), str(good)).returncode == 0
+
+
 def test_div_fdiv_xlogx_with_a_ratio_beyond_a_float(tmp_path):
     one, tiny = tmp_path / "one.json", tmp_path / "tiny.json"
     save_operator(one, np.array([[1.0]]), role="positive")

@@ -58,6 +58,30 @@ def test_parse_rejects_bad_shapes():
         parse_operator_text('{"dim": true, "re": [[1]], "im": [[0]]}')
 
 
+@pytest.mark.parametrize("entry", ['"1"', "true", "false", "null", '{"a": 1}', "[1]",
+                                   "1" + "0" * 400])
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_parse_accepts_only_json_numbers(entry, key):
+    # "1" and true were once read as 1.0, null as NaN, and an object ended in
+    # a TypeError; an integer beyond the float range in an OverflowError
+    doc = {"re": "[[1, 0], [0, 1]]", "im": "[[0, 0], [0, 0]]"}
+    doc[key] = f"[[1, 0], [0, {entry}]]"
+    text = f'{{"dim": 2, "re": {doc["re"]}, "im": {doc["im"]}}}'
+    with pytest.raises(OperatorFileError, match=f"^{key} (is not a 2x2 array|has an entry)"):
+        parse_operator_text(text)
+    # ints and floats, also in exponent form, are numbers
+    m, _ = parse_operator_text('{"dim": 1, "re": [[2.5e-1]], "im": [[-0]]}')
+    assert m.tolist() == [[0.25]]
+    m, _ = parse_operator_text('{"dim": 1, "re": [[3]], "im": [[0.0]]}')
+    assert m.tolist() == [[3.0]]
+
+
+def test_parse_rejects_ragged_and_non_list_arrays():
+    for re_part in ("[[1, 0], [0]]", "[1, 0]", "5", '"[[1]]"', "[[1, 0], 0]"):
+        with pytest.raises(OperatorFileError, match="re is not a 2x2 array"):
+            parse_operator_text(f'{{"dim": 2, "re": {re_part}, "im": [[0, 0], [0, 0]]}}')
+
+
 def test_validate_role_density():
     validate_role(np.diag([0.5, 0.5]), "density")
     with pytest.raises(OperatorFileError):

@@ -144,10 +144,11 @@ def test_invariance_reports_match_separate_checks():
 
 def test_suite_invariance_builds_each_operator_once(monkeypatch):
     # N pairs, then one image of each operator under each of the two maps.
-    # Stacked construction bypasses __init__, so count at the validation
-    # helper that every construction goes through, and count the stacked
-    # constructions: one for the pairs and one per map, whatever N is.  (The
-    # divergences make stacked eigensolver calls of their own.)
+    # Stacked construction (from_stack) does not call __init__, so count at
+    # the validation helper that every construction goes through, and count
+    # the stacked constructions: one for the pairs and one per map, whatever
+    # N is.  The divergences read these stacks and validate nothing again
+    # (their sandwich kernels make eigensolver calls of their own).
     built = []
     stacked = []
     validated = PositiveOperator._validated.__func__
@@ -167,6 +168,17 @@ def test_suite_invariance_builds_each_operator_once(monkeypatch):
         assert passed and len(assertions) == 10
         assert sum(built) == 6 * n_samples
         assert stacked == [2 * n_samples] * 3
+
+
+def test_invariance_reports_reject_an_empty_list_of_pairs():
+    # an empty search would read as a pass; with a map it once failed in the
+    # map's shape check ("got shape (0,)")
+    umegaki = make_divergence("umegaki")
+    for maps in ([], [depolarizing_channel(0.3, 2)]):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            invariance_reports([], maps, [umegaki], tol=1e-9)
+    # the divergences themselves still take empty stacks
+    assert umegaki([], []) == []
 
 
 def test_witness_invariant_of_report():

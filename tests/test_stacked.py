@@ -190,6 +190,27 @@ def test_a_stack_that_does_not_fail_runs_each_kernel_once(monkeypatch):
     assert calls == [3, 1, 1]
 
 
+def test_each_side_is_eigendecomposed_at_most_once(monkeypatch):
+    # a raw (N, n, n) array is validated by one stacked eigensolver call;
+    # operators are stacked from their cached spectra, and a PositiveOperator
+    # of unit trace passes Umegaki's density check without a second one
+    pairs = _pairs(3)
+    a, b = (np.array([p[k].matrix for p in pairs]) for k in (0, 1))
+    ops_a, ops_b = ([PositiveOperator(m) for m in side] for side in (a, b))
+    want = umegaki(ops_a, ops_b)
+    shapes = []
+    eig = mc.eig_hermitian
+    monkeypatch.setattr(mc, "eig_hermitian",
+                        lambda m: shapes.append(np.shape(m)) or eig(m))
+    assert [repr(v) for v in umegaki(a, b)] == [repr(v) for v in want]
+    assert shapes == [a.shape, b.shape]
+    shapes.clear()
+    assert [repr(v) for v in umegaki(ops_a, ops_b)] == [repr(v) for v in want]
+    assert [repr(v) for v in support_contains(ops_a, ops_b)] == [
+        repr(v) for v in support_contains(a, b)]
+    assert shapes == [a.shape, b.shape]  # the raw call above; none for operators
+
+
 def test_stacks_must_come_in_equal_length_pairs():
     one = PositiveOperator(np.eye(2))
     with pytest.raises(ValueError, match="two operators or two stacks"):
