@@ -8,7 +8,8 @@ bit for bit, the value that the call on its pair alone gets.  Every +inf
 branch is a support verdict, decided by ranks of the snapped spectra and the
 trace overlap <P_A, P_B> against ``SUPPORT_TRACE_TOL``, never by overflow.
 
-One driver, ``_per_pair``, splits the pairs by order n, once, converts each
+One driver, ``_per_pair``, splits the pairs by order n, once (two stacks or
+arrays have one order, read off their shapes), converts each
 side of each order once into an ``OperatorStack`` (``operators.as_stack``),
 and runs the divergence's kernel on the two stacks' arrays.  A kernel returns
 ``INF`` or a float per pair and raises where it fails; each float passes one
@@ -20,8 +21,11 @@ Two kernels give the finite values: ``_overlaps`` (W = |U_A* U_B|^2, whose
 sums are the f-divergence, Umegaki and traditional Renyi) and
 ``_sandwich_eigs`` (the spectrum of f(B) A f(B) on supp B, whose traces are
 tr g(f(B) A f(B)), its limit probe and the sandwiched core).  The final
-reductions stay per pair, on rows of the same arrays, where stacking them
-would change the bits.  Renyi traces are taken as logs, the sandwiched ones
+reductions of Umegaki, traditional Renyi and the sandwiched core run on
+arrays grouped by rank, so that each member holds exactly the terms of its
+pair: numpy reduces each member of a stack as it reduces that member alone.
+``math.log`` takes the final scalars, and the f-divergence sums stay per
+pair.  Renyi traces are taken as logs, the sandwiched ones
 on operands scaled by exact powers of two, so a value that a float holds does
 not overflow.  The superoperator form of the f-divergence uses neither
 kernel: it is an independent cross-check.
@@ -70,18 +74,32 @@ def _orders(side) -> list:
     return [np.shape(x.matrix if isinstance(x, PositiveOperator) else x)[-1:] for x in rows]
 
 
-def _evaluated(name: str, a, b, kernel, cls) -> list:
-    """The gated values (bools pass) of ``kernel`` on two equal-length
-    stacks, each side of each order converted once into an ``OperatorStack``
-    of ``cls``; numpy's warnings are silenced, as the gate catches inf and NaN."""
+def _groups(a, b) -> list:
+    """The indices of the pairs of each order, split once; ``[None]`` (all
+    pairs) for two nonempty stacks or arrays, whose one order is read off
+    their shape."""
+    shapes = [(x.matrices if isinstance(x, OperatorStack) else x).shape[-1:]
+              for x in (a, b) if isinstance(x, (OperatorStack, np.ndarray))]
+    if len(shapes) == 2 and len(a):
+        if shapes[0] != shapes[1]:
+            raise ValueError("dimension mismatch between the two operators")
+        return [None]
     groups = {}
     for k, (p, q) in enumerate(zip(_orders(a), _orders(b))):
         if p != q:
             raise ValueError("dimension mismatch between the two operators")
         groups.setdefault(p, []).append(k)
+    return list(groups.values())
+
+
+def _evaluated(name: str, a, b, kernel, cls) -> list:
+    """The gated values (bools pass) of ``kernel`` on two equal-length
+    stacks, each side of each order converted once into an ``OperatorStack``
+    of ``cls``; numpy's warnings are silenced, as the gate catches inf and NaN."""
+    groups = _groups(a, b)
     values = [None] * len(a)
-    for idx in groups.values():
-        # a stack or an array has one order, so only two lists are split
+    for idx in groups:
+        # one order takes the sides as they are, and the values in their order
         x, y = (a, b) if len(groups) == 1 else ([a[k] for k in idx], [b[k] for k in idx])
         x, y = as_stack(x, cls), as_stack(y, cls)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -89,8 +107,11 @@ def _evaluated(name: str, a, b, kernel, cls) -> list:
                 out = kernel(x, y)
             except OverflowError:
                 raise NonFiniteResultError(f"{name}: the value overflows a float") from None
+        out = [v if isinstance(v, bool) else _gated(name, v) for v in out]
+        if len(groups) == 1:
+            return out
         for k, v in zip(idx, out):
-            values[k] = v if isinstance(v, bool) else _gated(name, v)
+            values[k] = v
     return values
 
 
@@ -129,16 +150,6 @@ def _inside(x: OperatorStack, overlap):
     return x.ranks - overlap <= mc.SUPPORT_TRACE_TOL
 
 
-def _on_overlaps(value):
-    """The kernel that gives each pair ``value(lam, mu, W, a_in, b_in)``, from
-    the spectra, W and whether supp A (supp B) lies inside the other support."""
-    def kernel(x, y):
-        w, overlap = _overlaps(x, y)
-        return list(map(value, x.eigenvalues, y.eigenvalues, w,
-                        _inside(x, overlap), _inside(y, overlap)))
-    return kernel
-
-
 def _verdicts(a, b, test):
     """``test(x, y, <P_A, P_B>)`` on a pair (a bool) or two stacks (a bool array)."""
     verdicts = _per_pair("support", a, b,
@@ -160,21 +171,26 @@ def supports_orthogonal(a, b):
     return _verdicts(a, b, lambda x, y, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
 
 
-def _log_trace(lam) -> float:
-    """log tr A from its snapped spectrum, without overflow; A must be nonzero."""
-    top = float(lam[-1])
-    return math.log(top) + math.log((lam / top).sum())
+def _log_traces(lam) -> list:
+    """log tr A from each row of snapped spectra (N, n), without overflow;
+    every A must be nonzero.  The rows are summed at once, as a row alone
+    would be, and ``math.log`` takes the results."""
+    top = lam[:, -1:]
+    return [math.log(t) + math.log(s)
+            for t, s in zip(top[:, 0].tolist(), (lam / top).sum(axis=1).tolist())]
 
 
-def _sandwich_eigs(x: OperatorStack, y: OperatorStack, inf, fvals, shifts=None) -> list:
-    """``INF`` where the bool array ``inf`` marks a pair, else the snapped
-    spectrum of F A' F* (F = V diag(f) V*, A' = 2^shift A) on the span of V,
-    as that of diag(f) (V* A' V) diag(f): V the last r = rank B eigenvectors
-    of B, f the last r entries of the pair's row of ``fvals`` (empty for
-    r = 0), shift its entry of ``shifts`` (0 for None).  ``OverflowError``
-    when a product or its norm bound overflows.  One product and one
-    eigensolver call per rank, each member bit-identical to a stack of one."""
-    out = [INF if skip else np.zeros(0) for skip in inf.tolist()]
+def _sandwich_eigs(x: OperatorStack, y: OperatorStack, inf, fvals, shifts=None):
+    """(N, n) array: for each pair the bool array ``inf`` does not mark, the
+    snapped spectrum of F A' F* (F = V diag(f) V*, A' = 2^shift A) on the
+    span of V in the last r = rank B entries of its row, zeros before them;
+    zeros for a marked pair.  The spectrum is that of diag(f) (V* A' V)
+    diag(f): V the last r eigenvectors of B, f the last r entries of the
+    pair's row of ``fvals``, shift its entry of ``shifts`` (0 for None).
+    ``OverflowError`` when a product or its norm bound overflows.  One
+    product and one eigensolver call per rank, each member bit-identical to a
+    stack of one."""
+    out = np.zeros(x.eigenvalues.shape)
     for r in sorted(set(y.ranks[~inf].tolist()) - {0}):
         idx = np.flatnonzero(~inf & (y.ranks == r))
         m, top = x.matrices[idx], x.eigenvalues[idx, -1]
@@ -189,8 +205,7 @@ def _sandwich_eigs(x: OperatorStack, y: OperatorStack, inf, fvals, shifts=None) 
         bound = (np.max(np.abs(f), axis=1) * np.sqrt(top)) ** 2
         if not (np.isfinite(s0.view(np.float64)).all() and np.isfinite(bound).all()):
             raise OverflowError
-        for k, evals in zip(idx, mc._snapped_psd_eig(s0, bound)[0]):
-            out[k] = evals
+        out[idx, -r:] = mc._snapped_psd_eig(s0, bound)[0]
     return out
 
 
@@ -229,7 +244,12 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
                 + f0 * np.sum(w[lam == 0.0] @ mu)
                 + gamma * np.sum(lam @ w[:, mu == 0.0]))
 
-    return _per_pair("f_divergence", a, b, _on_overlaps(value))
+    def kernel(x, y):
+        w, overlap = _overlaps(x, y)
+        return list(map(value, x.eigenvalues, y.eigenvalues, w,
+                        _inside(x, overlap), _inside(y, overlap)))
+
+    return _per_pair("f_divergence", a, b, kernel)
 
 
 def f_divergence_superop(a, b, f: ScalarFunctionSpec):
@@ -265,18 +285,37 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
                      lambda x, y: [value(p, q) for p, q in zip(x, y)])
 
 
+def _row_sums(rows, fn) -> np.ndarray:
+    """The sum over the positive entries of each row of an (N, n) array of
+    ascending nonnegative rows (0 for none) of ``fn(block, idx)``, the
+    termwise function of those entries, ``block`` the last p columns of the
+    rows ``idx`` that have p positive entries: one pass per p, each row
+    summed as numpy sums its p terms alone."""
+    sums, counts = np.zeros(len(rows)), np.count_nonzero(rows > 0.0, axis=1)
+    for p in sorted(set(counts.tolist()) - {0}):
+        idx = np.flatnonzero(counts == p)
+        sums[idx] = fn(rows[idx, -p:], idx).sum(axis=1)
+    return sums
+
+
 def umegaki(a, b):
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
-    def value(ev, mu, w, a_in, b_in):
-        if not a_in:
-            return INF
-        term_a = float(np.sum(ev[ev > 0.0] * np.log(ev[ev > 0.0])))
-        # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B with mu_j > 0
-        weights = (ev @ w)[mu > 0.0]
-        term_b = float(np.log(mu[mu > 0.0]) @ weights)
-        return term_a - term_b
+    def kernel(x, y):
+        w, overlap = _overlaps(x, y)
+        term_a = _row_sums(x.eigenvalues, lambda lam, idx: lam * np.log(lam))
+        # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B, dotted
+        # with log m_j over m_j > 0: one product per rank q of B, whose
+        # members numpy's matmul computes as it computes one pair's vectors
+        weights = np.matmul(x.eigenvalues[:, None, :], w)[:, 0]
+        term_b = np.zeros(len(x))
+        for q in sorted(set(y.ranks.tolist())):
+            idx = np.flatnonzero(y.ranks == q)
+            term_b[idx] = np.matmul(np.log(y.eigenvalues[idx, None, -q:]),
+                                    weights[idx, -q:, None])[:, 0, 0]
+        return [t if a_in else INF for a_in, t in zip(
+            _inside(x, overlap).tolist(), (term_a - term_b).tolist())]
 
-    return _per_pair("umegaki", a, b, _on_overlaps(value), DensityOperator)
+    return _per_pair("umegaki", a, b, kernel, DensityOperator)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -301,29 +340,42 @@ def renyi_traditional(a, b, alpha: float):
     """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
 
-    def value(lam, mu, w):
-        pa, pb = lam > 0.0, mu > 0.0
-        # logs of the terms l_i^alpha W_ij m_j^(1-alpha) of the trace over
-        # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp
-        terms = (np.log(w[pa][:, pb])
-                 + alpha * np.log(lam[pa])[:, None] + (1.0 - alpha) * np.log(mu[pb]))
-        top = terms.max()
-        log_trace_ab = top + math.log(np.exp(terms - top).sum())
-        return (log_trace_ab - _log_trace(lam)) / (alpha - 1.0)
+    def log_traces_ab(x, y, w, inf) -> list:
+        # log tr(A^alpha B^(1-alpha)) of each pair (0 where ``inf`` marks it)
+        # from the logs of its terms l_i^alpha W_ij m_j^(1-alpha) over
+        # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp: the block
+        # of the last p = rank A rows and q = rank B columns of W, one pass
+        # per (p, q).  Each block is held transposed, (q, p), and so summed
+        # column by column: the order of numpy's sum over the one-pair block
+        # W[l > 0][:, m > 0], which its fancy indexing lays out by columns
+        out = np.zeros(len(x))
+        keys = x.ranks * (x.dim + 1) + y.ranks
+        for key in sorted(set(keys[~inf].tolist())):
+            p, q = divmod(key, x.dim + 1)
+            idx = np.flatnonzero(~inf & (keys == key))
+            terms = (np.log(np.ascontiguousarray(w[idx, -p:, -q:].swapaxes(1, 2)))
+                     + alpha * np.log(x.eigenvalues[idx, -p:])[:, None, :]
+                     + (1.0 - alpha) * np.log(y.eigenvalues[idx, -q:])[:, :, None])
+            top = terms.max(axis=(1, 2))
+            sums = np.exp(terms - top[:, None, None]).sum(axis=(1, 2))
+            out[idx] = [t + math.log(s) for t, s in zip(top.tolist(), sums.tolist())]
+        return out.tolist()
 
     def kernel(x, y):
         w, overlap = _overlaps(x, y)
-        return [INF if inf else value(lam, mu, wk) for inf, lam, mu, wk in zip(
-            _renyi_inf(x, y, overlap, alpha), x.eigenvalues, y.eigenvalues, w)]
+        inf = _renyi_inf(x, y, overlap, alpha)
+        return [INF if skip else (log_ab - log_tr) / (alpha - 1.0)
+                for skip, log_ab, log_tr in zip(
+                    inf.tolist(), log_traces_ab(x, y, w, inf), _log_traces(x.eigenvalues))]
 
     return _per_pair("renyi_traditional", a, b, kernel)
 
 
-def _sandwiched_cores(x, y, inf, alpha: float, finish) -> list:
-    """``INF`` for each pair that the bool array ``inf`` marks, else
-    ``finish(lam, top, total, scale)``, with lam the spectrum of A and the
-    core tr (B^e A B^e)^alpha, e = (1-alpha)/(2 alpha), equal to
-    top^alpha * total * 2^scale; top = total = 0 when the core vanishes.
+def _sandwiched_cores(x, y, inf, alpha: float):
+    """``None`` for each pair that the bool array ``inf`` marks, else the
+    tuple (top, total, scale) of its core tr (B^e A B^e)^alpha,
+    e = (1-alpha)/(2 alpha), equal to top^alpha * total * 2^scale;
+    top = total = 0 when the core vanishes.
 
     The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
     eigenvalues lie in [1/2, 1), so no scale makes it over- or underflow;
@@ -333,15 +385,12 @@ def _sandwiched_cores(x, y, inf, alpha: float, finish) -> list:
     kb = np.frexp(y.eigenvalues[:, -1])[1]
     # f = t^e on B' (an inf at its zero eigenvalues is never read)
     fvals = np.ldexp(y.eigenvalues, -kb[:, None]) ** ((1.0 - alpha) / (2.0 * alpha))
-
-    def core(lam, evals, scale):
-        pos = evals[evals > 0.0]
-        top = pos[-1] if pos.size else 0.0
-        return finish(lam, top, ((pos / top) ** alpha).sum(), scale)
-
-    return [s if s is INF else core(lam, s, scale) for lam, s, scale in zip(
-        x.eigenvalues, _sandwich_eigs(x, y, inf, fvals, -ka),
-        (alpha * ka + (1.0 - alpha) * kb).tolist())]
+    evals = _sandwich_eigs(x, y, inf, fvals, -ka)
+    top = evals[:, -1]
+    total = _row_sums(evals, lambda s, idx: (s / top[idx, None]) ** alpha)
+    scale = alpha * ka + (1.0 - alpha) * kb
+    return [None if skip else core for skip, core in zip(
+        inf.tolist(), zip(top.tolist(), total.tolist(), scale.tolist()))]
 
 
 def _log_core(alpha: float, top, total, scale: float) -> float:
@@ -359,7 +408,7 @@ def sandwiched_core(a, b, alpha: float):
     """
     alpha = _check_alpha(alpha)
 
-    def core(lam, top, total, scale):
+    def core(top, total, scale):
         # 2^scale exactly, by ldexp; the logs where top^alpha is not normal
         whole = math.floor(scale)
         head = top**alpha * total * 2.0 ** (scale - whole)
@@ -370,7 +419,7 @@ def sandwiched_core(a, b, alpha: float):
     def kernel(x, y):
         inf = (~_inside(x, _overlaps(x, y)[1]) if alpha > 1.0
                else np.zeros(len(x), dtype=bool))
-        return _sandwiched_cores(x, y, inf, alpha, core)
+        return [INF if c is None else core(*c) for c in _sandwiched_cores(x, y, inf, alpha)]
 
     return _per_pair("sandwiched_core", a, b, kernel)
 
@@ -382,8 +431,9 @@ def sandwiched_renyi(a, b, alpha: float):
     def kernel(x, y):
         inf = _renyi_inf(x, y, _overlaps(x, y)[1], alpha)
         # a vanished core gives log 0 = -inf, which the gate rejects
-        return _sandwiched_cores(x, y, inf, alpha, lambda lam, top, total, scale: (
-            _log_core(alpha, top, total, scale) - _log_trace(lam)) / (alpha - 1.0))
+        return [INF if c is None else (_log_core(alpha, *c) - log_tr) / (alpha - 1.0)
+                for c, log_tr in zip(_sandwiched_cores(x, y, inf, alpha),
+                                     _log_traces(x.eigenvalues))]
 
     return _per_pair("sandwiched_renyi", a, b, kernel)
 
@@ -434,7 +484,8 @@ def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
         # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A; f is
         # read on the support only, so 1 stands in for a zero eigenvalue
         fvals = f(np.where(y.eigenvalues > 0.0, y.eigenvalues, 1.0))
-        return [s if s is INF else g(s).sum() for s in _sandwich_eigs(x, y, inf, fvals)]
+        return [INF if skip else g(s[len(s) - r:]).sum() for skip, s, r in zip(
+            inf.tolist(), _sandwich_eigs(x, y, inf, fvals), y.ranks.tolist())]
 
     return kernel
 
@@ -520,4 +571,7 @@ def make_divergence(tag: str, alpha: Optional[float] = None,
     def divergence(a, b):
         return globals()[name](a, b, **params)
 
+    # the name error messages give it, e.g. "sandwiched(alpha=2)"
+    divergence.__name__ = divergence.__qualname__ = "{}({})".format(
+        tag, ", ".join(f"{key}={getattr(v, 'name', v)}" for key, v in params.items()))
     return divergence

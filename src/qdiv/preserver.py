@@ -8,10 +8,14 @@ mean-product criterion for scalar operators).  A reconstructed conjugation is
 checked on Haar-random pure states: map and conjugation are real-linear, so
 the deviation between them is convex in the state and largest at a pure state
 (see :func:`verify_conjugation`).  One draw of pairs serves every
-map and divergence.  The comparison runs on stacks: each map is applied once
-to the (2N, n, n) stack of the pairs, and each divergence, which takes two
-stacks and returns one value per pair, is one call on the pairs and one on
-each map's images.  ``reports[0][1]`` below is Umegaki under ``state_map``::
+map and divergence, and stays one validated (2N, n, n) ``OperatorStack``
+from the sampler to the report: each map is applied once to it and its
+images validated as one stack, and each divergence, which takes two stacks
+and returns one value per pair, is one call on the pairs followed by every
+map's images.  The values are split by N, and the deviations, mismatches and
+first witness are read from arrays; a NaN or -inf value raises.
+Only :func:`invariance_pairs` builds per-member views.
+``reports[0][1]`` below is Umegaki under ``state_map``::
 
     pairs = invariance_pairs(3, n_samples=100, seed=1)
     divergences = [make_divergence("sandwiched", alpha=2),
@@ -32,7 +36,8 @@ from . import matrixcore as mc
 from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec, _normal
 from .maps import StateMap, conjugate_by, require_conjugation_kind, require_unitary
-from .operators import DensityOperator, as_density, as_positive, as_stack
+from .operators import DensityOperator, OperatorStack, as_density, as_positive, \
+    as_stack
 from .sampling import SeededRng, random_density_matrices, random_simplex, \
     random_unit_vector
 
@@ -75,9 +80,9 @@ def _require_samples(n_samples: int) -> None:
         raise ValueError("need at least one sample")
 
 
-def invariance_pairs(n: int, *, n_samples: int, seed: int):
-    """Seeded density pairs ``[(A, B)]`` on C^n, independent of any map; the
-    ranks cycle full, one, intermediate so the +inf branches get exercised."""
+def _pair_stack(n: int, n_samples: int, seed: int) -> OperatorStack:
+    """The pairs of :func:`invariance_pairs` as one (2N, n, n) stack, A_k at
+    2k and B_k at 2k + 1."""
     _require_samples(n_samples)
     rng = SeededRng(seed)
 
@@ -87,28 +92,33 @@ def invariance_pairs(n: int, *, n_samples: int, seed: int):
             rb = _rank_pattern(i // 3 + i, n, rng)
             yield from (ra, rb)
 
-    ops = DensityOperator.from_stack(random_density_matrices(n, ranks(), rng))
+    return DensityOperator.from_stack(random_density_matrices(n, ranks(), rng))
+
+
+def invariance_pairs(n: int, *, n_samples: int, seed: int):
+    """Seeded density pairs ``[(A, B)]`` on C^n, independent of any map; the
+    ranks cycle full, one, intermediate so the +inf branches get exercised."""
+    ops = _pair_stack(n, n_samples, seed)
     return list(zip(ops[::2], ops[1::2]))
 
 
-def _compare(ops, before, after, tol: float) -> InvarianceReport:
+def _compare(ops, before, after, x, y, tol: float) -> InvarianceReport:
     """One report from a divergence's values before and after a map on the
-    pairs (ops[2k], ops[2k + 1])."""
-    max_dev = 0.0
-    mismatches = 0
+    pairs (ops[2k], ops[2k + 1]): the lists ``before`` and ``after``, which
+    give the witness, and the same values as the float arrays ``x``, ``y``."""
+    inf_x, inf_y = x == math.inf, y == math.inf
+    # +inf outcomes compare by category: a mismatch, or no deviation
+    mismatch, either = inf_x != inf_y, inf_x | inf_y
+    dev = np.abs(np.where(either, 0.0, x) - np.where(either, 0.0, y))
+    failed = np.flatnonzero(mismatch | (dev > tol))
     witness = None
-    for k, (x, y) in enumerate(zip(before, after)):
-        # +inf outcomes compare by category: a mismatch, or no deviation
-        mismatch = (x == math.inf) != (y == math.inf)
-        dev = 0.0 if math.inf in (x, y) else abs(x - y)
-        mismatches += mismatch
-        max_dev = max(max_dev, dev)
-        if (mismatch or dev > tol) and witness is None:
-            witness = (ops.matrices[2 * k], ops.matrices[2 * k + 1], x, y)
+    if failed.size:
+        k = int(failed[0])
+        witness = (ops.matrices[2 * k], ops.matrices[2 * k + 1], before[k], after[k])
     return InvarianceReport(
         samples=len(before),
-        max_abs_deviation=max_dev,
-        infinity_mismatches=mismatches,
+        max_abs_deviation=float(dev.max()),
+        infinity_mismatches=int(np.count_nonzero(mismatch)),
         witness=witness,
         tol=tol,
     )
@@ -120,12 +130,46 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
 
 
-def _evaluate(divergence, a, b) -> list:
-    """``divergence(a, b)``; ``TypeError`` unless one value per pair."""
+def _evaluate(divergence, a, b, n_pairs: int):
+    """``divergence(a, b)`` as a list and as a float array; ``TypeError``
+    unless one value per pair, ``ValueError`` naming the first pair (of
+    ``n_pairs``, then of each map's images) whose value is NaN or -inf,
+    which no deviation would flag."""
     values = divergence(a, b)
     if np.ndim(values) != 1 or len(values) != len(a):
         raise TypeError(f"a divergence must return one value per pair, got {values!r}")
-    return values
+    x = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(np.isnan(x) | (x == -math.inf))
+    if bad.size:
+        k = int(bad[0])
+        where = "" if k < n_pairs else f" under map {k // n_pairs - 1}"
+        name = getattr(divergence, "__name__", repr(divergence))
+        raise ValueError(f"divergence {name} gave {values[k]!r} on pair "
+                         f"{k % n_pairs}{where}")
+    return values, x
+
+
+def _joined(stacks, start: int) -> OperatorStack:
+    """Members start, start + 2, ... of each stack in turn, as one stack."""
+    return OperatorStack(stacks[0].kind, *(
+        np.concatenate([getattr(s, name)[start::2] for s in stacks])
+        for name in ("matrices", "eigenvalues", "eigenvectors")))
+
+
+def _reports(ops: OperatorStack, maps, divergences, tol: float):
+    """``invariance_reports`` on the stack ``ops`` of the pairs
+    (ops[2k], ops[2k + 1])."""
+    _require_tol(tol)
+    n = len(ops) // 2
+    stacks = [ops, *(DensityOperator.from_stack(m.apply(ops.matrices)) for m in maps)]
+    a, b = _joined(stacks, 0), _joined(stacks, 1)
+    reports = [[] for _ in maps]
+    for div in divergences:
+        values, x = _evaluate(div, a, b, n)
+        for i, row in enumerate(reports, start=1):
+            at = slice(i * n, (i + 1) * n)
+            row.append(_compare(ops, values[:n], values[at], x[:n], x[at], tol))
+    return reports
 
 
 def invariance_reports(pairs, maps, divergences, *, tol: float):
@@ -135,22 +179,13 @@ def invariance_reports(pairs, maps, divergences, *, tol: float):
     divergence a callable that, like those of ``make_divergence``, takes two
     equal-length stacks of operators and returns one value per pair.  The
     pairs are stacked once; each map is applied once to that (2N, n, n)
-    stack, its images validated as one ``OperatorStack``, and each divergence
-    runs once on the pairs and once on each map's images.  ``pairs`` must not
-    be empty, and ``tol`` must be finite and >= 0.
+    stack and its images validated as one ``OperatorStack``.  Each divergence
+    runs once, on the N pairs followed by the N image pairs of each map, and
+    its values are split by N.  ``pairs`` must not be empty, and ``tol`` must
+    be finite and >= 0; a value that is NaN or -inf raises ``ValueError``.
     """
-    _require_tol(tol)
     _require_samples(len(pairs))
-    ops = as_stack([x for pair in pairs for x in pair])
-    before = [_evaluate(div, ops[::2], ops[1::2]) for div in divergences]
-    reports = []
-    for state_map in maps:
-        images = DensityOperator.from_stack(state_map.apply(ops.matrices))
-        reports.append([
-            _compare(ops, values, _evaluate(div, images[::2], images[1::2]), tol)
-            for div, values in zip(divergences, before)
-        ])
-    return reports
+    return _reports(as_stack([x for pair in pairs for x in pair]), maps, divergences, tol)
 
 
 def check_invariance(state_map: StateMap, divergence, *,
@@ -160,15 +195,16 @@ def check_invariance(state_map: StateMap, divergence, *,
 
     ``divergence`` is either a callable on two stacks of operators or a tag like
     ``"sandwiched"`` with its parameters passed as keyword arguments
-    (``alpha=2``, ``f="power:2"``, ...).  The pairs come from
-    :func:`invariance_pairs`; the comparison is :func:`invariance_reports`.
+    (``alpha=2``, ``f="power:2"``, ...).  The pairs are those of
+    :func:`invariance_pairs`, kept as the drawn stack; the comparison is
+    :func:`invariance_reports`.
     """
     if isinstance(divergence, str):
         divergence = make_divergence(divergence, **params)
     elif params:
         raise TypeError("divergence parameters only apply to tag dispatch")
-    pairs = invariance_pairs(state_map.dim, n_samples=n_samples, seed=seed)
-    return invariance_reports(pairs, [state_map], [divergence], tol=tol)[0][0]
+    ops = _pair_stack(state_map.dim, n_samples, seed)
+    return _reports(ops, [state_map], [divergence], tol)[0][0]
 
 
 def wigner_probe_projections(n: int) -> np.ndarray:
@@ -203,7 +239,7 @@ def _transition_probabilities(ops: np.ndarray) -> np.ndarray:
 def _conjugation_deviation(u, kind: str, inputs, images) -> float:
     """max_k ||images_k - conj_U(inputs_k)||_F over two stacks, 0.0 for none."""
     diffs = images - conjugate_by(u, kind, inputs)
-    return max(0.0, *(mc.frobenius(d) for d in diffs))
+    return float(mc.frobenius(diffs).max(initial=0.0))
 
 
 def _fix_leading_phase(v: np.ndarray) -> np.ndarray:

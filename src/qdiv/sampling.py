@@ -48,16 +48,16 @@ from .operators import DensityOperator, PositiveOperator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64(starts, count: int) -> np.ndarray:
     """Outputs 1..count after each start state: shape (len(starts), count)."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     z = np.asarray(starts, dtype=np.uint64)[:, None] + steps
-    z = (z ^ (z >> 30)) * _MIX1
-    z = (z ^ (z >> 27)) * _MIX2
+    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
     return z ^ (z >> 31)
 
 
@@ -84,11 +84,17 @@ class SeededRng:
         return start
 
     def next_u64(self) -> int:
-        return int(self.next_u64s(1)[0])
+        """The next output: ``_splitmix64``'s step on Python ints, masked
+        where the array wraps."""
+        z = self._state = (self._state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        """Uniform on [0, 1)."""
-        return float(_uniform(self.next_u64s(1))[0])
+        """Uniform on [0, 1), as ``_uniform``: the top 53 bits, exact in a
+        float, times 2^-53."""
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi]."""
@@ -225,9 +231,9 @@ def random_antiunitary(n: int, rng: SeededRng) -> StateMap:
 def random_unit_vector(n: int, rng: SeededRng, count: Optional[int] = None) -> np.ndarray:
     """Uniform unit vector in C^n, or a stack of ``count`` drawn one after
     another; the single vector is the one member of the stack of 1.  Each is
-    divided by its own ``np.linalg.norm``, whose summation order a batched
-    norm does not keep."""
+    divided by its own norm, ``mc.frobenius`` of the 1 x n row, which keeps
+    the bits of ``np.linalg.norm`` on that vector alone."""
     m = 1 if count is None else count
-    v = _complex_normals(rng.next_u64s(2 * n * m)).reshape(m, n)
-    v = v / np.array([np.linalg.norm(x) for x in v]).reshape(m, 1)
+    v = _complex_normals(rng.next_u64s(2 * n * m)).reshape(m, 1, n)
+    v = (v / mc.frobenius(v)[:, None, None]).reshape(m, n)
     return v[0] if count is None else v

@@ -19,10 +19,10 @@ from .functions import bounded_ratio_fn, linear_fn, power_fn
 from .maps import StateMap
 from .operators import PositiveOperator, as_positive
 from .preserver import (
+    _pair_stack,
+    _reports,
     _require_samples,
     functional_eq_residual,
-    invariance_pairs,
-    invariance_reports,
     order_dominance_test,
     prop1_refutation,
     thm4_scalar_test,
@@ -77,9 +77,8 @@ def suite_invariance(*, dim: int, samples: int, seed: int, tol: float):
         ("renyi a=2", make_divergence("renyi", alpha=2)),
     ]
     # one draw of pairs serves both maps and all five divergences
-    pairs = invariance_pairs(dim, n_samples=samples, seed=seed + 1)
-    reports = invariance_reports(pairs, [m for _, m in maps],
-                                 [d for _, d in divergences], tol=tol)
+    reports = _reports(_pair_stack(dim, samples, seed + 1), [m for _, m in maps],
+                       [d for _, d in divergences], tol)
     assertions = []
     for (map_name, _), row in zip(maps, reports):
         for (div_name, _), rep in zip(divergences, row):

@@ -838,7 +838,7 @@ def test_overflow_on_a_finite_branch_raises_the_typed_error():
 
 
 def test_a_vanished_trace_on_a_finite_branch_raises_the_typed_error(monkeypatch):
-    monkeypatch.setattr(dv, "_sandwich_eigs", lambda ops, *args: [np.zeros(2)] * len(ops))
+    monkeypatch.setattr(dv, "_sandwich_eigs", lambda ops, *args: np.zeros((len(ops), 2)))
     for alpha in (0.5, 2.0):
         with pytest.raises(NonFiniteResultError):
             sandwiched_renyi(HALF, HALF, alpha)

@@ -191,6 +191,22 @@ def test_from_stack_matches_the_constructor():
             assert np.array_equal(got, want) and not got.flags.writeable
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 16, 32))
+def test_frobenius_of_a_stack_is_the_norm_of_each_member_alone(n):
+    # vectors as 1 x n rows and matrices, with leading shapes, over 11 decades
+    rng = np.random.default_rng(n)
+    for scale in (1e-8, 1.0, 1e3):
+        for shape in ((5, 1, n), (2, 3, n, n)):
+            a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            got = mc.frobenius(a)
+            members = a.reshape((-1,) + shape[-2:])
+            assert got.shape == shape[:-2]
+            assert got.ravel().tolist() == [np.linalg.norm(m) for m in members]
+            assert got.ravel().tolist() == [np.linalg.norm(m.ravel()) for m in members]
+            one = mc.frobenius(members[0])
+            assert type(one) is float and one == np.linalg.norm(members[0], "fro")
+
+
 # ------------------------------------------------------- cluster_eigendata
 
 def test_is_projection_takes_a_stack_one_bool_per_member():

@@ -1,4 +1,5 @@
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import qdiv.preserver as preserver
 from qdiv.divergence import NonFiniteResultError, make_divergence
 from qdiv.functions import DomainError, linear_fn, power_fn
 from qdiv.maps import StateMap, conjugate_by, depolarizing_channel
-from qdiv.operators import DensityOperator, PositiveOperator
+from qdiv.operators import DensityOperator, OperatorStack, PositiveOperator
 from qdiv.preserver import (
     WignerError,
     check_invariance,
@@ -111,9 +112,62 @@ def test_check_invariance_accepts_tag_dispatch(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pairs drawn before alpha was checked")
 
-    monkeypatch.setattr(preserver, "invariance_pairs", forbidden)
+    monkeypatch.setattr(preserver, "_pair_stack", forbidden)
     with pytest.raises(ValueError, match="alpha must lie"):
         check_invariance(StateMap.unitary_conjugation(np.eye(2)), "sandwiched", alpha=1)
+
+
+def test_a_nan_or_minus_inf_value_raises_and_names_the_pair():
+    # a callable that gives sandwiched values on the drawn pairs and a bad
+    # value on the images: a NaN deviation is not above tol, so it once
+    # passed with max_abs_deviation 0.0
+    m = StateMap.unitary_conjugation(haar_unitary(3, SeededRng(5)))
+    sandwiched = make_divergence("sandwiched", alpha=0.5)
+    drawn = {a.matrix.tobytes() for a, _ in invariance_pairs(3, n_samples=50, seed=1)}
+    for bad in (math.nan, -math.inf):
+        def partial(a, b):
+            return [v if x.tobytes() in drawn else bad
+                    for v, x in zip(sandwiched(a, b), a.matrices)]
+        with pytest.raises(ValueError, match=f"divergence partial gave {bad!r} on "
+                                             "pair 0 under map 0"):
+            check_invariance(m, partial, n_samples=50, seed=1)
+    # on the drawn pairs themselves, the pair is named alone
+    umegaki = make_divergence("umegaki")
+
+    def third_nan(a, b):
+        values = umegaki(a, b)
+        values[2] = math.nan
+        return values
+
+    pairs = invariance_pairs(3, n_samples=4, seed=2)
+    with pytest.raises(ValueError, match="divergence third_nan gave nan on pair 2$"):
+        invariance_reports(pairs, [m], [third_nan], tol=1e-9)
+    # a callable of make_divergence is named by its tag and parameters
+    assert sandwiched.__name__ == "sandwiched(alpha=0.5)" and umegaki.__name__ == "umegaki()"
+    assert make_divergence("dfg", f="power:0.5", g="power:2").__name__ == (
+        "dfg(f=power:0.5, g=power:2)")
+
+
+def test_check_invariance_builds_no_per_member_view(monkeypatch):
+    # the drawn stack goes to the divergences as it is; only the public
+    # invariance_pairs hands out one view per operator
+    views = []
+    getitem = OperatorStack.__getitem__
+
+    def counting(stack, key):
+        if isinstance(key, numbers.Integral):
+            views.append(key)
+        return getitem(stack, key)
+
+    monkeypatch.setattr(OperatorStack, "__getitem__", counting)
+    m = StateMap.antiunitary_conjugation(haar_unitary(3, SeededRng(6)))
+    for tag, params in (("sandwiched", {"alpha": 2}), ("umegaki", {}),
+                        ("renyi", {"alpha": 2})):
+        assert check_invariance(m, tag, n_samples=20, seed=3, **params).passed
+    assert all(a["pass"] for a in suite_invariance(dim=3, samples=5, seed=1, tol=1e-8))
+    assert views == []
+    invariance_pairs(3, n_samples=4, seed=0)
+    assert len(views) == 8
 
 
 def test_invariance_pairs_need_a_sample():

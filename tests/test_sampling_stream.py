@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from qdiv import preserver
+from qdiv import preserver, sampling
 from qdiv.maps import StateMap, conjugate_by
 from qdiv.matrixcore import frobenius
 from qdiv.sampling import SeededRng, ginibre, haar_unitary, random_density_matrix, \
@@ -138,6 +138,19 @@ def test_raw_outputs_match_reference(seed):
     assert rng.next_u64() == ref.next_u64()
     assert rng.uniform() == ref.uniform()
     assert rng.integer(3, 17) == ref.integer(3, 17)
+
+
+def test_scalar_draws_equal_the_block_draw():
+    # the scalar draws step on Python ints, the block draw on uint64 arrays:
+    # 100 seeds, the ends of the range among them
+    seeds = [0, 2**64 - 1, *SeededRng(99).next_u64s(98).tolist()]
+    for seed in seeds:
+        block = SeededRng(seed).next_u64s(4)
+        rng = SeededRng(seed)
+        assert rng.next_u64() == int(block[0])
+        assert rng.uniform() == float(sampling._uniform(block[1:2])[0])
+        assert rng.integer(-5, 12) == -5 + int(block[2]) % 18
+        assert rng.next_u64s(1).tolist() == block[3:].tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

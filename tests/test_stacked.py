@@ -291,7 +291,8 @@ def test_invariance_reports_call_a_divergence_once_per_stack():
     for div in (umegaki, counted):
         got = invariance_reports(pairs, maps, [div], tol=1e-9)
         assert repr(got) == repr(want)
-    assert stacks == [(len(pairs), len(pairs))] * (1 + len(maps))
+    # one call on the pairs followed by each map's image pairs
+    assert stacks == [((1 + len(maps)) * len(pairs),) * 2]
     rep = check_invariance(maps[2], umegaki, n_samples=30, seed=4)
     assert repr(rep) == repr(want[2][0])
 
