@@ -1,21 +1,22 @@
 """Distinguishability functionals on positive operators, evaluated on stacks.
 
 Every divergence takes a pair of operators, or two equal-length stacks of
-them (``OperatorStack``s, (N, n, n) arrays, or lists or tuples of operators
-or matrices), and returns one value per pair.  There is one implementation
-per divergence: a pair is the stack of one, and each member of a stack gets,
-bit for bit, the value that the call on its pair alone gets.  Every +inf
-branch is a support verdict, decided by ranks of the snapped spectra and the
-trace overlap <P_A, P_B> against ``SUPPORT_TRACE_TOL``, never by overflow.
+them of one order n (``OperatorStack``s, (N, n, n) arrays, or lists or
+tuples of operators or matrices), and returns one value per pair.  There is
+one implementation per divergence: a pair is the stack of one, and each
+member of a stack gets, bit for bit, the value that the call on its pair
+alone gets.  Every +inf branch is a support verdict, decided by ranks of the
+snapped spectra and the trace overlap <P_A, P_B> against
+``SUPPORT_TRACE_TOL``, never by overflow.
 
-One driver, ``_per_pair``, splits the pairs by order n, once (two stacks or
-arrays have one order, read off their shapes), converts each
-side of each order once into an ``OperatorStack`` (``operators.as_stack``),
-and runs the divergence's kernel on the two stacks' arrays.  A kernel returns
-``INF`` or a float per pair and raises where it fails; each float passes one
-gate, ``_gated``, which raises ``NonFiniteResultError`` for inf or NaN, as
-does an overflow that stops a kernel.  When a stack raises, its pairs run one
-at a time, in order, so the first pair that fails alone raises its error.
+One driver, ``_per_pair``, converts each side once into an
+``OperatorStack`` (``operators.as_stack``), raises ``ValueError`` when the
+two orders differ, and runs the divergence's kernel on the two stacks'
+arrays.  A kernel returns ``INF`` or a float per pair and raises where it
+fails; each float passes one gate, ``_gated``, which raises
+``NonFiniteResultError`` for inf or NaN, as does an overflow that stops a
+kernel.  When a stack raises, its pairs run one at a time, in order, so the
+first pair that fails alone raises its error.
 
 Two kernels give the finite values: ``_overlaps`` (W = |U_A* U_B|^2, whose
 sums are the f-divergence, Umegaki and traditional Renyi) and
@@ -68,56 +69,25 @@ def _is_stack(x) -> bool:
         not x or isinstance(x[0], PositiveOperator) or np.ndim(x[0]) == 2)
 
 
-def _orders(side) -> list:
-    """The order of each member of a stack: (n,), or () for a non-matrix."""
-    rows = side.matrices if isinstance(side, OperatorStack) else side
-    return [np.shape(x.matrix if isinstance(x, PositiveOperator) else x)[-1:] for x in rows]
-
-
-def _groups(a, b) -> list:
-    """The indices of the pairs of each order, split once; ``[None]`` (all
-    pairs) for two nonempty stacks or arrays, whose one order is read off
-    their shape."""
-    shapes = [(x.matrices if isinstance(x, OperatorStack) else x).shape[-1:]
-              for x in (a, b) if isinstance(x, (OperatorStack, np.ndarray))]
-    if len(shapes) == 2 and len(a):
-        if shapes[0] != shapes[1]:
-            raise ValueError("dimension mismatch between the two operators")
-        return [None]
-    groups = {}
-    for k, (p, q) in enumerate(zip(_orders(a), _orders(b))):
-        if p != q:
-            raise ValueError("dimension mismatch between the two operators")
-        groups.setdefault(p, []).append(k)
-    return list(groups.values())
-
-
 def _evaluated(name: str, a, b, kernel, cls) -> list:
     """The gated values (bools pass) of ``kernel`` on two equal-length
-    stacks, each side of each order converted once into an ``OperatorStack``
+    stacks of one order, each side converted once into an ``OperatorStack``
     of ``cls``; numpy's warnings are silenced, as the gate catches inf and NaN."""
-    groups = _groups(a, b)
-    values = [None] * len(a)
-    for idx in groups:
-        # one order takes the sides as they are, and the values in their order
-        x, y = (a, b) if len(groups) == 1 else ([a[k] for k in idx], [b[k] for k in idx])
-        x, y = as_stack(x, cls), as_stack(y, cls)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                out = kernel(x, y)
-            except OverflowError:
-                raise NonFiniteResultError(f"{name}: the value overflows a float") from None
-        out = [v if isinstance(v, bool) else _gated(name, v) for v in out]
-        if len(groups) == 1:
-            return out
-        for k, v in zip(idx, out):
-            values[k] = v
-    return values
+    x, y = as_stack(a, cls), as_stack(b, cls)
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch between the two operators")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            out = kernel(x, y)
+        except OverflowError:
+            raise NonFiniteResultError(f"{name}: the value overflows a float") from None
+    return [v if isinstance(v, bool) else _gated(name, v) for v in out]
 
 
 def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
     """``kernel(x, y)`` on ``OperatorStack``s of ``cls``, one value per pair,
-    on a pair (its value) or on two equal-length stacks (a list).  If the
+    on a pair (its value) or on two equal-length stacks of one order (a
+    list; ``[]`` for two empty stacks, which are not converted).  If the
     stack raises, each pair runs alone, in order, so the first pair that fails
     alone raises its error; else the stack's error is raised."""
     single = not _is_stack(a)
@@ -127,6 +97,8 @@ def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
         a, b = [a], [b]
     elif len(a) != len(b):
         raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
+    elif not len(a):
+        return []
     try:
         values = _evaluated(name, a, b, kernel, cls)
     except Exception:
@@ -502,8 +474,6 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     so a value that overflows raises ``NonFiniteResultError``.
     """
     x, y = as_stack([a]), as_stack([b])
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch between the two operators")
     _require_g(g)
     schedule = [float(e) for e in eps_schedule]
     if not schedule or any(e <= 0.0 for e in schedule):

@@ -62,6 +62,8 @@ class StateMap:
         if not ops:
             raise ValueError("a Kraus channel needs at least one operator")
         n = ops[0].shape[0]
+        if any(k.shape != (n, n) for k in ops):
+            raise ValueError("Kraus operators must all have one order")
         total = sum(k.conj().T @ k for k in ops)
         if mc.frobenius(total - np.eye(n)) > mc.KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy sum K*K = I")
@@ -93,6 +95,8 @@ def depolarizing_channel(p: float, n: int = 2) -> StateMap:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing strength must lie in [0, 1]")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
     ops = [np.sqrt(1.0 - p) * np.eye(n, dtype=np.complex128), *(np.sqrt(p / n) * units)]
     return StateMap.kraus_channel(ops)

@@ -173,10 +173,10 @@ class OperatorStack:
 
 
 def as_stack(items, cls=PositiveOperator) -> OperatorStack:
-    """``items`` of one order as a stack of ``cls``: an (N, n, n) array by
-    ``cls.from_stack``, a stack of ``cls`` as it is; another stack, or a list
-    stacked from its operators' cached arrays (a matrix in it converted by
-    the constructor), with ``cls``'s trace check on those arrays."""
+    """``items`` of one order (else ``ValueError``) as a stack of ``cls``: an
+    (N, n, n) array by ``cls.from_stack``, a stack of ``cls`` as it is;
+    another stack, or a list stacked from its operators' cached arrays (a
+    matrix in it converted by the constructor), with ``cls``'s trace check."""
     if isinstance(items, np.ndarray):
         return cls.from_stack(items)
     if isinstance(items, OperatorStack):
@@ -185,6 +185,8 @@ def as_stack(items, cls=PositiveOperator) -> OperatorStack:
         parts = items.matrices, items.eigenvalues, items.eigenvectors
     else:
         ops = [x if isinstance(x, PositiveOperator) else cls(x) for x in items]
+        if len({x.dim for x in ops}) > 1:
+            raise ValueError("dimension mismatch between the two operators")
         parts = (np.array([getattr(x, name) for x in ops])
                  for name in ("matrix", "eigenvalues", "eigenvectors"))
     stack = OperatorStack(cls, *parts)

@@ -744,8 +744,8 @@ def test_petz_type_divergences_form_the_overlaps_once_per_call(call, monkeypatch
     # W = |U_A* U_B|^2 is one product of the two eigenvector matrices per pair:
     # its support verdicts and its value read the same W
     rng = SeededRng(97)
-    pairs = [(random_density(n, r, rng), random_density(n, s, rng))
-             for n, r, s in ((2, 1, 2), (3, 3, 2), (2, 2, 2), (3, 2, 3), (4, 1, 1))]
+    pairs = [(random_density(3, r, rng), random_density(3, s, rng))
+             for r, s in ((1, 2), (3, 2), (2, 2), (2, 3), (1, 1))]
     reads = []  # one entry per read of an operator's eigenvectors
     prop = PositiveOperator.eigenvectors
     monkeypatch.setattr(PositiveOperator, "eigenvectors", property(
@@ -756,6 +756,40 @@ def test_petz_type_divergences_form_the_overlaps_once_per_call(call, monkeypatch
         reads.clear()
     call([x for x, _ in pairs], [y for _, y in pairs])
     assert len(reads) == 2 * len(pairs)
+
+
+# ------------------------------------------------- positivity on densities
+# D(A||B) >= 0 for density operators: Klein's inequality for Umegaki,
+# Müller-Lennert et al. (arXiv:1306.3142) for sandwiched Renyi and Petz
+# (Rep. Math. Phys. 23 (1986) 57) for the traditional one.
+NONNEGATIVE = [
+    lambda a, b: sandwiched_renyi(a, b, 0.5),
+    lambda a, b: sandwiched_renyi(a, b, 2.0),
+    lambda a, b: renyi_traditional(a, b, 0.5),
+    lambda a, b: renyi_traditional(a, b, 2.0),
+    umegaki,
+]
+ROUNDOFF = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("div", NONNEGATIVE)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_divergences_of_density_pairs_are_nonnegative(div, n):
+    pairs = invariance_pairs(n, n_samples=30, seed=n)
+    values = div([a for a, _ in pairs], [b for _, b in pairs])
+    assert min(values) >= -ROUNDOFF
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: the flat SUPPORT_TRACE_TOL calls supp A inside supp B "
+    "at sin^2 = 1e-8, so alpha = 2 takes a finite branch and goes negative"))
+@pytest.mark.parametrize("div", [sandwiched_renyi, renyi_traditional])
+def test_nearly_contained_supports_keep_the_divergence_nonnegative(div):
+    # A = diag(1, 0), B = yy*/|y|^2 with y = (1, 1e-4): the value at alpha = 2
+    # is +inf, and the flat tolerance gives -2.0e-8 (sandwiched), -1.0e-8 (Petz)
+    y = np.array([1.0, 1e-4])
+    b = DensityOperator(np.outer(y, y) / (y @ y))
+    assert div(diag_density([1.0, 0.0]), b, 2.0) >= -ROUNDOFF
 
 
 # ------------------------------------ log-domain Renyi and the finite gate

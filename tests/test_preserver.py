@@ -54,6 +54,17 @@ def test_kraus_completeness_enforced():
     StateMap.kraus_channel([np.eye(2)])
 
 
+def test_kraus_operators_of_two_orders_are_rejected():
+    with pytest.raises(ValueError, match="one order"):
+        StateMap.kraus_channel([np.eye(3), np.eye(2)])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_depolarizing_channel_rejects_an_order_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        depolarizing_channel(0.1, n)
+
+
 def test_depolarizing_channel_action():
     ch = depolarizing_channel(0.5, 2)
     a = np.diag([1.0, 0.0]).astype(complex)

@@ -224,6 +224,22 @@ def test_stacks_must_come_in_equal_length_pairs():
     assert umegaki(np.zeros((0, 2, 2)), []) == []
 
 
+def test_two_orders_are_a_dimension_mismatch():
+    # the members of a stack have one order: a list mixing n = 2 and n = 3
+    # fails though none of its pairs does, as does an n = 2 stack against n = 3
+    rng = SeededRng(41)
+    two, three = random_density(2, 2, rng), random_density(3, 3, rng)
+    divs = [make_divergence(tag, **params)
+            for tag in DIVERGENCE_TAGS for params in PARAMS[tag]]
+    for div in [*divs, support_contains, supports_orthogonal]:
+        for a, b in (([two, three], [two, three]), ([two, two], [three, three])):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                div(a, b)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dv.d_fg_limit_probe(two.matrix, three.matrix, power_fn(-0.5), power_fn(2),
+                            [1e-1, 1e-2])
+
+
 def _maps(n, rng):
     u = haar_unitary(n, rng)
     return [StateMap.unitary_conjugation(u), StateMap.antiunitary_conjugation(u),
