@@ -69,25 +69,11 @@ def _is_stack(x) -> bool:
         not x or isinstance(x[0], PositiveOperator) or np.ndim(x[0]) == 2)
 
 
-def _evaluated(name: str, a, b, kernel, cls) -> list:
-    """The gated values (bools pass) of ``kernel`` on two equal-length
-    stacks of one order, each side converted once into an ``OperatorStack``
-    of ``cls``; numpy's warnings are silenced, as the gate catches inf and NaN."""
-    x, y = as_stack(a, cls), as_stack(b, cls)
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch between the two operators")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            out = kernel(x, y)
-        except OverflowError:
-            raise NonFiniteResultError(f"{name}: the value overflows a float") from None
-    return [v if isinstance(v, bool) else _gated(name, v) for v in out]
-
-
 def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
-    """``kernel(x, y)`` on ``OperatorStack``s of ``cls``, one value per pair,
-    on a pair (its value) or on two equal-length stacks of one order (a
-    list; ``[]`` for two empty stacks, which are not converted).  If the
+    """The gated values (bools pass) of ``kernel(x, y)`` on ``OperatorStack``s
+    of ``cls``, each side converted once, on a pair (its value) or on two
+    equal-length stacks of one order (a list; ``[]`` for two empty stacks);
+    numpy's warnings are silenced, as the gate catches inf and NaN.  If the
     stack raises, each pair runs alone, in order, so the first pair that fails
     alone raises its error; else the stack's error is raised."""
     single = not _is_stack(a)
@@ -100,10 +86,18 @@ def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
     elif not len(a):
         return []
     try:
-        values = _evaluated(name, a, b, kernel, cls)
+        x, y = as_stack(a, cls), as_stack(b, cls)
+        if x.dim != y.dim:
+            raise ValueError("dimension mismatch between the two operators")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                out = kernel(x, y)
+            except OverflowError:
+                raise NonFiniteResultError(f"{name}: the value overflows a float") from None
+        values = [v if isinstance(v, bool) else _gated(name, v) for v in out]
     except Exception:
         for k in range(len(a) if len(a) > 1 else 0):
-            _evaluated(name, a[k:k + 1], b[k:k + 1], kernel, cls)
+            _per_pair(name, a[k], b[k], kernel, cls)
         raise
     return values[0] if single else values
 
@@ -476,8 +470,9 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     x, y = as_stack([a]), as_stack([b])
     _require_g(g)
     schedule = [float(e) for e in eps_schedule]
-    if not schedule or any(e <= 0.0 for e in schedule):
-        raise ValueError("schedule must be a nonempty list of positive numbers")
+    # a NaN step would read as rank 0, an empty trace, and an inf one as an overflow
+    if not schedule or not all(0.0 < e < math.inf for e in schedule):
+        raise ValueError("schedule must be a nonempty list of positive finite numbers")
     if any(t >= s for s, t in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 

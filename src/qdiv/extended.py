@@ -7,7 +7,7 @@ only from a support decision.  ``ExtendedReal`` is a ``float`` that also
 rejects NaN and -inf; equality, hashing, ``repr`` and JSON text are float's.
 The subclass, its ``value``/``is_inf``/``is_finite`` properties and
 ``fmt_extended`` remain only because the benchmark (``perfbench/``) reads
-them; ROADMAP item 2 deletes this module after a benchmark change.
+them; ROADMAP items 2 and 4 delete this module after item 1's benchmark change.
 """
 
 from __future__ import annotations

@@ -192,11 +192,3 @@ def as_stack(items, cls=PositiveOperator) -> OperatorStack:
     stack = OperatorStack(cls, *parts)
     cls._check_trace(stack.matrices)
     return stack
-
-
-def as_positive(x) -> PositiveOperator:
-    return x if isinstance(x, PositiveOperator) else PositiveOperator(x)
-
-
-def as_density(x) -> DensityOperator:
-    return x if isinstance(x, DensityOperator) else as_stack([x], DensityOperator)[0]

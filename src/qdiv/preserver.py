@@ -7,14 +7,15 @@ vector functional equation, the strict-convexity refutation, and the
 mean-product criterion for scalar operators).  A reconstructed conjugation is
 checked on Haar-random pure states: map and conjugation are real-linear, so
 the deviation between them is convex in the state and largest at a pure state
-(see :func:`verify_conjugation`).  One draw of pairs serves every
-map and divergence, and stays one validated (2N, n, n) ``OperatorStack``
-from the sampler to the report: each map is applied once to it and its
-images validated as one stack, and each divergence, which takes two stacks
-and returns one value per pair, is one call on the pairs followed by every
-map's images.  The values are split by N, and the deviations, mismatches and
-first witness are read from arrays; a NaN or -inf value raises.
-Only :func:`invariance_pairs` builds per-member views.
+(see :func:`verify_conjugation`).  One draw of pairs serves every map and
+divergence, and stays one validated (2N, n, n) ``OperatorStack`` from the
+sampler to the report: each map is applied once to it and its images
+validated as one stack, and each divergence, which takes two stacks and
+returns one value per pair, is one call on the pairs followed by every map's
+images.  The values are split by N, and the deviations, mismatches and first
+witness are read from arrays; a NaN or -inf value raises.  The scalar
+criteria convert their operands with one ``as_stack`` call, so operands of
+two orders raise ``ValueError``.
 ``reports[0][1]`` below is Umegaki under ``state_map``::
 
     pairs = invariance_pairs(3, n_samples=100, seed=1)
@@ -36,8 +37,7 @@ from . import matrixcore as mc
 from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec, _normal
 from .maps import StateMap, conjugate_by, require_conjugation_kind, require_unitary
-from .operators import DensityOperator, OperatorStack, as_density, as_positive, \
-    as_stack
+from .operators import DensityOperator, OperatorStack, as_stack
 from .sampling import SeededRng, random_density_matrices, random_simplex, \
     random_unit_vector
 
@@ -223,13 +223,6 @@ def wigner_probe_projections(n: int) -> np.ndarray:
     return mc.rank_one(x, x)
 
 
-def _top_eigenvector(p: np.ndarray) -> np.ndarray:
-    """Unit vector, of arbitrary phase, spanning the range of P = x x*: the
-    column x conj(x_k) at the largest diagonal entry |x_k|^2 >= 1/n."""
-    k = int(np.argmax(p.diagonal().real))
-    return p[:, k] / np.linalg.norm(p[:, k])
-
-
 def _transition_probabilities(ops: np.ndarray) -> np.ndarray:
     """The matrix of tr(P_i P_j) for a stack of Hermitian P_i."""
     flat = ops.reshape(len(ops), -1)
@@ -283,9 +276,13 @@ def wigner_reconstruct(images):
             f"preserved: {got[i, j]:.6e} vs {want[i, j]:.6e}"
         )
 
+    # a basis image P = x x* has its range spanned by its column x conj(x_k) at
+    # the top diagonal entry |x_k|^2 >= 1/n; 1 x n rows keep np.linalg.norm's bits
+    k = np.argmax(np.diagonal(images[:n], axis1=1, axis2=2).real, axis=1)
+    cols = images[np.arange(n), :, k]
+    cols = cols / mc.frobenius(cols[:, None, :])[:, None]
     # for a rank-one image G = g g*, x* G y = <x, g><g, y> has the phase of
     # <x, g> / <y, g>, so the phases are read from G without a vector of it
-    cols = [_top_eigenvector(images[i]) for i in range(n)]
     cols[0] = _fix_leading_phase(cols[0])
     for j in range(1, n):
         c = np.vdot(cols[j], images[n - 1 + j] @ cols[0])
@@ -340,14 +337,13 @@ def orthogonality_indicator(a, b, f: ScalarFunctionSpec,
         raise DomainError("f must tend to 0 at 0+ for the orthogonality test")
     if not g.injective:
         raise DomainError("g must be injective for the orthogonality test")
-    val = d_fg(as_density(a), as_density(b), f, g)
+    val = d_fg(*as_stack([a, b], DensityOperator), f, g)
     return abs(val) <= mc.ORTHOGONALITY_TOL
 
 
 def trace_similarity_check(a, b, h) -> float:
     """|tr h(BAB) - tr h(sqrt(A) B^2 sqrt(A))|; zero up to rounding."""
-    a = as_positive(a)
-    b = as_positive(b)
+    a, b = as_stack([a, b])
     bab = b.matrix @ a.matrix @ b.matrix
     sa = a.sqrt()
     ab2a = sa @ b.matrix @ b.matrix @ sa
@@ -386,8 +382,7 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     if not h.strictly_increasing or h(0.0) != 0.0:
         raise DomainError("h must be strictly increasing with h(0) = 0")
     _require_samples(n_samples)
-    b = as_positive(b)
-    c = as_positive(c)
+    b, c = as_stack([b, c])
     top = max(float(b.eigenvalues[-1]), float(c.eigenvalues[-1]))
     if top == 0.0:  # B = C = 0: every trace is h(0) = 0
         return OrderDominanceResult("consistent", True, None, 0.0)
@@ -406,8 +401,6 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
         x = np.vstack([vecs[:, 0], x])
     probes = mc.rank_one(x, x) + 1e-6 * np.eye(n)
 
-    max_violation = 0.0
-    counterexample = None
     with np.errstate(over="ignore", invalid="ignore"):
         # X P X has norm at most max(||B||, ||C||)^2 ||P||, with ||P|| = 1 + 1e-6
         bound = np.float64(top) ** 2 * (1.0 + 1e-6)
@@ -415,16 +408,13 @@ def order_dominance_test(b, c, h: ScalarFunctionSpec, *, n_samples: int = 50,
     if not (_normal(bound) and all(np.isfinite(p).all() for p in products)):
         raise NonFiniteResultError("order dominance: the probe products leave "
                                    "the float range")
-    lhs_all, rhs_all = (h(mc._snapped_psd_eig(p, bound)[0]).sum(-1) for p in products)
-    for probe, lhs, rhs in zip(probes, lhs_all.tolist(), rhs_all.tolist()):
-        gap = lhs - rhs
-        if gap > max_violation:
-            max_violation = gap
-        significant = gap > mc.TRACE_FN_GAP_TOL * max(abs(lhs), abs(rhs))
-        if significant and counterexample is None:
-            counterexample = probe
-    if counterexample is not None:
-        return OrderDominanceResult("counterexample", dominated, counterexample,
+    lhs, rhs = (h(mc._snapped_psd_eig(p, bound)[0]).sum(-1) for p in products)
+    gaps = lhs - rhs
+    max_violation = float(gaps[gaps > 0.0].max(initial=0.0))  # NaN gaps skipped
+    significant = np.flatnonzero(
+        gaps > mc.TRACE_FN_GAP_TOL * np.maximum(abs(lhs), abs(rhs)))
+    if significant.size:
+        return OrderDominanceResult("counterexample", dominated, probes[significant[0]],
                                     max_violation)
     if dominated:
         return OrderDominanceResult("consistent", True, None, max_violation)
@@ -534,7 +524,7 @@ def thm4_scalar_test(t_op, alpha: float) -> ScalarCriterionResult:
     or small that the powers underflow.
     """
     alpha = _check_alpha(alpha)
-    t_op = as_positive(t_op)
+    t_op = as_stack([t_op])[0]
     if not t_op.definite:
         raise ValueError("operator must be positive definite")
     tv = t_op.eigenvalues

@@ -71,7 +71,9 @@ class SeededRng:
         self._state = int(seed) & _MASK
 
     def next_u64s(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs as a ``uint64`` array."""
+        """The next ``count`` outputs as a ``uint64`` array; count >= 0."""
+        if count < 0:
+            raise ValueError(f"cannot draw a negative number of outputs, got {count}")
         out = _splitmix64([self._state], count)[0]
         self._skip(count)
         return out
@@ -189,6 +191,8 @@ def random_density_matrices(n: int, ranks: Iterable[int], rng: SeededRng) -> np.
             raise ValueError(f"rank must lie in [1, {n}], got {rank}")
         starts.append(rng._skip(rank + 2 * n * n))
         rs.append(rank)
+    if not rs:
+        return np.zeros((0, n, n), dtype=np.complex128)
     rs = np.array(rs)
     u = _splitmix64(starts, rs.max() + 2 * n * n)
     evals = np.zeros((len(rs), n))

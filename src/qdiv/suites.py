@@ -17,7 +17,7 @@ from . import matrixcore as mc
 from .divergence import d_fg, d_fg_limit_probe, make_divergence, support_contains
 from .functions import bounded_ratio_fn, linear_fn, power_fn
 from .maps import StateMap
-from .operators import PositiveOperator, as_positive
+from .operators import PositiveOperator
 from .preserver import (
     _pair_stack,
     _reports,
@@ -209,7 +209,7 @@ def suite_thm4(*, dim: int, alpha: float):
         "cI is recognized as scalar", abs(scalar.gap), bound(scalar),
         scalar.is_scalar and scalar.spectral_scalar,
     ))
-    spread = as_positive(np.diag(np.arange(1.0, dim + 1.0)))
+    spread = PositiveOperator(np.diag(np.arange(1.0, dim + 1.0)))
     violating = thm4_scalar_test(spread, alpha)
     assertions.append(_entry(
         "diag(1..n) violates the mean-product identity", abs(violating.gap),

@@ -485,11 +485,12 @@ def test_check_wigner():
     assert "kind recovered" in res.stdout
 
 
-def test_check_report_is_stable_modulo_wall_time(tmp_path):
+@pytest.mark.parametrize("suite", SUITES)
+def test_check_report_is_stable_modulo_wall_time(suite, tmp_path):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
-    run_cli("check", "thm4", "--dim", "2", "--alpha", "2", "--out", str(r1))
-    run_cli("check", "thm4", "--dim", "2", "--alpha", "2", "--out", str(r2))
+    run_cli("check", suite, "--samples", "3", "--out", str(r1))
+    run_cli("check", suite, "--samples", "3", "--out", str(r2))
     d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
     del d1["wall_time_s"], d2["wall_time_s"]
     assert d1 == d2

@@ -624,6 +624,13 @@ def test_probe_rejects_bad_schedule():
         d_fg_limit_probe(a, a, power_fn(1), power_fn(2), [1e-3, 1e-2])
     with pytest.raises(ValueError):
         d_fg_limit_probe(a, a, power_fn(1), power_fn(2), [])
+    # a NaN step once read as rank 0, an empty trace of value 0.0, and an inf
+    # step raised NonFiniteResultError (a ValueError) as an overflow
+    for step in (math.nan, math.inf):
+        for schedule in ([step], [1e-1, step, 1e-3]):
+            with pytest.raises(ValueError, match="positive finite numbers"):
+                d_fg_limit_probe(a, diag_density([1.0, 0.0]), power_fn(1), power_fn(2),
+                                 schedule)
 
 
 # ----------------------------------------------- conjugation invariance

@@ -527,6 +527,22 @@ def test_orthogonality_indicator_checks_hypotheses():
         orthogonality_indicator(a, a, power_fn(-1), power_fn(2))
 
 
+def test_scalar_criteria_reject_operands_of_two_orders():
+    # trace similarity and order dominance once raised numpy's matmul or
+    # broadcast messages
+    two, three = np.eye(2) / 2.0, np.eye(3) / 3.0
+    checks = [
+        lambda a, b: trace_similarity_check(a, b, power_fn(2)),
+        lambda a, b: order_dominance_test(a, b, power_fn(1), n_samples=3),
+        lambda a, b: orthogonality_indicator(a, b, power_fn(0.5), power_fn(2)),
+    ]
+    for check in checks:
+        for a, b in ((two, three), (three, two)):
+            with pytest.raises(ValueError,
+                               match="dimension mismatch between the two operators"):
+                check(a, b)
+
+
 # ------------------------------------------------------- trace similarity
 
 def test_trace_similarity_identity_argument():

@@ -153,6 +153,23 @@ def test_scalar_draws_equal_the_block_draw():
         assert rng.next_u64s(1).tolist() == block[3:].tolist()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.next_u64s(-3),
+    lambda rng: ginibre(1, rng, count=-1),
+    lambda rng: haar_unitary(2, rng, count=-1),
+    lambda rng: random_simplex(2, rng, count=-1),
+    lambda rng: random_unit_vector(2, rng, count=-1),
+])
+def test_a_negative_count_raises_before_the_stream_moves(draw):
+    # once an empty draw that moved the state back, so that the next draws
+    # repeated earlier outputs
+    rng = SeededRng(5)
+    rng.next_u64s(4)
+    with pytest.raises(ValueError, match="negative"):
+        draw(rng)
+    assert rng.next_u64s(2).tolist() == SeededRng(5).next_u64s(6)[4:].tolist()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", DIMS)
 def test_stacks_match_reference(seed, n):
@@ -170,6 +187,7 @@ def test_stacks_match_reference(seed, n):
     assert ginibre(n, rng, count=0).shape == (0, n, n)
     assert random_simplex(n, rng, count=0).shape == (0, n)
     assert random_unit_vector(n, rng, count=0).shape == (0, n)
+    assert sampling.random_density_matrices(n, [], rng).shape == (0, n, n)
     for rank in sorted({1, (n + 1) // 2, n}):
         assert _same(random_density_matrix(n, rank, rng), _ref_density(n, rank, ref))
     for kappa in (1.0, 10.0, 1e6):
