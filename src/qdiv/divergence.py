@@ -22,13 +22,13 @@ Two kernels give the finite values: ``_overlaps`` (W = |U_A* U_B|^2, whose
 sums are the f-divergence, Umegaki and traditional Renyi) and
 ``_sandwich_eigs`` (the spectrum of f(B) A f(B) on supp B, whose traces are
 tr g(f(B) A f(B)), its limit probe and the sandwiched core).  The final
-reductions of Umegaki, traditional Renyi and the sandwiched core run on
-arrays grouped by rank, so that each member holds exactly the terms of its
-pair: numpy reduces each member of a stack as it reduces that member alone.
-``math.log`` takes the final scalars, and the f-divergence sums stay per
-pair.  Renyi traces are taken as logs, the sandwiched ones
-on operands scaled by exact powers of two, so a value that a float holds does
-not overflow.  The superoperator form of the f-divergence uses neither
+sums of Umegaki, traditional Renyi, the sandwiched core and tr g(f(B) A f(B))
+run over the full width of each member, with the terms off the supports held
+at 0 (at -inf among logs): numpy reduces each member of a stack as it reduces
+that member alone.  ``math.log`` takes the final scalars, and the
+f-divergence sums stay per pair.  Renyi traces are taken as logs, the
+sandwiched ones on operands scaled by exact powers of two, so a value that a
+float holds does not overflow.  The superoperator form of the f-divergence uses neither
 kernel: it is an independent cross-check.
 """
 
@@ -70,12 +70,7 @@ def _is_stack(x) -> bool:
 
 
 def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
-    """The gated values (bools pass) of ``kernel(x, y)`` on ``OperatorStack``s
-    of ``cls``, each side converted once, on a pair (its value) or on two
-    equal-length stacks of one order (a list; ``[]`` for two empty stacks);
-    numpy's warnings are silenced, as the gate catches inf and NaN.  If the
-    stack raises, each pair runs alone, in order, so the first pair that fails
-    alone raises its error; else the stack's error is raised."""
+    """``_stacked`` on a pair (its value) or on two equal-length stacks."""
     single = not _is_stack(a)
     if _is_stack(b) == single:
         raise ValueError("expected two operators or two stacks of them")
@@ -83,7 +78,17 @@ def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
         a, b = [a], [b]
     elif len(a) != len(b):
         raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
-    elif not len(a):
+    values = _stacked(name, a, b, kernel, cls)
+    return values[0] if single else values
+
+
+def _stacked(name: str, a, b, kernel, cls) -> list:
+    """The gated values (bools pass) of ``kernel(x, y)`` on two equal-length
+    stacks of one order, each converted once to ``cls``'s ``OperatorStack``,
+    with numpy's warnings silenced (the gate catches inf and NaN).  If they
+    raise, each pair runs alone, in order, as a one-pair stack not classified
+    again, so the first pair that fails alone raises its error, else theirs."""
+    if not len(a):
         return []
     try:
         x, y = as_stack(a, cls), as_stack(b, cls)
@@ -97,9 +102,9 @@ def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
         values = [v if isinstance(v, bool) else _gated(name, v) for v in out]
     except Exception:
         for k in range(len(a) if len(a) > 1 else 0):
-            _per_pair(name, a[k], b[k], kernel, cls)
+            _stacked(name, [a[k]], [b[k]], kernel, cls)
         raise
-    return values[0] if single else values
+    return values
 
 
 def _overlaps(x: OperatorStack, y: OperatorStack):
@@ -252,32 +257,20 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
 
 
 def _row_sums(rows, fn) -> np.ndarray:
-    """The sum over the positive entries of each row of an (N, n) array of
-    ascending nonnegative rows (0 for none) of ``fn(block, idx)``, the
-    termwise function of those entries, ``block`` the last p columns of the
-    rows ``idx`` that have p positive entries: one pass per p, each row
-    summed as numpy sums its p terms alone."""
-    sums, counts = np.zeros(len(rows)), np.count_nonzero(rows > 0.0, axis=1)
-    for p in sorted(set(counts.tolist()) - {0}):
-        idx = np.flatnonzero(counts == p)
-        sums[idx] = fn(rows[idx, -p:], idx).sum(axis=1)
-    return sums
+    """The sum of ``fn(rows)``, taken termwise, over the positive entries of
+    each row of an (N, n) array of nonnegative rows (0 for none): the other
+    terms count as 0, and every row is summed over its full width."""
+    return np.where(rows > 0.0, fn(rows), 0.0).sum(axis=1)
 
 
 def umegaki(a, b):
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
     def kernel(x, y):
         w, overlap = _overlaps(x, y)
-        term_a = _row_sums(x.eigenvalues, lambda lam, idx: lam * np.log(lam))
-        # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B, dotted
-        # with log m_j over m_j > 0: one product per rank q of B, whose
-        # members numpy's matmul computes as it computes one pair's vectors
+        term_a = _row_sums(x.eigenvalues, lambda lam: lam * np.log(lam))
+        # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B
         weights = np.matmul(x.eigenvalues[:, None, :], w)[:, 0]
-        term_b = np.zeros(len(x))
-        for q in sorted(set(y.ranks.tolist())):
-            idx = np.flatnonzero(y.ranks == q)
-            term_b[idx] = np.matmul(np.log(y.eigenvalues[idx, None, -q:]),
-                                    weights[idx, -q:, None])[:, 0, 0]
+        term_b = _row_sums(y.eigenvalues, lambda mu: weights * np.log(mu))
         return [t if a_in else INF for a_in, t in zip(
             _inside(x, overlap).tolist(), (term_a - term_b).tolist())]
 
@@ -306,33 +299,20 @@ def renyi_traditional(a, b, alpha: float):
     """(alpha-1)^-1 log (tr(A^alpha B^(1-alpha)) / tr A); tr A = 1 on densities."""
     alpha = _check_alpha(alpha)
 
-    def log_traces_ab(x, y, w, inf) -> list:
-        # log tr(A^alpha B^(1-alpha)) of each pair (0 where ``inf`` marks it)
-        # from the logs of its terms l_i^alpha W_ij m_j^(1-alpha) over
-        # l_i, m_j > 0 (-inf where W_ij = 0), summed by log-sum-exp: the block
-        # of the last p = rank A rows and q = rank B columns of W, one pass
-        # per (p, q).  Each block is held transposed, (q, p), and so summed
-        # column by column: the order of numpy's sum over the one-pair block
-        # W[l > 0][:, m > 0], which its fancy indexing lays out by columns
-        out = np.zeros(len(x))
-        keys = x.ranks * (x.dim + 1) + y.ranks
-        for key in sorted(set(keys[~inf].tolist())):
-            p, q = divmod(key, x.dim + 1)
-            idx = np.flatnonzero(~inf & (keys == key))
-            terms = (np.log(np.ascontiguousarray(w[idx, -p:, -q:].swapaxes(1, 2)))
-                     + alpha * np.log(x.eigenvalues[idx, -p:])[:, None, :]
-                     + (1.0 - alpha) * np.log(y.eigenvalues[idx, -q:])[:, :, None])
-            top = terms.max(axis=(1, 2))
-            sums = np.exp(terms - top[:, None, None]).sum(axis=(1, 2))
-            out[idx] = [t + math.log(s) for t, s in zip(top.tolist(), sums.tolist())]
-        return out.tolist()
-
     def kernel(x, y):
         w, overlap = _overlaps(x, y)
         inf = _renyi_inf(x, y, overlap, alpha)
-        return [INF if skip else (log_ab - log_tr) / (alpha - 1.0)
-                for skip, log_ab, log_tr in zip(
-                    inf.tolist(), log_traces_ab(x, y, w, inf), _log_traces(x.eigenvalues))]
+        # log tr(A^alpha B^(1-alpha)) by log-sum-exp over the logs of its terms
+        # l_i^alpha W_ij m_j^(1-alpha), -inf at l_i or m_j = 0; unmarked pairs have a finite one
+        lam, mu = x.eigenvalues, y.eigenvalues
+        terms = np.where((lam > 0.0)[:, :, None] & (mu > 0.0)[:, None, :],
+                         np.log(w) + alpha * np.log(lam)[:, :, None]
+                         + (1.0 - alpha) * np.log(mu)[:, None, :], -math.inf)
+        top = terms.max(axis=(1, 2))
+        sums = np.exp(terms - top[:, None, None]).sum(axis=(1, 2))
+        return [INF if skip else (t + math.log(s) - log_tr) / (alpha - 1.0)
+                for skip, t, s, log_tr in zip(inf.tolist(), top.tolist(),
+                                              sums.tolist(), _log_traces(lam))]
 
     return _per_pair("renyi_traditional", a, b, kernel)
 
@@ -353,7 +333,7 @@ def _sandwiched_cores(x, y, inf, alpha: float):
     fvals = np.ldexp(y.eigenvalues, -kb[:, None]) ** ((1.0 - alpha) / (2.0 * alpha))
     evals = _sandwich_eigs(x, y, inf, fvals, -ka)
     top = evals[:, -1]
-    total = _row_sums(evals, lambda s, idx: (s / top[idx, None]) ** alpha)
+    total = _row_sums(evals, lambda s: (s / top[:, None]) ** alpha)
     scale = alpha * ka + (1.0 - alpha) * kb
     return [None if skip else core for skip, core in zip(
         inf.tolist(), zip(top.tolist(), total.tolist(), scale.tolist()))]
@@ -448,10 +428,11 @@ def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
         if singular.any() and _singular_extension(f, g):
             inf = singular & ~_inside(x, _overlaps(x, y)[1])
         # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A; f is
-        # read on the support only, so 1 stands in for a zero eigenvalue
+        # read on the support only, so 1 stands in for a zero eigenvalue.  The
+        # entries off the support are 0, where g is 0
         fvals = f(np.where(y.eigenvalues > 0.0, y.eigenvalues, 1.0))
-        return [INF if skip else g(s[len(s) - r:]).sum() for skip, s, r in zip(
-            inf.tolist(), _sandwich_eigs(x, y, inf, fvals), y.ranks.tolist())]
+        traces = g(_sandwich_eigs(x, y, inf, fvals)).sum(axis=1)
+        return [INF if skip else t for skip, t in zip(inf.tolist(), traces.tolist())]
 
     return kernel
 

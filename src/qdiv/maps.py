@@ -3,12 +3,17 @@
 An antiunitary is always represented as entrywise conjugation in the standard
 basis followed by a unitary; every antiunitary factors that way, and the fixed
 factorization turns kind detection into a sign test.
+
+A Kraus channel A -> sum K A K* is held as its natural representation S =
+sum K (x) conj(K), which maps the row-major vectorization of A to that of its
+image (Watrous, The Theory of Quantum Information, section 2.2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,11 +47,12 @@ def conjugate_by(u: np.ndarray, kind: str, a: np.ndarray) -> np.ndarray:
 class StateMap:
     """A transformation on operators, tagged by how it is implemented: ``kind``
     is ``"unitary"`` or ``"antiunitary"`` (with ``unitary`` set), the words
-    :func:`conjugate_by` takes and ``wigner_reconstruct`` returns, or ``"kraus"``."""
+    :func:`conjugate_by` takes and ``wigner_reconstruct`` returns, or ``"kraus"``
+    (with ``superop`` set to S, built once when the channel is made)."""
 
     kind: str
     unitary: Optional[np.ndarray] = None
-    kraus: Optional[Tuple[np.ndarray, ...]] = None
+    superop: Optional[np.ndarray] = None
 
     @classmethod
     def unitary_conjugation(cls, u) -> "StateMap":
@@ -67,24 +73,26 @@ class StateMap:
         total = sum(k.conj().T @ k for k in ops)
         if mc.frobenius(total - np.eye(n)) > mc.KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy sum K*K = I")
-        return cls(kind="kraus", kraus=ops)
+        return cls(kind="kraus", superop=sum(np.kron(k, k.conj()) for k in ops))
 
     @property
     def dim(self) -> int:
         if self.unitary is not None:
             return self.unitary.shape[0]
-        return self.kraus[0].shape[0]
+        return math.isqrt(self.superop.shape[0])
 
     def apply(self, a) -> np.ndarray:
-        """The image of a matrix, or of each matrix of a stack (..., n, n);
-        a stack member's image is bit-identical to the image of it alone."""
+        """The image of a matrix, or of each matrix of a stack (..., n, n).  A
+        Kraus channel maps each member as its own (1, n^2) row times S^T, so a
+        stack member's image is bit-identical to the image of it alone, which
+        one (N, n^2) product over the whole stack does not keep."""
         a = mc.as_complex_matrix(a, stack=True)
+        if a.shape[-1] != self.dim:
+            raise ValueError(f"a map on order {self.dim} got an operand of order {a.shape[-1]}")
         if self.kind != "kraus":
             return conjugate_by(self.unitary, self.kind, a)
-        out = np.zeros_like(a)
-        for k in self.kraus:
-            out += k @ a @ k.conj().T
-        return out
+        rows = a.reshape(*a.shape[:-2], 1, len(self.superop))
+        return (rows @ self.superop.T).reshape(a.shape)
 
 
 def depolarizing_channel(p: float, n: int = 2) -> StateMap:

@@ -3,6 +3,7 @@ of matrices and the stacked conjugation check, each against the same
 computation on one pair or one matrix at a time, bit for bit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ def test_stacks_must_come_in_equal_length_pairs():
     assert umegaki(np.zeros((0, 2, 2)), []) == []
 
 
+def test_a_malformed_later_member_raises_its_own_error():
+    # the pair-by-pair re-run of a failing stack does not classify its
+    # members again, so a (1, 2, 2) member raises its own conversion error
+    m = np.eye(2) / 2
+    for tag in DIVERGENCE_TAGS:
+        div = make_divergence(tag, **PARAMS[tag][0])
+        for a, b in (([m, m[None]], [m, m]), ([m, m], [m, m[None]])):
+            with pytest.raises(ValueError, match=re.escape(
+                    "expected a square matrix, got shape (1, 2, 2)")):
+                div(a, b)
+
+
 def test_two_orders_are_a_dimension_mismatch():
     # the members of a stack have one order: a list mixing n = 2 and n = 3
     # fails though none of its pairs does, as does an n = 2 stack against n = 3
@@ -240,10 +253,16 @@ def test_two_orders_are_a_dimension_mismatch():
                             [1e-1, 1e-2])
 
 
+def _kraus_ops(n, rng, k=3):
+    """k Kraus operators of order n: the n x n blocks of an isometry, the
+    first n columns of a Haar unitary of order k n."""
+    return haar_unitary(k * n, rng)[:, :n].reshape(k, n, n)
+
+
 def _maps(n, rng):
     u = haar_unitary(n, rng)
     return [StateMap.unitary_conjugation(u), StateMap.antiunitary_conjugation(u),
-            depolarizing_channel(0.3, n)]
+            depolarizing_channel(0.3, n), StateMap.kraus_channel(_kraus_ops(n, rng))]
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -258,8 +277,23 @@ def test_stacked_map_application_equals_the_per_matrix_one(n):
         # any leading shape
         assert np.array_equal(state_map.apply(states.reshape(3, 5, n, n)),
                               stacked.reshape(3, 5, n, n))
+        # an operand of another order, alone or stacked, is named as such
+        for other in (np.eye(n + 1), np.zeros((2, n + 1, n + 1))):
+            with pytest.raises(ValueError, match=f"on order {n} got an operand of order {n + 1}"):
+                state_map.apply(other)
     with pytest.raises(ValueError, match="square"):
         state_map.apply(np.zeros((2, n, n + 1)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_a_kraus_channel_applies_the_sum_of_its_operators(n):
+    rng = SeededRng(60 + n)
+    ops = _kraus_ops(n, rng)
+    channel = StateMap.kraus_channel(ops)
+    assert channel.dim == n
+    for a in [*random_density_matrices(n, [n, 1], rng), haar_unitary(n, rng) * 3.0]:
+        want = sum(k @ a @ k.conj().T for k in ops)
+        assert mc.frobenius(channel.apply(a) - want) <= 1e-14 * mc.frobenius(a)
 
 
 @pytest.mark.parametrize("n", (2, 5, 16))
