@@ -12,23 +12,23 @@ snapped spectra and the trace overlap <P_A, P_B> against
 One driver, ``_per_pair``, converts each side once into an
 ``OperatorStack`` (``operators.as_stack``), raises ``ValueError`` when the
 two orders differ, and runs the divergence's kernel on the two stacks'
-arrays.  A kernel returns ``INF`` or a float per pair and raises where it
-fails; each float passes one gate, ``_gated``, which raises
-``NonFiniteResultError`` for inf or NaN, as does an overflow that stops a
-kernel.  When a stack raises, its pairs run one at a time, in order, so the
-first pair that fails alone raises its error.
+arrays.  A kernel returns a bool mask ``inf`` of +inf verdicts and a float
+array of values per stack, and raises where it fails.  One gate on the whole
+stack raises ``NonFiniteResultError`` for inf or NaN off the mask, as does an
+overflow that stops a kernel.  When a stack raises, its pairs run one at a
+time, in order, so the first pair that fails alone raises its error.  Only
+``_per_pair`` turns the arrays into ``INF`` and floats.
 
 Two kernels give the finite values: ``_overlaps`` (W = |U_A* U_B|^2, whose
 sums are the f-divergence, Umegaki and traditional Renyi) and
 ``_sandwich_eigs`` (the spectrum of f(B) A f(B) on supp B, whose traces are
-tr g(f(B) A f(B)), its limit probe and the sandwiched core).  The final
-sums of Umegaki, traditional Renyi, the sandwiched core and tr g(f(B) A f(B))
-run over the full width of each member, with the terms off the supports held
-at 0 (at -inf among logs): numpy reduces each member of a stack as it reduces
-that member alone.  ``math.log`` takes the final scalars, and the
-f-divergence sums stay per pair.  Renyi traces are taken as logs, the
-sandwiched ones on operands scaled by exact powers of two, so a value that a
-float holds does not overflow.  The superoperator form of the f-divergence uses neither
+tr g(f(B) A f(B)), its limit probe and the sandwiched core).  Every final
+sum runs over the full width of each member, with the terms off the supports
+held at 0 (at -inf among logs; f-divergence terms read f only where l_i, m_j
+and W_ij are positive): numpy reduces each member of a stack as it reduces
+that member alone.  Renyi traces are taken as logs, the sandwiched ones on
+operands scaled by exact powers of two, so a value that a float holds does
+not overflow.  The superoperator form of the f-divergence uses neither
 kernel: it is an independent cross-check.
 """
 
@@ -50,17 +50,6 @@ class NonFiniteResultError(ValueError):
     """A finite branch gave inf or NaN: its value does not fit a float."""
 
 
-def _gated(name: str, value):
-    """Pass ``INF``, a support verdict, through; return any other value as a
-    checked finite float."""
-    if value is INF:
-        return INF
-    if not math.isfinite(value):
-        raise NonFiniteResultError(
-            f"{name}: the value is not a finite float (got {value})")
-    return ExtendedReal(value)  # a float; the benchmark reads .value, .is_inf
-
-
 def _is_stack(x) -> bool:
     """A stack of operators, as against one operator or one matrix."""
     if isinstance(x, (OperatorStack, np.ndarray)):
@@ -70,7 +59,8 @@ def _is_stack(x) -> bool:
 
 
 def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
-    """``_stacked`` on a pair (its value) or on two equal-length stacks."""
+    """``_stacked`` on a pair (its value) or on two equal-length stacks (a
+    list): ``INF`` where a support verdict gives +inf, else the float."""
     single = not _is_stack(a)
     if _is_stack(b) == single:
         raise ValueError("expected two operators or two stacks of them")
@@ -78,33 +68,38 @@ def _per_pair(name: str, a, b, kernel, cls=PositiveOperator):
         a, b = [a], [b]
     elif len(a) != len(b):
         raise ValueError(f"stacks of {len(a)} and {len(b)} operators")
-    values = _stacked(name, a, b, kernel, cls)
-    return values[0] if single else values
+    inf, values = _stacked(name, a, b, kernel, cls)
+    # a float subclass; the benchmark reads .value and .is_inf
+    out = [INF if i else ExtendedReal(v) for i, v in zip(inf.tolist(), values.tolist())]
+    return out[0] if single else out
 
 
-def _stacked(name: str, a, b, kernel, cls) -> list:
-    """The gated values (bools pass) of ``kernel(x, y)`` on two equal-length
-    stacks of one order, each converted once to ``cls``'s ``OperatorStack``,
-    with numpy's warnings silenced (the gate catches inf and NaN).  If they
+def _stacked(name: str, a, b, kernel, cls):
+    """``kernel(x, y)`` on two equal-length stacks of one order, each converted
+    once to ``cls``'s ``OperatorStack``, numpy's warnings silenced: its +inf
+    mask and its values, one gate requiring them finite off the mask.  If they
     raise, each pair runs alone, in order, as a one-pair stack not classified
     again, so the first pair that fails alone raises its error, else theirs."""
     if not len(a):
-        return []
+        return np.zeros(0, dtype=bool), np.zeros(0)
     try:
         x, y = as_stack(a, cls), as_stack(b, cls)
         if x.dim != y.dim:
             raise ValueError("dimension mismatch between the two operators")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                out = kernel(x, y)
+                inf, values = kernel(x, y)
             except OverflowError:
                 raise NonFiniteResultError(f"{name}: the value overflows a float") from None
-        values = [v if isinstance(v, bool) else _gated(name, v) for v in out]
+        bad = values[~inf & ~np.isfinite(values)]
+        if bad.size:
+            raise NonFiniteResultError(
+                f"{name}: the value is not a finite float (got {bad[0]})")
     except Exception:
         for k in range(len(a) if len(a) > 1 else 0):
             _stacked(name, [a[k]], [b[k]], kernel, cls)
         raise
-    return values
+    return inf, values
 
 
 def _overlaps(x: OperatorStack, y: OperatorStack):
@@ -122,10 +117,11 @@ def _inside(x: OperatorStack, overlap):
 
 
 def _verdicts(a, b, test):
-    """``test(x, y, <P_A, P_B>)`` on a pair (a bool) or two stacks (a bool array)."""
-    verdicts = _per_pair("support", a, b,
-                         lambda x, y: test(x, y, _overlaps(x, y)[1]).tolist())
-    return verdicts if isinstance(verdicts, bool) else np.array(verdicts, dtype=bool)
+    """``test(x, y, <P_A, P_B>)`` on a pair (a bool) or two stacks (a bool
+    array), run by the divergences' driver as the +inf mask of zero values."""
+    verdicts = np.isinf(_per_pair("support", a, b, lambda x, y: (
+        test(x, y, _overlaps(x, y)[1]), np.zeros(len(x)))))
+    return verdicts if verdicts.ndim else bool(verdicts)
 
 
 def support_contains(outer, inner):
@@ -142,13 +138,12 @@ def supports_orthogonal(a, b):
     return _verdicts(a, b, lambda x, y, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
 
 
-def _log_traces(lam) -> list:
+def _log_traces(lam) -> np.ndarray:
     """log tr A from each row of snapped spectra (N, n), without overflow;
     every A must be nonzero.  The rows are summed at once, as a row alone
-    would be, and ``math.log`` takes the results."""
+    would be."""
     top = lam[:, -1:]
-    return [math.log(t) + math.log(s)
-            for t, s in zip(top[:, 0].tolist(), (lam / top).sum(axis=1).tolist())]
+    return np.log(top[:, 0]) + np.log((lam / top).sum(axis=1))
 
 
 def _sandwich_eigs(x: OperatorStack, y: OperatorStack, inf, fvals, shifts=None):
@@ -197,28 +192,23 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
         raise DomainError(f"{f.name}: slope at infinity (gamma) is undeclared")
     perspective = f.perspective or (lambda lam, mu: mu * f(lam / mu))
 
-    def value(lam, mu, w, a_in, b_in):
-        f0 = gamma = 0.0
-        if not b_in:
-            if f.limit_at_zero is None:
-                raise DomainError(f"{f.name}: undefined at the required ratio 0")
-            if f.limit_at_zero == math.inf:
-                return INF
-            f0 = f.limit_at_zero
-        if not a_in:
-            if f.gamma == math.inf:
-                return INF
-            gamma = f.gamma
-        # f is evaluated only on pairs that meet, so 0 * f(t) = 0 even for huge f(t)
-        i, j = np.nonzero(np.outer(lam > 0.0, mu > 0.0) & (w > 0.0))
-        return (np.sum(w[i, j] * perspective(lam[i], mu[j]))
-                + f0 * np.sum(w[lam == 0.0] @ mu)
-                + gamma * np.sum(lam @ w[:, mu == 0.0]))
-
     def kernel(x, y):
         w, overlap = _overlaps(x, y)
-        return list(map(value, x.eigenvalues, y.eigenvalues, w,
-                        _inside(x, overlap), _inside(y, overlap)))
+        a_in, b_in = _inside(x, overlap), _inside(y, overlap)
+        if f.limit_at_zero is None and not b_in.all():
+            raise DomainError(f"{f.name}: undefined at the required ratio 0")
+        inf = ~b_in & (f.limit_at_zero == math.inf) | ~a_in & (f.gamma == math.inf)
+        lam = np.broadcast_to(x.eigenvalues[:, :, None], w.shape)
+        mu = np.broadcast_to(y.eigenvalues[:, None, :], w.shape)
+        # f only where l_i, m_j, W_ij > 0 on unmarked pairs: 0 * f(t) = 0 for huge f(t)
+        meet = ~inf[:, None, None] & (lam > 0.0) & (mu > 0.0) & (w > 0.0)
+        terms = np.zeros(w.shape)
+        terms[meet] = w[meet] * perspective(lam[meet], mu[meet])
+        # the kernel terms: f(0) W_ij m_j where l_i = 0, gamma W_ij l_i where m_j = 0
+        f0 = np.where(b_in, 0.0, f.limit_at_zero or 0.0)[:, None, None]
+        gamma = np.where(a_in, 0.0, f.gamma)[:, None, None]
+        terms += w * (f0 * mu * (lam == 0.0) + gamma * lam * (mu == 0.0))
+        return inf, terms.sum(axis=(1, 2))
 
     return _per_pair("f_divergence", a, b, kernel)
 
@@ -252,8 +242,8 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
             raise ArithmeticError("superoperator value has a large imaginary part")
         return out.real
 
-    return _per_pair("f_divergence_superop", a, b,
-                     lambda x, y: [value(p, q) for p, q in zip(x, y)])
+    return _per_pair("f_divergence_superop", a, b, lambda x, y: (
+        np.zeros(len(x), dtype=bool), np.array([value(p, q) for p, q in zip(x, y)])))
 
 
 def _row_sums(rows, fn) -> np.ndarray:
@@ -271,8 +261,7 @@ def umegaki(a, b):
         # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B
         weights = np.matmul(x.eigenvalues[:, None, :], w)[:, 0]
         term_b = _row_sums(y.eigenvalues, lambda mu: weights * np.log(mu))
-        return [t if a_in else INF for a_in, t in zip(
-            _inside(x, overlap).tolist(), (term_a - term_b).tolist())]
+        return ~_inside(x, overlap), term_a - term_b
 
     return _per_pair("umegaki", a, b, kernel, DensityOperator)
 
@@ -310,18 +299,16 @@ def renyi_traditional(a, b, alpha: float):
                          + (1.0 - alpha) * np.log(mu)[:, None, :], -math.inf)
         top = terms.max(axis=(1, 2))
         sums = np.exp(terms - top[:, None, None]).sum(axis=(1, 2))
-        return [INF if skip else (t + math.log(s) - log_tr) / (alpha - 1.0)
-                for skip, t, s, log_tr in zip(inf.tolist(), top.tolist(),
-                                              sums.tolist(), _log_traces(lam))]
+        return inf, (top + np.log(sums) - _log_traces(lam)) / (alpha - 1.0)
 
     return _per_pair("renyi_traditional", a, b, kernel)
 
 
 def _sandwiched_cores(x, y, inf, alpha: float):
-    """``None`` for each pair that the bool array ``inf`` marks, else the
-    tuple (top, total, scale) of its core tr (B^e A B^e)^alpha,
-    e = (1-alpha)/(2 alpha), equal to top^alpha * total * 2^scale;
-    top = total = 0 when the core vanishes.
+    """Four arrays (top, total, scale, log): each pair's core tr (B^e A
+    B^e)^alpha, e = (1-alpha)/(2 alpha), is top^alpha * total * 2^scale, and
+    log its log; top = total = 0, log = -inf, when the core vanishes and for
+    each pair the bool array ``inf`` marks.
 
     The sandwich S is formed from A' = 2^-ka A and B' = 2^-kb B, whose top
     eigenvalues lie in [1/2, 1), so no scale makes it over- or underflow;
@@ -335,15 +322,7 @@ def _sandwiched_cores(x, y, inf, alpha: float):
     top = evals[:, -1]
     total = _row_sums(evals, lambda s: (s / top[:, None]) ** alpha)
     scale = alpha * ka + (1.0 - alpha) * kb
-    return [None if skip else core for skip, core in zip(
-        inf.tolist(), zip(top.tolist(), total.tolist(), scale.tolist()))]
-
-
-def _log_core(alpha: float, top, total, scale: float) -> float:
-    """log(top^alpha * total * 2^scale), -inf for a vanished core."""
-    if not total:
-        return -math.inf
-    return alpha * math.log(top) + math.log(total) + scale * math.log(2.0)
+    return top, total, scale, alpha * np.log(top) + np.log(total) + scale * math.log(2.0)
 
 
 def sandwiched_core(a, b, alpha: float):
@@ -354,18 +333,19 @@ def sandwiched_core(a, b, alpha: float):
     """
     alpha = _check_alpha(alpha)
 
-    def core(top, total, scale):
-        # 2^scale exactly, by ldexp; the logs where top^alpha is not normal
-        whole = math.floor(scale)
-        head = top**alpha * total * 2.0 ** (scale - whole)
-        if _normal(head):
-            return math.ldexp(head, whole)
-        return math.exp(_log_core(alpha, top, total, scale))
-
     def kernel(x, y):
         inf = (~_inside(x, _overlaps(x, y)[1]) if alpha > 1.0
                else np.zeros(len(x), dtype=bool))
-        return [INF if c is None else core(*c) for c in _sandwiched_cores(x, y, inf, alpha)]
+        top, total, scale, log_core = _sandwiched_cores(x, y, inf, alpha)
+        # 2^scale exactly by ldexp (exponent clipped past saturation); logs if head not normal
+        whole = np.floor(scale)
+        head = top**alpha * total * 2.0 ** (scale - whole)
+        values = np.where(_normal(head),
+                          np.ldexp(head, np.clip(whole, -4096, 4096).astype(int)),
+                          np.exp(log_core))
+        if np.isinf(values[~inf]).any():
+            raise OverflowError
+        return inf, values
 
     return _per_pair("sandwiched_core", a, b, kernel)
 
@@ -377,9 +357,8 @@ def sandwiched_renyi(a, b, alpha: float):
     def kernel(x, y):
         inf = _renyi_inf(x, y, _overlaps(x, y)[1], alpha)
         # a vanished core gives log 0 = -inf, which the gate rejects
-        return [INF if c is None else (_log_core(alpha, *c) - log_tr) / (alpha - 1.0)
-                for c, log_tr in zip(_sandwiched_cores(x, y, inf, alpha),
-                                     _log_traces(x.eigenvalues))]
+        log_core = _sandwiched_cores(x, y, inf, alpha)[3]
+        return inf, (log_core - _log_traces(x.eigenvalues)) / (alpha - 1.0)
 
     return _per_pair("sandwiched_renyi", a, b, kernel)
 
@@ -419,7 +398,7 @@ def d_fg(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec):
 
 
 def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
-    """The kernel of ``d_fg``: ``INF`` where B is singular, the extension
+    """The kernel of ``d_fg``: +inf where B is singular, the extension
     diverges and supp A is not inside supp B, else tr g(S) from the spectrum
     of S = f(B0) A0 f(B0) on supp B; an S that overflows overflows."""
     def kernel(x, y):
@@ -431,8 +410,7 @@ def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
         # read on the support only, so 1 stands in for a zero eigenvalue.  The
         # entries off the support are 0, where g is 0
         fvals = f(np.where(y.eigenvalues > 0.0, y.eigenvalues, 1.0))
-        traces = g(_sandwich_eigs(x, y, inf, fvals)).sum(axis=1)
-        return [INF if skip else t for skip, t in zip(inf.tolist(), traces.tolist())]
+        return inf, g(_sandwich_eigs(x, y, inf, fvals)).sum(axis=1)
 
     return kernel
 
@@ -444,9 +422,9 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
     Returns ``(values, estimate)`` where the estimate is the last value, or
     +inf when the values cross 1e12 and keep growing from that point on.
     The probe is a diagnostic for the rank-based extension, not its definition.
-    The steps are one stack of pairs (A, B + eps I), B + eps I kept on the
-    eigenvectors of B, evaluated by the kernel and per-pair gate of ``d_fg``,
-    so a value that overflows raises ``NonFiniteResultError``.
+    The steps are one stack of pairs (A, B + eps I), B + eps I definite and
+    kept on the eigenvectors of B, evaluated by the kernel and gate of
+    ``d_fg``, so a value that overflows raises ``NonFiniteResultError``.
     """
     x, y = as_stack([a]), as_stack([b])
     _require_g(g)
@@ -463,8 +441,8 @@ def d_fg_limit_probe(a, b, f: ScalarFunctionSpec, g: ScalarFunctionSpec,
         shifted = OperatorStack(PositiveOperator,
                                 y.matrices + eps[:, None, None] * np.eye(y.dim),
                                 y.eigenvalues + eps[:, None], y.eigenvectors)
-    values = [float(v) for v in _per_pair("d_fg_limit_probe", x, shifted,
-                                          _dfg_kernel(f, g))]
+    values = _stacked("d_fg_limit_probe", x, shifted, _dfg_kernel(f, g),
+                      PositiveOperator)[1].tolist()
 
     crossing = next((i for i, v in enumerate(values) if v > 1e12), None)
     diverged = crossing is not None and all(

@@ -1,11 +1,11 @@
 """The divergences' result type: a float that is finite or +inf.
 
 The package computes and compares with plain floats; ``math.inf`` stands for
-+inf.  A divergence returns its finite value through one gate that rejects inf
-and NaN (``divergence.NonFiniteResultError``), so the ``INF`` it returns comes
-only from a support decision.  ``ExtendedReal`` is a ``float`` that also
-rejects NaN and -inf; equality, hashing, ``repr`` and JSON text are float's.
-The subclass, its ``value``/``is_inf``/``is_finite`` properties and
++inf.  A divergence computes a stack as one float array and one +inf mask,
+and one gate rejects inf and NaN off the mask (``NonFiniteResultError``), so
+``INF`` comes only from a support decision.  ``ExtendedReal`` is a ``float``
+that also rejects NaN and -inf; equality, hashing, ``repr`` and JSON text are
+float's.  The subclass, its ``value``/``is_inf``/``is_finite`` properties and
 ``fmt_extended`` remain only because the benchmark (``perfbench/``) reads
 them; ROADMAP items 2 and 4 delete this module after item 1's benchmark change.
 """

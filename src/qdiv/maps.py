@@ -43,12 +43,13 @@ def conjugate_by(u: np.ndarray, kind: str, a: np.ndarray) -> np.ndarray:
     return u @ a @ u.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateMap:
     """A transformation on operators, tagged by how it is implemented: ``kind``
     is ``"unitary"`` or ``"antiunitary"`` (with ``unitary`` set), the words
     :func:`conjugate_by` takes and ``wigner_reconstruct`` returns, or ``"kraus"``
-    (with ``superop`` set to S, built once when the channel is made)."""
+    (with ``superop`` set to S, built once when the channel is made).  Maps
+    compare and hash by identity."""
 
     kind: str
     unitary: Optional[np.ndarray] = None

@@ -102,10 +102,9 @@ def invariance_pairs(n: int, *, n_samples: int, seed: int):
     return list(zip(ops[::2], ops[1::2]))
 
 
-def _compare(ops, before, after, x, y, tol: float) -> InvarianceReport:
+def _compare(ops, x, y, tol: float) -> InvarianceReport:
     """One report from a divergence's values before and after a map on the
-    pairs (ops[2k], ops[2k + 1]): the lists ``before`` and ``after``, which
-    give the witness, and the same values as the float arrays ``x``, ``y``."""
+    pairs (ops[2k], ops[2k + 1]), the float arrays ``x`` and ``y``."""
     inf_x, inf_y = x == math.inf, y == math.inf
     # +inf outcomes compare by category: a mismatch, or no deviation
     mismatch, either = inf_x != inf_y, inf_x | inf_y
@@ -114,9 +113,9 @@ def _compare(ops, before, after, x, y, tol: float) -> InvarianceReport:
     witness = None
     if failed.size:
         k = int(failed[0])
-        witness = (ops.matrices[2 * k], ops.matrices[2 * k + 1], before[k], after[k])
+        witness = (ops.matrices[2 * k], ops.matrices[2 * k + 1], float(x[k]), float(y[k]))
     return InvarianceReport(
-        samples=len(before),
+        samples=len(x),
         max_abs_deviation=float(dev.max()),
         infinity_mismatches=int(np.count_nonzero(mismatch)),
         witness=witness,
@@ -131,7 +130,7 @@ def _require_tol(tol: float) -> None:
 
 
 def _evaluate(divergence, a, b, n_pairs: int):
-    """``divergence(a, b)`` as a list and as a float array; ``TypeError``
+    """``divergence(a, b)`` as a float array; ``TypeError``
     unless one value per pair, ``ValueError`` naming the first pair (of
     ``n_pairs``, then of each map's images) whose value is NaN or -inf,
     which no deviation would flag."""
@@ -146,7 +145,7 @@ def _evaluate(divergence, a, b, n_pairs: int):
         name = getattr(divergence, "__name__", repr(divergence))
         raise ValueError(f"divergence {name} gave {values[k]!r} on pair "
                          f"{k % n_pairs}{where}")
-    return values, x
+    return x
 
 
 def _joined(stacks, start: int) -> OperatorStack:
@@ -165,10 +164,9 @@ def _reports(ops: OperatorStack, maps, divergences, tol: float):
     a, b = _joined(stacks, 0), _joined(stacks, 1)
     reports = [[] for _ in maps]
     for div in divergences:
-        values, x = _evaluate(div, a, b, n)
+        x = _evaluate(div, a, b, n)
         for i, row in enumerate(reports, start=1):
-            at = slice(i * n, (i + 1) * n)
-            row.append(_compare(ops, values[:n], values[at], x[:n], x[at], tol))
+            row.append(_compare(ops, x[:n], x[i * n:(i + 1) * n], tol))
     return reports
 
 
@@ -457,7 +455,9 @@ def prop1_evaluate(alpha: float, t, s, *, via_exp: bool = False):
     ``t`` and ``s`` are scalars or arrays that broadcast together; the sides
     come back in their broadcast shape, as inf where they overflow a float.
     ``via_exp`` evaluates through exp/log as an independent arithmetic route.
+    ``alpha`` must lie in (0,1) or (1,inf).
     """
+    alpha = _check_alpha(alpha)
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     if np.any(t <= 0.0) or np.any(s <= 0.0):
         raise ValueError("arguments must be strictly positive")

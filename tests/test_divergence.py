@@ -878,6 +878,28 @@ def test_overflow_on_a_finite_branch_raises_the_typed_error():
             case()
 
 
+@pytest.mark.parametrize("tag, params, a, b, message", [
+    # the ldexp of 2^scale overflows, from a huge A and from a tiny B
+    ("sandwiched-core", {"alpha": 2.0}, 1e308 * np.eye(2), HALF, "overflows a float"),
+    ("sandwiched-core", {"alpha": 50.0}, HALF, 1e-300 * np.eye(2), "overflows a float"),
+    # top^alpha underflows, so the logs give the value, and their exp overflows
+    ("sandwiched-core", {"alpha": 2000.0}, 2.0**500 * np.eye(2), np.diag([1.0, 0.3]),
+     "overflows a float"),
+    ("fdiv", {"f": "power:3"}, HALF, 1e-300 * np.eye(2),
+     "is not a finite float (got inf)"),
+    ("dfg", {"f": "power:0.5", "g": "power:2"}, 1e308 * np.eye(2), np.eye(2),
+     "is not a finite float (got inf)"),
+], ids=["core-huge-A", "core-tiny-B", "core-exp", "fdiv", "dfg"])
+def test_an_overflow_raises_its_message_for_a_pair_and_in_a_stack(tag, params, a, b, message):
+    div = make_divergence(tag, **params)
+    want = f"{dv._TAGS[tag][0]}: the value {message}"
+    # the stack's second pair overflows; the pairs around it are finite
+    for args in ((a, b), ([HALF, a, HALF], [HALF, b, SKEWED])):
+        with pytest.raises(NonFiniteResultError) as err:
+            div(*args)
+        assert str(err.value) == want
+
+
 def test_a_vanished_trace_on_a_finite_branch_raises_the_typed_error(monkeypatch):
     monkeypatch.setattr(dv, "_sandwich_eigs", lambda ops, *args: np.zeros((len(ops), 2)))
     for alpha in (0.5, 2.0):

@@ -65,6 +65,16 @@ def test_depolarizing_channel_rejects_an_order_below_one(n):
         depolarizing_channel(0.1, n)
 
 
+def test_maps_compare_and_hash_by_identity():
+    # the generated == and hash over ndarray fields once raised
+    for make in (lambda: depolarizing_channel(0.3, 2),
+                 lambda: StateMap.unitary_conjugation(np.eye(2)),
+                 lambda: StateMap.antiunitary_conjugation(np.eye(2))):
+        m, other = make(), make()
+        assert (m == m) is True and (m == other) is False and (m != other) is True
+        assert {m: 1, other: 2}[m] == 1 and len({m, m, other}) == 2
+
+
 def test_depolarizing_channel_action():
     ch = depolarizing_channel(0.5, 2)
     a = np.diag([1.0, 0.0]).astype(complex)
@@ -725,6 +735,14 @@ def test_prop1_evaluation_orders_agree():
             l2, r2 = prop1_evaluate(alpha, t, s, via_exp=True)
             assert l1 == pytest.approx(l2, rel=1e-12)
             assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, math.nan, -1.0, 1.0])
+def test_prop1_evaluate_rejects_an_alpha_outside_the_two_intervals(alpha):
+    # 0 once raised ZeroDivisionError, and NaN gave (nan, nan)
+    for via_exp in (False, True):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            prop1_evaluate(alpha, 0.5, 0.25, via_exp=via_exp)
 
 
 def test_prop1_diagonal_degenerates():
