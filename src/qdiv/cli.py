@@ -21,7 +21,7 @@ import time
 from . import files
 from .divergence import DIVERGENCE_TAGS, _check_alpha, make_divergence
 from .extended import fmt_extended
-from .maps import StateMap, require_unitary
+from .maps import StateMap
 from .preserver import WignerError, wigner_probe_projections, wigner_reconstruct
 from .sampling import SeededRng, haar_unitary, random_density_matrix, \
     random_positive_definite
@@ -147,8 +147,7 @@ def cmd_check(args) -> int:
 
 
 def _simulated_map(path, map_kind) -> StateMap:
-    matrix, _ = _load_role_checked(path)
-    u = require_unitary(matrix)
+    u, _ = _load_role_checked(path)
     if map_kind == "transpose":
         # A -> (U A U*)^T, which on Hermitian inputs equals conj(U) conj(A)
         # conj(U)*, an antiunitary with unitary part conj(U).

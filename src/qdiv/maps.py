@@ -48,20 +48,31 @@ class StateMap:
     """A transformation on operators, tagged by how it is implemented: ``kind``
     is ``"unitary"`` or ``"antiunitary"`` (with ``unitary`` set), the words
     :func:`conjugate_by` takes and ``wigner_reconstruct`` returns, or ``"kraus"``
-    (with ``superop`` set to S, built once when the channel is made).  Maps
-    compare and hash by identity."""
+    (with ``superop`` set to S, built once when the channel is made).  A map
+    is checked when it is built, also directly: an unknown kind, a missing
+    field or a ``unitary`` that fails :func:`require_unitary` raises
+    ``ValueError``.  Maps compare and hash by identity."""
 
     kind: str
     unitary: Optional[np.ndarray] = None
     superop: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if self.kind not in ("unitary", "antiunitary", "kraus"):
+            raise ValueError(f"unknown map kind {self.kind!r}")
+        field = "superop" if self.kind == "kraus" else "unitary"
+        if getattr(self, field) is None:
+            raise ValueError(f"a {self.kind} map needs its {field}")
+        if self.kind != "kraus":
+            object.__setattr__(self, "unitary", require_unitary(self.unitary))
+
     @classmethod
     def unitary_conjugation(cls, u) -> "StateMap":
-        return cls(kind="unitary", unitary=require_unitary(u))
+        return cls(kind="unitary", unitary=u)
 
     @classmethod
     def antiunitary_conjugation(cls, u) -> "StateMap":
-        return cls(kind="antiunitary", unitary=require_unitary(u))
+        return cls(kind="antiunitary", unitary=u)
 
     @classmethod
     def kraus_channel(cls, ops) -> "StateMap":

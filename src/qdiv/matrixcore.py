@@ -93,9 +93,17 @@ def frobenius(a: np.ndarray):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    # halving first cannot overflow, and is exact above the subnormal range
-    h = 0.5 * a
-    h += h.conj().swapaxes(-1, -2)
+    """(A + A*)/2 of a matrix or of each matrix of a stack (..., n, n): added
+    first, then halved, so it is exact wherever the sum is, subnormals
+    included.  Only entries whose sum overflows are halved first, which
+    cannot overflow; in the normal range the two orders give the same bits."""
+    ah = a.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a + ah
+        h *= 0.5
+        over = np.isinf(h)  # an inf entry of A gives the same inf either way
+        if over.any():
+            h[over] = (0.5 * a + 0.5 * ah)[over]
     return h
 
 
@@ -210,7 +218,7 @@ def eig_hermitian(a):
     m, size, off, reads, two, at, gathers = _jacobi_plan(n)
     work = np.zeros((len(a), size + 1), dtype=np.complex128)
     work[:, m * m:size:m + 1] = 1.0                       # V = I
-    work[:, :m * m].reshape(-1, m, m)[:, :n, :n] = 0.5 * (a + ah)
+    work[:, :m * m].reshape(-1, m, m)[:, :n, :n] = hermitian_part(a)
     target = JACOBI_OFF_TOL ** 2 * norm_sq
     rows = None  # the rows of ``out`` still in ``work``; None: all of them
     for sweep in range(JACOBI_MAX_SWEEPS + 1):

@@ -233,31 +233,27 @@ def _conjugation_deviation(u, kind: str, inputs, images) -> float:
     return float(mc.frobenius(diffs).max(initial=0.0))
 
 
-def _fix_leading_phase(v: np.ndarray) -> np.ndarray:
-    idx = next(i for i in range(v.shape[0]) if abs(v[i]) > mc.PHASE_ENTRY_TOL)
-    return v * (abs(v[idx]) / v[idx])
-
-
 def wigner_reconstruct(images):
     """Recover (U, kind, residual) from images of the standard probe set.
 
-    ``images`` must list the images of :func:`wigner_probe_projections` in the
-    same order.  Pairwise transition probabilities of the probes must be
-    preserved, else no representation exists and :class:`WignerError` is
-    raised naming the offending pair.  The recovered unitary has its first
-    column's first sizable entry made real positive; the complex-phase probe
-    decides unitary vs antiunitary (conjugation flips the sign of the
-    imaginary cross term).
+    ``images`` are the images of :func:`wigner_probe_projections` in probe
+    order, 2n matrices of order n or one (2n, n, n) array; a wrong count
+    raises ``ValueError``, and a wrong shape one naming the first bad image.
+    Pairwise transition probabilities of the probes must be preserved, else
+    no representation exists and :class:`WignerError` is raised naming the
+    offending pair.  The recovered unitary has its first column's first
+    sizable entry made real positive; the complex-phase probe decides unitary
+    vs antiunitary (conjugation flips the sign of the imaginary cross term).
     """
-    images = [mc.as_complex_matrix(m) for m in images]
-    if len(images) < 4 or len(images) % 2 != 0:
+    shapes = [np.shape(m) for m in images]
+    n = len(shapes) // 2
+    if n < 2 or len(shapes) != 2 * n:
         raise ValueError("expected the 2n probe images, in probe order")
-    n = len(images) // 2
+    for k, shape in enumerate(shapes):
+        if shape != (n, n):
+            raise ValueError(f"image {k} has shape {shape}, expected {(n, n)}")
+    images = mc.as_complex_matrix(images, stack=True)
     inputs = wigner_probe_projections(n)
-    for k, img in enumerate(images):
-        if img.shape[0] != n:
-            raise ValueError(f"image {k} has dimension {img.shape[0]}, expected {n}")
-    images = np.array(images)
     traces = np.trace(images, axis1=-2, axis2=-1).real
     bad = np.flatnonzero(~mc.is_projection(images)
                          | ~(np.abs(traces - 1.0) <= mc.PROJ_IMAGE_TOL))
@@ -269,23 +265,22 @@ def wigner_reconstruct(images):
     bad = np.argwhere(np.triu(np.abs(want - got) > mc.TRANSITION_PROB_TOL, 1))
     if bad.size:
         i, j = bad[0]
-        raise WignerError(
-            f"transition probability between probes {i} and {j} is not "
-            f"preserved: {got[i, j]:.6e} vs {want[i, j]:.6e}"
-        )
+        raise WignerError(f"transition probability between probes {i} and {j} is not "
+                          f"preserved: {got[i, j]:.6e} vs {want[i, j]:.6e}")
 
     # a basis image P = x x* has its range spanned by its column x conj(x_k) at
     # the top diagonal entry |x_k|^2 >= 1/n; 1 x n rows keep np.linalg.norm's bits
     k = np.argmax(np.diagonal(images[:n], axis1=1, axis2=2).real, axis=1)
     cols = images[np.arange(n), :, k]
     cols = cols / mc.frobenius(cols[:, None, :])[:, None]
-    # for a rank-one image G = g g*, x* G y = <x, g><g, y> has the phase of
-    # <x, g> / <y, g>, so the phases are read from G without a vector of it
-    cols[0] = _fix_leading_phase(cols[0])
-    for j in range(1, n):
-        c = np.vdot(cols[j], images[n - 1 + j] @ cols[0])
-        cols[j] = cols[j] * (c / abs(c))
-    u = np.column_stack(cols)
+    # U's first column gets its first sizable entry real positive; for a
+    # rank-one image G = g g*, x* G y = <x, g><g, y> has the phase of
+    # <x, g> / <y, g>, so c_j = <x_j, G_(n-1+j) x_0> is read from G alone
+    lead = cols[0, np.argmax(np.abs(cols[0]) > mc.PHASE_ENTRY_TOL)]
+    cols[0] *= abs(lead) / lead
+    c = (cols[1:].conj() * (images[n:2 * n - 1] @ cols[0])).sum(axis=1)
+    cols[1:] *= (c / np.abs(c))[:, None]
+    u = cols.T
 
     r = np.vdot(cols[1], images[2 * n - 1] @ cols[0])
     kind = "unitary" if r.imag > 0.0 else "antiunitary"

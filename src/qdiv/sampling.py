@@ -38,6 +38,7 @@ Exactness.  Every vector path reproduces the one-at-a-time stream bit for bit:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, Optional
 
 import numpy as np
@@ -183,10 +184,13 @@ def random_density_matrices(n: int, ranks: Iterable[int], rng: SeededRng) -> np.
 
     Draw order per density: the simplex weights, then the Haar unitary.
     ``ranks`` is consumed lazily, one rank before each density's outputs are
-    skipped, so a generator may draw each rank from ``rng`` itself.
+    skipped, so a generator may draw each rank from ``rng`` itself.  A rank
+    that is a bool, not an integer, or outside [1, n] raises ``ValueError``.
     """
     starts, rs = [], []
     for rank in ranks:
+        if isinstance(rank, bool) or not isinstance(rank, numbers.Integral):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
         if not 1 <= rank <= n:
             raise ValueError(f"rank must lie in [1, {n}], got {rank}")
         starts.append(rng._skip(rank + 2 * n * n))

@@ -832,6 +832,30 @@ def test_sandwiched_at_the_ends_of_the_float_range_is_finite(c):
         assert got == pytest.approx(math.log(2.0) + math.log(c), rel=1e-12)
 
 
+@pytest.mark.parametrize("units", [1, 3, 7, 1001])
+def test_an_odd_unit_subnormal_diagonal_is_stored_exactly_and_has_divergence_0(units):
+    # halving before adding once stored 3 units of 2^-1074 as 4 against an
+    # eigenvalue of 3, and D(A || A) read 0.575 at alpha 2
+    x = units * 2.0 ** -1074
+    d = np.diag([x, 3 * x])
+    a = PositiveOperator(d)
+    assert np.array_equal(a.matrix, d) and np.array_equal(a.eigenvalues, [x, 3 * x])
+    for alpha in (0.5, 2.0, 3.0):
+        assert abs(float(sandwiched_renyi(a, a, alpha))) <= 1e-12
+    assert abs(float(renyi_traditional(a, a, 2.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_a_subnormal_diagonal_pair_has_the_divergence_of_its_unit_scale(alpha):
+    # D(cA || cB) = D(A || B), here at c = 2^-1074, where diag(3, 1) and
+    # diag(1, 3) are exact
+    def pair(c):
+        return PositiveOperator(np.diag([3 * c, c])), PositiveOperator(np.diag([c, 3 * c]))
+
+    want = float(sandwiched_renyi(*pair(1.0), alpha))
+    assert float(sandwiched_renyi(*pair(2.0 ** -1074), alpha)) == pytest.approx(want, abs=1e-12)
+
+
 def _normal_exponents(*matrices, step=61):
     """k on a grid for which 2^k times each nonzero entry stays normal."""
     parts = np.abs(np.concatenate([np.ravel(m).view(np.float64) for m in matrices]))

@@ -435,6 +435,23 @@ def test_from_spectrum_stack_matches_members_and_the_inline_formulas(n):
                               herm(cols @ cols.conj().T))
 
 
+def test_hermitian_part_adds_first_and_halves_first_only_where_the_sum_overflows():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    # in the normal range both orders give the same bits
+    half = 0.5 * a
+    assert np.array_equal(mc.hermitian_part(a), half + half.conj().swapaxes(-1, -2))
+    # subnormal sums are exact: an odd number of units halves exactly
+    t = 2.0 ** -1074
+    sub = np.array([[3 * t, 5 * t + 1j * t], [7 * t - 3j * t, t]])
+    want = np.array([[3 * t, 6 * t + 2j * t], [6 * t - 2j * t, t]])
+    assert np.array_equal(mc.hermitian_part(sub), want)
+    # an overflowing sum is halved first; the other entries are not
+    big = np.array([[1e308, 1.7e308 + 3j * t], [1.7e308 - 1j * t, 5 * t]])
+    got = mc.hermitian_part(big)
+    assert np.array_equal(got, [[1e308, 1.7e308 + 2j * t], [1.7e308 - 2j * t, 5 * t]])
+
+
 # ------------------------------------------------------------ superoperator
 
 def apply_superop(s, t):

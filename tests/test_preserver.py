@@ -75,6 +75,27 @@ def test_maps_compare_and_hash_by_identity():
         assert {m: 1, other: 2}[m] == 1 and len({m, m, other}) == 2
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "unitary", "unitary": 2.0 * np.eye(2)}, "not unitary"),
+    ({"kind": "antiunitary", "unitary": np.ones((2, 2))}, "not unitary"),
+    ({"kind": "unitary"}, "a unitary map needs its unitary"),
+    ({"kind": "kraus"}, "a kraus map needs its superop"),
+    ({"kind": "kraus", "unitary": np.eye(2)}, "a kraus map needs its superop"),
+    ({"kind": "foo", "unitary": np.eye(2)}, "unknown map kind 'foo'"),
+])
+def test_a_map_built_directly_is_checked_when_it_is_built(fields, message):
+    # 2I once applied as 4I, and the other two failed only at apply
+    with pytest.raises(ValueError, match=message):
+        StateMap(**fields)
+
+
+def test_a_map_built_directly_holds_a_complex_copy_of_its_unitary():
+    u = np.array([[0, 1], [1, 0]])
+    m = StateMap(kind="unitary", unitary=u)
+    assert m.unitary.dtype == np.complex128 and m.unitary is not u
+    assert np.array_equal(m.apply(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
+
+
 def test_depolarizing_channel_action():
     ch = depolarizing_channel(0.5, 2)
     a = np.diag([1.0, 0.0]).astype(complex)
@@ -378,6 +399,33 @@ def test_wigner_names_the_first_image_that_is_not_a_rank_one_projection():
             for k, img in (bad, *later):
                 images[k] = img
             with pytest.raises(WignerError, match=f"^image {bad[0]}: "):
+                wigner_reconstruct(images)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_wigner_takes_a_list_of_images_or_one_array_alike(n):
+    rng = SeededRng(70 + n)
+    for m in (StateMap.unitary_conjugation(haar_unitary(n, rng)),
+              StateMap.antiunitary_conjugation(haar_unitary(n, rng))):
+        stack = m.apply(wigner_probe_projections(n))
+        for images in (list(stack), [img.tolist() for img in stack]):
+            u, kind, residual = wigner_reconstruct(images)
+            want_u, want_kind, want_residual = wigner_reconstruct(stack)
+            assert np.array_equal(u, want_u) and kind == want_kind == m.kind
+            assert repr(residual) == repr(want_residual)
+
+
+def test_wigner_names_the_first_image_of_a_wrong_shape():
+    good = list(wigner_probe_projections(3))
+    for count in (0, 1, 2, 5):
+        with pytest.raises(ValueError, match="expected the 2n probe images"):
+            wigner_reconstruct(good[:count])
+    for bad in (np.eye(2), np.ones((3, 2)), np.ones(3), 1.0):
+        for later in ((), ((4, np.eye(4)),)):
+            images = list(good)
+            for k, img in ((2, bad), *later):
+                images[k] = img
+            with pytest.raises(ValueError, match=r"^image 2 has shape .*, expected \(3, 3\)"):
                 wigner_reconstruct(images)
 
 

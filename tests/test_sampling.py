@@ -125,6 +125,16 @@ def test_random_density_rejects_bad_rank():
         random_density(3, 4, rng)
 
 
+@pytest.mark.parametrize("rank", [2.0, 1.5, True, False, "2", None])
+def test_a_rank_must_be_an_integer(rank):
+    # 2.0 once failed with a bare TypeError from a slice, and True passed as 1
+    with pytest.raises(ValueError, match=f"rank must be an integer, got {rank!r}"):
+        random_density(3, rank, SeededRng(19))
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        sampling.random_density_matrices(2, [1, rank], SeededRng(19))
+    assert random_density(3, np.int64(2), SeededRng(19)).rank == 2
+
+
 def test_random_density_validates():
     rng = SeededRng(23)
     for _ in range(20):
