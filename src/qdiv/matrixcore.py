@@ -5,7 +5,8 @@ eigensolver is a Jacobi iteration written here rather than delegated, so the
 stopping tolerance and the eigenvector conventions are fixed by this module and
 reproducible run to run.  It runs a stack (..., n, n) in rounds of disjoint
 rotations (round-robin order), each member bit-identical to a call on it alone.
-Intended scale is small (n up to a few dozen), where Jacobi is accurate and fast.
+Intended scale is small (n up to a few dozen): Jacobi is accurate there, but one
+matrix at n = 4 or 24 takes 25-35x as long as ``numpy.linalg.eigh`` (ROADMAP item 2).
 A function of a Hermitian matrix is formed by one formula, ``from_spectrum``:
 V diag(f(w)) V*, made exactly Hermitian, for one matrix or a stack.
 
@@ -41,7 +42,6 @@ SPEC_TOL = 1e-10     # eigenvalue spread counted as one value, relative to ||A||
 JACOBI_OFF_TOL = 1e-13   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 64
 _TINY = np.finfo(np.float64).tiny   # not a tolerance: moves only 0 and subnormals
-_SAFE_EXP = 512      # not a tolerance: ||A||_F^2 outside 2^(+-512) runs rescaled
 # Scale-free quantities, compared directly.
 TRACE_TOL = 1e-10           # |tr rho - 1| of a density operator
 SUPPORT_TRACE_TOL = 1e-8    # tr P_inner - <P_inner, P_outer>, and <P_a, P_b>
@@ -178,36 +178,31 @@ def eig_hermitian(a):
     (Brent-Luk) order, a round one block rotation J per matrix: W <- J* W J,
     V <- V J.  A matrix stops at the first sweep where its off-diagonal norm is
     at most ``JACOBI_OFF_TOL * ||A||_F``, and its arithmetic reads only itself,
-    so it comes out bit-identical to a call on it alone.  A matrix with
-    ||A||_F^2 outside 2^(+-512), where sums of squares would under- or
-    overflow, runs scaled by an exact power of two and has its eigenvalues
-    scaled back; every other matrix runs unscaled.  Raises ``ValueError``
-    if the shape is not (..., n, n), a matrix has a non-finite entry or is
-    not Hermitian within ``HERM_TOL``, or an eigenvalue scaled back overflows
-    a float, ``ConvergenceError`` if one misses its target in
-    ``JACOBI_MAX_SWEEPS`` sweeps.
+    so it comes out bit-identical to a call on it alone.
+
+    Every matrix runs scaled by 2^-k, k the ``frexp`` exponent of its largest
+    real or imaginary part, so no sum of squares overflows, and one ``ldexp``
+    scales its eigenvalues back.  A power of two scales exactly while entries
+    stay normal (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 2): 2^j A, formed exactly, gives the V of A bit for bit and its w times
+    2^j, rounded only where subnormal.  For k >= 1 the entries below
+    2^(k - 1022), subnormal ones among them, round to multiples of
+    2^(k - 1074), far below the solver's roundoff: diag(3, 5e-324) has
+    eigenvalues (0, 3).  Raises ``ValueError`` for a shape not (..., n, n), a
+    non-finite entry, a matrix not Hermitian within ``HERM_TOL`` or an
+    eigenvalue that overflows a float when scaled back, ``ConvergenceError``
+    if one misses its target in ``JACOBI_MAX_SWEEPS`` sweeps.
     """
-    # a copy, C-ordered: the rescale below writes to it and views its floats
-    a = np.ascontiguousarray(as_complex_matrix(a, stack=True))
+    a = as_complex_matrix(a, stack=True)
     lead, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape(-1, n, n)
+    parts = np.ascontiguousarray(a).reshape(-1, n, n).view(np.float64)
+    top = np.abs(parts).max(axis=(1, 2))
+    if not np.isfinite(top).all():
+        raise ValueError("matrix has a non-finite entry")
+    shift = np.frexp(top)[1]
+    a = np.ldexp(parts, -shift[:, None, None]).view(np.complex128)
     sq = lambda x: np.add.reduce(x * x, axis=1)
-    with np.errstate(over="ignore"):
-        norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
-    # A member whose squares would under- or overflow runs scaled by an exact
-    # power of two, its largest entry in [1/2, 1); the others run unchanged.
-    # The min/max test keeps the common all-in-range case to two reductions.
-    # An inf or NaN entry makes its norm inf or NaN, so it lands here too.
-    odd = None
-    if not (norm_sq.min() >= 2.0 ** -_SAFE_EXP and norm_sq.max() <= 2.0 ** _SAFE_EXP):
-        odd = ~((norm_sq >= 2.0 ** -_SAFE_EXP) & (norm_sq <= 2.0 ** _SAFE_EXP))
-        parts = a[odd].view(np.float64)
-        top = np.abs(parts).max(axis=(1, 2))
-        if not np.isfinite(top).all():
-            raise ValueError("matrix has a non-finite entry")
-        shift = np.frexp(top)[1]
-        a[odd] = np.ldexp(parts, -shift[:, None, None]).view(np.complex128)
-        norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
+    norm_sq = sq(a.reshape(len(a), n * n).view(np.float64))
     ah = np.ascontiguousarray(a.conj().swapaxes(1, 2))
     herm_sq = sq((a - ah).reshape(len(a), n * n).view(np.float64))  # ||A - A*||_F^2
     if np.count_nonzero(herm_sq <= HERM_TOL ** 2 * norm_sq) < len(a):
@@ -255,12 +250,10 @@ def eig_hermitian(a):
     w = work[:, :m * m:m + 1].real[:, :n]
     pick = np.arange(len(a))[:, None], w.argsort(axis=1, kind="stable")
     vecs = work[:, m * m:size].reshape(-1, n, m).swapaxes(1, 2)[pick].swapaxes(1, 2)
-    w = w[pick]
-    if odd is not None:
-        with np.errstate(over="ignore"):
-            w[odd] = np.ldexp(w[odd], shift[:, None])
-        if not np.isfinite(w[odd]).all():
-            raise ValueError("an eigenvalue overflows a float")
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w[pick], shift[:, None])
+    if not np.isfinite(w).all():
+        raise ValueError("an eigenvalue overflows a float")
     return w.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 

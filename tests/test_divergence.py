@@ -685,6 +685,16 @@ def test_support_verdicts_reject_a_dimension_mismatch(verdict):
         verdict([np.eye(2), np.eye(2)], [np.eye(2), np.eye(3)])
 
 
+def test_the_first_operands_error_wins_when_both_are_invalid():
+    # A is validated before B, and both before their orders are compared
+    with pytest.raises(ValidationError, match="not PSD"):
+        umegaki(np.diag([1.5, -0.5]), [[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="trace 1.2 is not 1"):
+        umegaki(np.diag([0.6, 0.6]), np.diag([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="not PSD"):
+        umegaki(np.diag([1.5, -0.5]), np.eye(3) / 3)
+
+
 def test_make_divergence_unknown_tag():
     with pytest.raises(KeyError):
         make_divergence("nonsense")
@@ -788,7 +798,7 @@ def test_divergences_of_density_pairs_are_nonnegative(div, n):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: the flat SUPPORT_TRACE_TOL calls supp A inside supp B "
+    "ROADMAP item 5: the flat SUPPORT_TRACE_TOL calls supp A inside supp B "
     "at sin^2 = 1e-8, so alpha = 2 takes a finite branch and goes negative"))
 @pytest.mark.parametrize("div", [sandwiched_renyi, renyi_traditional])
 def test_nearly_contained_supports_keep_the_divergence_nonnegative(div):

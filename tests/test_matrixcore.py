@@ -158,6 +158,42 @@ def test_eig_stack_mixing_scales_matches_single_calls():
     assert np.array_equal(w[3], np.zeros(3))
 
 
+def power_of_two(a, j):
+    """2^j A, entry by entry through ``ldexp``: exact while the entries stay normal."""
+    return np.ldexp(np.ascontiguousarray(a).view(np.float64), j).view(np.complex128)
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 1), (5, 5),
+                                     (5, 2), (8, 8), (8, 4), (24, 24), (24, 12)])
+def test_eig_is_exactly_covariant_under_powers_of_two(n, rank):
+    # every matrix runs at the scale of its largest part: with that part 1/2,
+    # 2^j A runs as A itself and only the eigenvalues are scaled, by ldexp
+    rng = np.random.default_rng(n + rank)
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    a = random_hermitian(n, n) if rank == n else g @ g.conj().T
+    a = a / np.abs(a.view(np.float64)).max() * 0.5
+    w, v = mc.eig_hermitian(a)
+    parts = np.abs(a.view(np.float64))
+    shifts = [-600, -3, 0, 7, 600]
+    checked = 0
+    for j in [*range(-1000, 1001, 37), *shifts]:
+        if np.ldexp(parts[parts > 0], j).min() < np.finfo(float).tiny:
+            continue
+        wj, vj = mc.eig_hermitian(power_of_two(a, j))
+        assert np.array_equal(wj, np.ldexp(w, j)) and np.array_equal(vj, v)
+        checked += 1
+    assert checked >= 55
+    # a stack mixing these scales gives each member the bits of its call alone
+    ws, vs = mc.eig_hermitian(np.array([power_of_two(a, j) for j in shifts]))
+    assert np.array_equal(ws, np.ldexp(w, np.array(shifts)[:, None]))
+    assert np.array_equal(vs, np.broadcast_to(v, vs.shape))
+
+
+def test_eig_empty_stack():
+    w, v = mc.eig_hermitian(np.zeros((0, 3, 3)))
+    assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+
+
 def test_eig_stack_keeps_leading_shape():
     stack = np.array([[random_hermitian(4, 3 * i + j) for j in range(3)] for i in range(2)])
     w, v = mc.eig_hermitian(stack)
