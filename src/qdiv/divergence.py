@@ -7,7 +7,8 @@ one implementation per divergence: a pair is the stack of one, and each
 member of a stack gets, bit for bit, the value that the call on its pair
 alone gets.  Every +inf branch is a support verdict, decided by ranks of the
 snapped spectra and the trace overlap <P_A, P_B> against
-``SUPPORT_TRACE_TOL``, never by overflow.
+``SUPPORT_TRACE_TOL``, never by overflow, in one place: ``_overlaps``
+returns every verdict, and each kernel unpacks the one it needs.
 
 One driver, ``_per_pair``, converts each side once into an
 ``OperatorStack`` (``operators.as_stack``), raises ``ValueError`` when the
@@ -103,24 +104,22 @@ def _stacked(name: str, a, b, kernel, cls):
 
 
 def _overlaps(x: OperatorStack, y: OperatorStack):
-    """W_ij = |<u_i, v_j>|^2 (N, n, n) from one product, and <P_A, P_B> (N,),
-    the sum of W_ij over l_i, m_j > 0 that every support verdict reads."""
+    """W_ij = |<u_i, v_j>|^2 (N, n, n) from one product, and three bool arrays
+    (N,) from <P_A, P_B>, the sum of W_ij over l_i, m_j > 0: supp A inside
+    supp B, supp B inside supp A (rank minus <P_A, P_B> at most
+    ``SUPPORT_TRACE_TOL``), and orthogonal supports (<P_A, P_B> at most it)."""
     w = np.abs(x.eigenvectors.conj().swapaxes(1, 2) @ y.eigenvectors) ** 2
     ma, mb = x.eigenvalues > 0.0, y.eigenvalues > 0.0
-    return w, (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
+    overlap = (w * ma[:, :, None] * mb[:, None, :]).sum(axis=(1, 2))
+    tol = mc.SUPPORT_TRACE_TOL
+    return w, x.ranks - overlap <= tol, y.ranks - overlap <= tol, overlap <= tol
 
 
-def _inside(x: OperatorStack, overlap):
-    """Per pair, whether the support of its member of ``x`` lies inside the
-    other one: tr P_x - <P_A, P_B> at most ``SUPPORT_TRACE_TOL`` (bool array)."""
-    return x.ranks - overlap <= mc.SUPPORT_TRACE_TOL
-
-
-def _verdicts(a, b, test):
-    """``test(x, y, <P_A, P_B>)`` on a pair (a bool) or two stacks (a bool
+def _verdicts(a, b, k):
+    """Verdict k of ``_overlaps`` on a pair (a bool) or two stacks (a bool
     array), run by the divergences' driver as the +inf mask of zero values."""
     verdicts = np.isinf(_per_pair("support", a, b, lambda x, y: (
-        test(x, y, _overlaps(x, y)[1]), np.zeros(len(x)))))
+        _overlaps(x, y)[k], np.zeros(len(x)))))
     return verdicts if verdicts.ndim else bool(verdicts)
 
 
@@ -128,14 +127,14 @@ def support_contains(outer, inner):
     """Whether supp(inner) is contained in supp(outer): whether
     tr P_inner - <P_inner, P_outer> = rank(inner) - <P_inner, P_outer> is at
     most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict per pair."""
-    return _verdicts(outer, inner, lambda o, i, overlap: _inside(i, overlap))
+    return _verdicts(outer, inner, 2)
 
 
 def supports_orthogonal(a, b):
     """Whether the supports of a and b are orthogonal subspaces: whether
     <P_a, P_b> is at most ``SUPPORT_TRACE_TOL``.  For two stacks, one verdict
     per pair."""
-    return _verdicts(a, b, lambda x, y, overlap: overlap <= mc.SUPPORT_TRACE_TOL)
+    return _verdicts(a, b, 3)
 
 
 def _log_traces(lam) -> np.ndarray:
@@ -169,8 +168,6 @@ def _sandwich_eigs(x: OperatorStack, y: OperatorStack, inf, fvals, shifts=None):
         # ||F A' F*|| <= max|f|^2 ||A'||, squared last so that max|f|^2 alone
         # cannot overflow; a bound that overflows is an overflow of the member
         bound = (np.max(np.abs(f), axis=1) * np.sqrt(top)) ** 2
-        if not (np.isfinite(s0.view(np.float64)).all() and np.isfinite(bound).all()):
-            raise OverflowError
         out[idx, -r:] = mc._snapped_psd_eig(s0, bound)[0]
     return out
 
@@ -193,8 +190,7 @@ def f_divergence(a, b, f: ScalarFunctionSpec):
     perspective = f.perspective or (lambda lam, mu: mu * f(lam / mu))
 
     def kernel(x, y):
-        w, overlap = _overlaps(x, y)
-        a_in, b_in = _inside(x, overlap), _inside(y, overlap)
+        w, a_in, b_in, _ = _overlaps(x, y)
         if f.limit_at_zero is None and not b_in.all():
             raise DomainError(f"{f.name}: undefined at the required ratio 0")
         inf = ~b_in & (f.limit_at_zero == math.inf) | ~a_in & (f.gamma == math.inf)
@@ -217,33 +213,33 @@ def f_divergence_superop(a, b, f: ScalarFunctionSpec):
     """Superoperator form: <sqrt(B), f(L_A R_{B^-1}) sqrt(B)> in HS geometry.
 
     Requires invertible B.  Must agree with the eigenvector double sum; the
-    pair is kept as a dual-route cross-check, evaluated pair by pair.
+    pair is kept as a dual-route cross-check: one eigensolver call on the
+    stack's L_A R_{B^-1}, with B^-1 and sqrt(B) from the cached spectra.
     """
-    def value(x, y):
-        if not y.definite:
+    def kernel(x, y):
+        if not (y.ranks == y.dim).all():
             raise ValidationError("second operator must be positive definite")
-        binv = y.pseudo_power(-1.0)
+        binv = mc.from_spectrum(y.eigenvalues ** -1.0, y.eigenvectors)
         # ||L_A R_{B^-1}|| = ||A|| ||B^-1||
-        bound = float(x.eigenvalues[-1] / y.eigenvalues[0])
-        lr = mc.superop_lr(x.matrix, binv)
-        if not (math.isfinite(bound) and np.isfinite(lr).all()):
-            raise OverflowError
-        evals, vecs = mc._snapped_psd_eig(lr, bound)
+        bound = x.eigenvalues[:, -1] / y.eigenvalues[:, 0]
+        evals, vecs = mc._snapped_psd_eig(mc.superop_lr(x.matrices, binv), bound)
         # evals are clamped at 0, where f takes its declared limit
         fvals = f(evals)
         if np.isinf(fvals).any():  # inf times the eigenvectors' entries is NaN
             raise OverflowError
-        mf = (vecs * fvals) @ vecs.conj().T
-        s = mc.vec(y.sqrt())
-        out = complex(np.vdot(s, mf @ s))
+        mf = (vecs * fvals[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        # sqrt(B) vectorized column-major, as a column: s* M s is one product
+        s = mc.from_spectrum(y.eigenvalues ** 0.5, y.eigenvectors).swapaxes(1, 2)
+        s = s.reshape(len(y), -1, 1)
+        sh = s.conj().swapaxes(1, 2)
+        out = (sh @ (mf @ s))[:, 0, 0]
         # roundoff in the imaginary part grows with the size of f on the spectrum
-        scale = float(np.max(np.abs(fvals), initial=0.0)) * float(np.vdot(s, s).real)
-        if abs(out.imag) > mc.SUPEROP_IMAG_TOL * scale:
+        scale = np.max(np.abs(fvals), axis=1, initial=0.0) * (sh @ s)[:, 0, 0].real
+        if (np.abs(out.imag) > mc.SUPEROP_IMAG_TOL * scale).any():
             raise ArithmeticError("superoperator value has a large imaginary part")
-        return out.real
+        return np.zeros(len(x), dtype=bool), out.real
 
-    return _per_pair("f_divergence_superop", a, b, lambda x, y: (
-        np.zeros(len(x), dtype=bool), np.array([value(p, q) for p, q in zip(x, y)])))
+    return _per_pair("f_divergence_superop", a, b, kernel)
 
 
 def _row_sums(rows, fn) -> np.ndarray:
@@ -256,12 +252,12 @@ def _row_sums(rows, fn) -> np.ndarray:
 def umegaki(a, b):
     """Relative entropy tr A(log A - log B), +inf unless supp A <= supp B."""
     def kernel(x, y):
-        w, overlap = _overlaps(x, y)
+        w, a_in, _, _ = _overlaps(x, y)
         term_a = _row_sums(x.eigenvalues, lambda lam: lam * np.log(lam))
         # <v_j, A v_j> = sum_i l_i W_ij for the eigenvectors v_j of B
         weights = np.matmul(x.eigenvalues[:, None, :], w)[:, 0]
         term_b = _row_sums(y.eigenvalues, lambda mu: weights * np.log(mu))
-        return ~_inside(x, overlap), term_a - term_b
+        return ~a_in, term_a - term_b
 
     return _per_pair("umegaki", a, b, kernel, DensityOperator)
 
@@ -273,15 +269,14 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _renyi_inf(x: OperatorStack, y: OperatorStack, overlap, alpha: float):
-    """The Renyi support split of each pair (a bool array): +inf for
-    orthogonal supports when alpha < 1, and for supp A not inside supp B when
-    alpha > 1; ``ValidationError`` when an operator is zero."""
+def _renyi_inf(x: OperatorStack, y: OperatorStack, alpha: float):
+    """W of ``_overlaps`` and the Renyi support split of each pair (a bool
+    array): +inf for orthogonal supports when alpha < 1, and for supp A not
+    inside supp B when alpha > 1; ``ValidationError`` when an operator is zero."""
     if not (x.ranks.all() and y.ranks.all()):
         raise ValidationError("operators must be nonzero")
-    if alpha < 1.0:
-        return overlap <= mc.SUPPORT_TRACE_TOL  # orthogonal supports
-    return ~_inside(x, overlap)
+    w, a_in, _, orthogonal = _overlaps(x, y)
+    return w, orthogonal if alpha < 1.0 else ~a_in
 
 
 def renyi_traditional(a, b, alpha: float):
@@ -289,8 +284,7 @@ def renyi_traditional(a, b, alpha: float):
     alpha = _check_alpha(alpha)
 
     def kernel(x, y):
-        w, overlap = _overlaps(x, y)
-        inf = _renyi_inf(x, y, overlap, alpha)
+        w, inf = _renyi_inf(x, y, alpha)
         # log tr(A^alpha B^(1-alpha)) by log-sum-exp over the logs of its terms
         # l_i^alpha W_ij m_j^(1-alpha), -inf at l_i or m_j = 0; unmarked pairs have a finite one
         lam, mu = x.eigenvalues, y.eigenvalues
@@ -334,7 +328,7 @@ def sandwiched_core(a, b, alpha: float):
     alpha = _check_alpha(alpha)
 
     def kernel(x, y):
-        inf = (~_inside(x, _overlaps(x, y)[1]) if alpha > 1.0
+        inf = (~_overlaps(x, y)[1] if alpha > 1.0
                else np.zeros(len(x), dtype=bool))
         top, total, scale, log_core = _sandwiched_cores(x, y, inf, alpha)
         # 2^scale exactly by ldexp (exponent clipped past saturation); logs if head not normal
@@ -355,7 +349,7 @@ def sandwiched_renyi(a, b, alpha: float):
     alpha = _check_alpha(alpha)
 
     def kernel(x, y):
-        inf = _renyi_inf(x, y, _overlaps(x, y)[1], alpha)
+        inf = _renyi_inf(x, y, alpha)[1]
         # a vanished core gives log 0 = -inf, which the gate rejects
         log_core = _sandwiched_cores(x, y, inf, alpha)[3]
         return inf, (log_core - _log_traces(x.eigenvalues)) / (alpha - 1.0)
@@ -405,7 +399,7 @@ def _dfg_kernel(f: ScalarFunctionSpec, g: ScalarFunctionSpec):
         singular = y.ranks < y.dim
         inf = np.zeros(len(x), dtype=bool)
         if singular.any() and _singular_extension(f, g):
-            inf = singular & ~_inside(x, _overlaps(x, y)[1])
+            inf = singular & ~_overlaps(x, y)[1]
         # on supp B: tr g(f(B0) A0 f(B0)) with A0 the compression of A; f is
         # read on the support only, so 1 stands in for a zero eigenvalue.  The
         # entries off the support are 0, where g is 0

@@ -262,7 +262,9 @@ def _snapped_psd_eig(m: np.ndarray, bound):
     ``bound`` (one for all, or one per member): eigenvalues clamped at 0,
     those at or below ``EIG_SNAP * bound`` snapped to 0.  The bound, not the
     product's own top eigenvalue, sets the scale: that top is noise when the
-    product is zero in exact arithmetic."""
+    product is zero in exact arithmetic.  ``OverflowError`` for inf or NaN."""
+    if not (np.isfinite(m).all() and np.isfinite(bound).all()):
+        raise OverflowError
     evals, vecs = eig_hermitian(hermitian_part(m))
     evals = np.clip(evals, 0.0, None)
     evals[evals <= EIG_SNAP * np.asarray(bound)[..., None]] = 0.0
@@ -293,15 +295,11 @@ def cluster_eigendata(evals, vecs) -> tuple:
         for i, j in zip(bounds, bounds[1:]))
 
 
-def vec(t: np.ndarray) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.asarray(t, dtype=np.complex128).reshape(-1, order="F")
-
-
 def superop_lr(a, b) -> np.ndarray:
-    """Matrix of T -> A T B under column-major vectorization: kron(B^T, A)."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
+    """Matrix of T -> A T B under column-major vectorization: kron(B^T, A)
+    by ``np.kron``'s products, or one per pair of two stacks (..., n, n)."""
+    a, b = (as_complex_matrix(m, stack=True) for m in (a, b))
     if a.shape != b.shape:
         raise ValueError("dimension mismatch between left and right factors")
-    return np.kron(b.T, a)
+    kron = b.swapaxes(-1, -2)[..., :, None, :, None] * a[..., None, :, None, :]
+    return kron.reshape(a.shape[:-2] + (a.shape[-1] ** 2,) * 2)

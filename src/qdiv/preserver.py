@@ -14,8 +14,8 @@ validated as one stack, and each divergence, which takes two stacks and
 returns one value per pair, is one call on the pairs followed by every map's
 images.  The values are split by N, and the deviations, mismatches and first
 witness are read from arrays; a NaN or -inf value raises.  The scalar
-criteria convert their operands with one ``as_stack`` call, so operands of
-two orders raise ``ValueError``.
+criteria convert their operands once (trace similarity, on pairs or stacks,
+through the divergences' driver), so operands of two orders raise ``ValueError``.
 ``reports[0][1]`` below is Umegaki under ``state_map``::
 
     pairs = invariance_pairs(3, n_samples=100, seed=1)
@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import matrixcore as mc
-from .divergence import NonFiniteResultError, _check_alpha, d_fg, make_divergence
+from .divergence import NonFiniteResultError, _check_alpha, _per_pair, d_fg, make_divergence
 from .functions import DomainError, ScalarFunctionSpec, _normal
 from .maps import StateMap, conjugate_by, require_conjugation_kind, require_unitary
 from .operators import DensityOperator, OperatorStack, as_stack
@@ -335,17 +335,18 @@ def orthogonality_indicator(a, b, f: ScalarFunctionSpec,
 
 
 def trace_similarity_check(a, b, h) -> float:
-    """|tr h(BAB) - tr h(sqrt(A) B^2 sqrt(A))|; zero up to rounding."""
-    a, b = as_stack([a, b])
-    bab = b.matrix @ a.matrix @ b.matrix
-    sa = a.sqrt()
-    ab2a = sa @ b.matrix @ b.matrix @ sa
-    # both products have norm at most ||A|| ||B||^2
-    bound = float(a.eigenvalues[-1]) * float(b.eigenvalues[-1]) ** 2
-    # snapped spectra: noise below the bound counts as 0
-    evals, _ = mc._snapped_psd_eig(np.array([bab, ab2a]), bound)
-    t1, t2 = h(evals).sum(-1).tolist()
-    return abs(t1 - t2)
+    """|tr h(BAB) - tr h(sqrt(A) B^2 sqrt(A))| of a pair, or a list for two
+    stacks, by the divergences' driver; zero up to rounding."""
+    def kernel(x, y):
+        sa, bm = mc.from_spectrum(x.eigenvalues ** 0.5, x.eigenvectors), y.matrices
+        products = np.stack([bm @ x.matrices @ bm, sa @ bm @ bm @ sa], axis=1)
+        # both products have norm at most ||A|| ||B||^2
+        bound = x.eigenvalues[:, -1] * y.eigenvalues[:, -1] ** 2
+        # snapped spectra: noise below the bound counts as 0
+        traces = h(mc._snapped_psd_eig(products, bound[:, None])[0]).sum(-1)
+        return np.zeros(len(x), dtype=bool), np.abs(traces[:, 0] - traces[:, 1])
+
+    return _per_pair("trace_similarity", a, b, kernel)
 
 
 @dataclass

@@ -95,12 +95,14 @@ def suite_invariance(*, dim: int, samples: int, seed: int, tol: float):
 
 
 def suite_lemmas(*, dim: int, samples: int, seed: int):
+    if dim < 2:
+        raise ValueError("lemmas needs dimension at least 2")
     rng = SeededRng(seed)
     assertions = []
-    draws = [(random_positive_definite(dim, 10.0, rng), random_density(dim, dim, rng))
-             for _ in range(samples)]
+    a, b = zip(*[(random_positive_definite(dim, 10.0, rng), random_density(dim, dim, rng))
+                 for _ in range(samples)])
     for h in (power_fn(0.5), power_fn(2), bounded_ratio_fn()):
-        worst = max(trace_similarity_check(a, b, h) for a, b in draws)
+        worst = max(trace_similarity_check(a, b, h))
         assertions.append(_entry(
             f"trace similarity, h={h.name}", worst, 1e-9, worst <= 1e-9,
         ))

@@ -269,11 +269,14 @@ def test_exit_code_no_samples():
         assert "pass" not in res.stdout
 
 
-def test_exit_code_thm4_dimension_one():
-    # diag(1..n) is scalar at n = 1, so the suite's expected violation cannot occur
-    res = run_cli("check", "thm4", "--dim", "1")
+@pytest.mark.parametrize("suite", ["lemmas", "prop2-limits", "thm4", "wigner"])
+def test_exit_code_dimension_one(suite):
+    # each suite builds an object that needs n >= 2: diag(1..n) is scalar at
+    # n = 1 (thm4), and lemmas' incomparable pair is 2 x 2; lemmas once drew
+    # every pair first and failed in the functional-equation check
+    res = run_cli("check", suite, "--dim", "1", "--samples", "2")
     assert res.returncode == 2
-    assert "dimension at least 2" in res.stderr
+    assert "needs dimension at least 2" in res.stderr
 
 
 def test_exit_code_suite_failure_and_success(tmp_path):

@@ -493,7 +493,7 @@ def test_hermitian_part_adds_first_and_halves_first_only_where_the_sum_overflows
 def apply_superop(s, t):
     """Act with a superoperator matrix on T through column-major vecs."""
     n = t.shape[0]
-    return (s @ mc.vec(t)).reshape((n, n), order="F")
+    return (s @ t.reshape(-1, order="F")).reshape((n, n), order="F")
 
 
 def test_superop_identity():
@@ -530,6 +530,20 @@ def test_superop_eigenvalues_are_products():
         eb = np.linalg.eigvalsh(b)
         want = np.sort([x * y for x in ea for y in eb])
         assert np.allclose(got, want, atol=1e-10)
+
+
+def test_superop_on_stacks_is_kron_member_by_member():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 5):
+        a, b = (rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+                for _ in range(2))
+        s = mc.superop_lr(a, b)
+        assert s.shape == (4, n * n, n * n)
+        for k in range(4):
+            assert np.array_equal(s[k], np.kron(b[k].T, a[k]))
+            assert np.array_equal(mc.superop_lr(a[k], b[k]), s[k])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mc.superop_lr(np.eye(2), np.ones((3, 2, 2)))
 
 
 def test_superop_commutation():

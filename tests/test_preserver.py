@@ -626,6 +626,21 @@ def test_trace_similarity_random_pairs(hname, tol):
             assert trace_similarity_check(a, b, h) <= 1e-9
 
 
+def test_trace_similarity_overflow_is_typed():
+    # BAB = 1e400 I once raised the eigensolver's "matrix has a non-finite
+    # entry" after numpy's matmul overflow warnings
+    want = "trace_similarity: the value overflows a float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResultError, match=f"^{want}$"):
+            trace_similarity_check(1e200 * np.eye(2), 1e100 * np.eye(2), power_fn(2))
+        # on stacks, the first pair that fails alone raises its error
+        with pytest.raises(NonFiniteResultError, match=f"^{want}$"):
+            trace_similarity_check([np.eye(2), 1e200 * np.eye(2), np.eye(2)],
+                                   [np.eye(2) / 2, 1e100 * np.eye(2), np.eye(2) / 2],
+                                   power_fn(2))
+
+
 # --------------------------------------------------------- order dominance
 
 def test_order_dominance_comparable():

@@ -14,6 +14,7 @@ from qdiv.divergence import (
     DIVERGENCE_TAGS,
     NonFiniteResultError,
     d_fg,
+    f_divergence_superop,
     make_divergence,
     sandwiched_core,
     support_contains,
@@ -27,11 +28,12 @@ from qdiv.preserver import (
     check_invariance,
     invariance_pairs,
     invariance_reports,
+    trace_similarity_check,
     verify_conjugation,
     wigner_probe_projections,
     wigner_reconstruct,
 )
-from qdiv.functions import DomainError, power_fn
+from qdiv.functions import DomainError, bounded_ratio_fn, power_fn, spec_from_name
 from qdiv.sampling import SeededRng, haar_unitary, random_density, \
     random_density_matrices, random_unit_vector
 from qdiv.suites import _singular_pair
@@ -45,6 +47,15 @@ PARAMS = {
     "fdiv": [{"f": "xlogx"}, {"f": "power:2"}, {"f": "power:0.5"},
              {"f": "linear:-3"}],
     "dfg": [{"f": "power:0.5", "g": "power:2"}, {"f": "power:-0.5", "g": "power:2"}],
+}
+# the two stack kernels outside the tag dispatch, with the functions they take
+EXTRA = {
+    "fdiv-superop": [
+        (name, lambda a, b, f=spec_from_name(name): f_divergence_superop(a, b, f))
+        for name in ("xlogx", "power:2", "power:0.5", "linear:-3")],
+    "trace-similarity": [
+        (h.name, lambda a, b, h=h: trace_similarity_check(a, b, h))
+        for h in (power_fn(0.5), power_fn(2), bounded_ratio_fn())],
 }
 DIMS = (1, 2, 3, 4, 8)
 
@@ -81,18 +92,33 @@ def _same(x, y):
     return repr(x) == repr(y) and type(x) is type(y)
 
 
-@pytest.mark.parametrize("n", DIMS)
-@pytest.mark.parametrize("tag", DIVERGENCE_TAGS)
-def test_stack_member_equals_the_single_call_bit_for_bit(tag, n):
+def _cases(tag, n):
+    """(params, callable, pairs) for each parameter set of a tag.  The
+    superoperator route needs a definite B: it runs on the pairs with one,
+    and again with a singular B after them, where the single call raises."""
     pairs = _pairs(n)
-    a, b = [x for x, _ in pairs], [y for _, y in pairs]
-    for params in PARAMS[tag]:
-        div = make_divergence(tag, **params)
+    if tag not in EXTRA:
+        return [(params, make_divergence(tag, **params), pairs) for params in PARAMS[tag]]
+    if tag == "fdiv-superop":
+        definite = [p for p in pairs if p[1].definite]
+        runs = [definite] + [definite + [p] for p in pairs if not p[1].definite][:1]
+    else:
+        runs = [pairs]
+    return [(params, div, run) for params, div in EXTRA[tag] for run in runs]
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("tag", DIVERGENCE_TAGS + tuple(EXTRA))
+def test_stack_member_equals_the_single_call_bit_for_bit(tag, n):
+    for params, div, pairs in _cases(tag, n):
+        a, b = [x for x, _ in pairs], [y for _, y in pairs]
         single = [_outcome(lambda: div(x, y)) for x, y in pairs]
         stacked = _outcome(lambda: div(a, b))
         first_error = next((s for s in single if isinstance(s, Exception)), None)
         if first_error is not None:
             assert _same(stacked, first_error), (tag, params)
+            # where the superoperator route fails, a singular B is the cause
+            assert tag != "fdiv-superop" or isinstance(first_error, ValidationError)
             continue
         assert isinstance(stacked, list) and len(stacked) == len(pairs)
         for k, (x, y) in enumerate(zip(single, stacked)):
@@ -118,6 +144,27 @@ def test_support_verdicts_on_stacks():
     assert supports_orthogonal(a, b).tolist() == [supports_orthogonal(x, y)
                                                   for x, y in pairs]
     assert support_contains([], []).tolist() == []
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_every_inf_verdict_reads_its_support_relation(n):
+    # each quantity is +inf exactly where its support condition fails; a swap
+    # of supp A <= supp B for supp B <= supp A shows on the nested pairs
+    pairs = _pairs(n)
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    a_in_b, b_in_a = support_contains(b, a), support_contains(a, b)
+    orthogonal = supports_orthogonal(a, b)
+    singular = np.array([y.rank < y.dim for y in b])
+    cases = [(make_divergence(tag, alpha=alpha), ~a_in_b)
+             for tag in ("renyi", "sandwiched", "sandwiched-core") for alpha in (2.0, 3.0)]
+    cases += [(make_divergence(tag, alpha=0.5), orthogonal) for tag in ("renyi", "sandwiched")]
+    cases += [(make_divergence("umegaki"), ~a_in_b),
+              (make_divergence("fdiv", f="xlogx"), ~a_in_b),
+              (make_divergence("fdiv", f="power:2"), ~a_in_b),
+              (make_divergence("fdiv", f="power:-0.5"), ~b_in_a),
+              (make_divergence("dfg", f="power:-0.5", g="power:2"), singular & ~a_in_b)]
+    for div, want in cases:
+        assert [v == math.inf for v in div(a, b)] == want.tolist(), div.__name__
 
 
 def test_a_stack_raises_the_first_failing_pair_error():
